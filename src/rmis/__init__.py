@@ -9,12 +9,14 @@ and a synchronous message-passing simulator for the distributed setting.
 """
 
 from .graph import (
+    Blocks,
     Graph,
     GraphError,
     EdgeListParseError,
     articulation_points,
     ball,
     biconnected_components,
+    blocks,
     bridges,
     connected_components,
     diameter,
@@ -40,10 +42,8 @@ from .abctree import (
     AbcNode,
     AbcTree,
     RootedAbcTree,
-    aerial_subgraph_of_subtree,
     build_abc_tree,
     default_root,
-    induced_subgraph_of_subtree,
     root_at,
 )
 from .twosat import TwoSatFormula, solve

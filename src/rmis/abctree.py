@@ -14,13 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .graph import Edge, Graph, GraphError, is_connected
-from .graph import (
-    articulation_points,
-    biconnected_components,
-    bridges,
-    to_dot,
-)
+from .graph import Edge, Graph, GraphError, blocks, to_dot
 
 KIND_A = "A"
 KIND_B = "B"
@@ -88,17 +82,15 @@ class AbcTree:
         return [x for x in self.nodes if x.kind == KIND_C]
 
 
-def build_abc_tree(g: Graph) -> AbcTree:
+def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     """Decompose a connected graph into its ABC tree.
 
     An isolated single vertex registers as a (degenerate) pendant node so
-    that every vertex of the graph appears somewhere in the tree.
+    that every vertex of the graph appears somewhere in the tree. A
+    disconnected graph raises GraphError naming `op`.
     """
-    if not is_connected(g):
-        raise GraphError("build_abc_tree requires a connected graph")
-    aps = articulation_points(g)
-    brs = bridges(g)
-    comps = [c for c in biconnected_components(g) if len(c) >= 3]
+    aps, brs, comps = blocks(g, op)
+    comps = [c for c in comps if len(c) >= 3]
     pend = {v for v in g.vertices if g.degree(v) <= 1}
 
     nodes = [AbcNode.articulation(v) for v in sorted(aps)]
@@ -188,41 +180,6 @@ def root_at(t: AbcTree, r: AbcNode) -> RootedAbcTree:
     return RootedAbcTree(t, r)
 
 
-def _node_contribution(g: Graph, x: AbcNode) -> tuple[set[int], list[Edge]]:
-    if x.kind in (KIND_A, KIND_P):
-        return {x.vertex}, []
-    if x.kind == KIND_B:
-        u, v = x.edge
-        return {u, v}, [(u, v)]
-    comp = set(x.vertices)
-    return comp, [(u, v) for u, v in g.edges() if u in comp and v in comp]
-
-
-def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: AbcNode) -> Graph:
-    """Union of the vertex/edge contributions of every node in the subtree
-    at `x`: A/P contribute a vertex, B its edge, C its component.
-    """
-    vs: set[int] = set()
-    es: list[Edge] = []
-    for node in rt.subtree_nodes(x):
-        nvs, nes = _node_contribution(g, node)
-        vs |= nvs
-        es += nes
-    return Graph(vs, es)
-
-
-def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: AbcNode) -> tuple[Graph, int]:
-    """Subtree subgraph plus a fresh pendant attached at the attachment
-    point. The fresh vertex id is max(g) + 1, so it never collides.
-    """
-    if rt.parent[x] is None:
-        raise GraphError("the root has no attachment point for an aerial vertex")
-    sub = induced_subgraph_of_subtree(g, rt, x)
-    aerial = max(g.vertices) + 1
-    ap = rt.attachment_point(x)
-    return Graph(set(sub.vertices) | {aerial}, list(sub.edges()) + [(ap, aerial)]), aerial
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -235,14 +192,12 @@ def render_text(rt: RootedAbcTree, annotate=None) -> str:
     a suffix per line.
     """
     lines: list[str] = []
-
-    def walk(x: AbcNode, depth: int) -> None:
+    stack = [(rt.root, 0)]
+    while stack:
+        x, depth = stack.pop()
         suffix = f"  {annotate(x)}" if annotate else ""
         lines.append(f"{'  ' * depth}{x}{suffix}")
-        for c in rt.children[x]:
-            walk(c, depth + 1)
-
-    walk(rt.root, 0)
+        stack.extend((c, depth + 1) for c in reversed(rt.children[x]))
     return "\n".join(lines) + "\n"
 
 
@@ -262,9 +217,9 @@ def decomposition_dot(g: Graph) -> str:
     """DOT export of the graph itself with vertices colored by their role
     (articulation, pendant, large-component member) and bridges dashed.
     """
-    aps = articulation_points(g)
+    aps, brs, comps = blocks(g, "decomposition_dot")
     pend = {v for v in g.vertices if g.degree(v) <= 1}
-    in_comp = set().union(*[c for c in biconnected_components(g) if len(c) >= 3], set())
+    in_comp = set().union(*[c for c in comps if len(c) >= 3], set())
     colors: dict[int, str] = {}
     for v in g.vertices:
         if v in aps:
@@ -277,5 +232,5 @@ def decomposition_dot(g: Graph) -> str:
             role = "other"
         if role in _ROLE_COLORS:
             colors[v] = f'style=filled fillcolor={_ROLE_COLORS[role]} xlabel="{role}"'
-    dashed = {e: "style=dashed" for e in bridges(g)}
+    dashed = {e: "style=dashed" for e in brs}
     return to_dot(g, name="decomposition", vertex_attrs=colors, edge_attrs=dashed)

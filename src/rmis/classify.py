@@ -6,14 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    GraphError,
-    biconnected_components,
-    is_bipartite,
-    is_connected,
-    pendant_vertices,
-)
+from .graph import Graph, GraphError, blocks, is_bipartite, is_connected, pendant_vertices
 
 
 @dataclass(frozen=True)
@@ -42,15 +35,11 @@ def is_complete_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
     return v1, v2
 
 
-def cycle_vertices(g: Graph) -> set[int]:
+def cycle_vertices(g: Graph, op: str = "cycle_vertices") -> set[int]:
     """Vertices lying on some cycle: members of a biconnected component with
-    three or more vertices.
+    three or more vertices. A disconnected graph raises GraphError naming `op`.
     """
-    out: set[int] = set()
-    for comp in biconnected_components(g):
-        if len(comp) >= 3:
-            out |= comp
-    return out
+    return set().union(*(c for c in blocks(g, op).components if len(c) >= 3))
 
 
 def is_sputnik(g: Graph) -> bool:
@@ -58,10 +47,8 @@ def is_sputnik(g: Graph) -> bool:
 
     Trees qualify vacuously, including the single-vertex graph.
     """
-    if not is_connected(g):
-        raise GraphError("is_sputnik requires a connected graph")
     pendants = pendant_vertices(g)
-    return all(g.neighbors(v) & pendants for v in cycle_vertices(g))
+    return all(g.neighbors(v) & pendants for v in cycle_vertices(g, "is_sputnik"))
 
 
 def in_rmis_forall(g: Graph) -> ClassVerdict:

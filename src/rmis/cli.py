@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for a positive result (set found, predicate holds, valid
-simulation), 1 for a negative one, 2 for usage or input errors.
+simulation), 1 for a negative one, 2 for usage or input errors and for
+internal failures.
 """
 
 from __future__ import annotations
@@ -15,7 +16,21 @@ from .graph import EdgeListParseError, Graph, GraphError, from_edge_list, to_edg
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    """Parse an edge-list file, or standard input for "-", decoded strictly
+    as UTF-8 so that undecodable bytes are an input error.
+    """
+    if path != "-":
+        with open(path, "rb") as fh:
+            data = fh.read()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:  # a text-only stream stands in for stdin
+        return from_edge_list(sys.stdin.read())
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
     return from_edge_list(text)
 
 
@@ -82,8 +97,6 @@ def _cmd_find(args) -> int:
                 return " ".join(f"{t}{sorted(w)}" for t, w in sorted(tags.items())) or "-"
 
             print(abctree.render_text(run.rooted, annotate), end="")
-        for line in run.anomalies:
-            print(f"note: {line}")
         print(oracle.format_vertex_set(run.result) if run.result is not None else "NO-RMIS")
     else:
         print(oracle.format_vertex_set(run.result) if run.result is not None else "NO-RMIS")
@@ -252,8 +265,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, EdgeListParseError, OSError, localsim.SimulationTimeout) as exc:
+    except (GraphError, OSError, localsim.SimulationTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        raise  # not an answer about the input; leave it to the caller
+    except Exception as exc:  # TwoSatError, InternalLabelingError: a bug, not a bad input
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

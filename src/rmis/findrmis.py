@@ -22,7 +22,8 @@ remaining piece, one boolean variable per piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Set
+from dataclasses import dataclass
 
 from .abctree import (
     AbcNode,
@@ -35,7 +36,7 @@ from .abctree import (
     default_root,
     root_at,
 )
-from .graph import Graph, GraphError, induced_subgraph, is_bipartite, is_connected
+from .graph import Graph, GraphError, is_bipartite
 from .twosat import TwoSatFormula, solve
 
 TAG_PI = "PI"
@@ -65,7 +66,6 @@ class LabelingRun:
     labels: LabelMap
     result: frozenset[int] | None
     tree_case: bool
-    anomalies: list[str] = field(default_factory=list)
 
 
 def find_rmis(g: Graph) -> frozenset[int] | None:
@@ -75,9 +75,7 @@ def find_rmis(g: Graph) -> frozenset[int] | None:
 
 def run_labeling(g: Graph) -> LabelingRun:
     """Run the full search, returning labels and outcome for inspection."""
-    if not is_connected(g):
-        raise GraphError("find_rmis requires a connected graph")
-    tree = build_abc_tree(g)
+    tree = build_abc_tree(g, "find_rmis")
     if not tree.component_nodes():
         # acyclic: every MIS is robust; return one color class of a
         # 2-coloring (the class holding the smallest vertex is never empty)
@@ -85,9 +83,8 @@ def run_labeling(g: Graph) -> LabelingRun:
         return LabelingRun(g, tree, None, {}, frozenset(v1), tree_case=True)
     rt = root_at(tree, default_root(tree))
     labels: LabelMap = {}
-    anomalies: list[str] = []
     for c in rt.children[rt.root]:
-        label_subtree(rt, c, labels, anomalies)
+        label_subtree(rt, c, labels)
     if any(TAG_N in labels[c] for c in rt.children[rt.root]):
         labels[rt.root] = {TAG_N: frozenset()}
     else:
@@ -96,7 +93,7 @@ def run_labeling(g: Graph) -> LabelingRun:
             labels[rt.root] = {TAG_N: frozenset()}
         else:
             labels[rt.root] = {TAG_E: witness}
-    return LabelingRun(g, tree, rt, labels, decide(labels, rt.root), False, anomalies)
+    return LabelingRun(g, tree, rt, labels, decide(labels, rt.root), False)
 
 
 def decide(labels: LabelMap, root: AbcNode) -> frozenset[int] | None:
@@ -107,12 +104,7 @@ def decide(labels: LabelMap, root: AbcNode) -> frozenset[int] | None:
 # ---------------------------------------------------------------------------
 # bottom-up labeling
 
-def label_subtree(
-    rt: RootedAbcTree,
-    x: AbcNode,
-    labels: LabelMap,
-    anomalies: list[str] | None = None,
-) -> None:
+def label_subtree(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     """Label every node of the subtree at `x`, children before parents.
 
     A node with an N child is N itself; otherwise the rule for its kind
@@ -127,7 +119,7 @@ def label_subtree(
         elif node.kind == KIND_B:
             label_node_b(rt, node, labels)
         elif node.kind == KIND_C:
-            label_node_c(rt, node, labels, anomalies)
+            label_node_c(rt, node, labels)
         else:
             labels[node] = {TAG_PI: frozenset({node.vertex}), TAG_PE: frozenset()}
 
@@ -171,15 +163,10 @@ def label_node_b(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
         out[TAG_PI] = frozenset({parent_vertex}) | kl[TAG_PE]
 
 
-def label_node_c(
-    rt: RootedAbcTree,
-    x: AbcNode,
-    labels: LabelMap,
-    anomalies: list[str] | None = None,
-) -> None:
+def label_node_c(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     """Non-root component: probe with the attachment point forced in (PI),
-    forced out (PO), and, failing PO, forced out with a temporary PO mark on
-    the parent standing in for an external covering neighbor (PE).
+    forced out (PO), and, failing PO, with the attachment point covered from
+    outside (PE): an external neighbor joins, so it reads as PO in the probe.
     """
     parent = rt.parent[x]
     if parent is None:
@@ -193,19 +180,9 @@ def label_node_c(
     if witness is not None:
         out[TAG_PO] = witness
     else:
-        saved = labels.get(parent)
-        if saved:
-            # the parent should be unlabeled this early; note it and restore
-            if anomalies is not None:
-                anomalies.append(f"parent {parent} carried labels during PE probe of {x}")
-        labels[parent] = {TAG_PO: frozenset()}
-        witness = test_rmis(rt, x, frozenset(), frozenset(), labels)
+        witness = test_rmis(rt, x, frozenset(), frozenset(), labels, covered=ap)
         if witness is not None:
             out[TAG_PE] = witness
-        if saved is None:
-            del labels[parent]
-        else:
-            labels[parent] = saved
     if not out:
         labels[x] = {TAG_N: frozenset()}
 
@@ -213,7 +190,7 @@ def label_node_c(
 # ---------------------------------------------------------------------------
 # per-component constraint solving
 
-def _edges_within(g: Graph, comp: frozenset[int] | set[int]) -> list[tuple[int, int]]:
+def _edges_within(g: Graph, comp: Set[int]) -> list[tuple[int, int]]:
     return [
         (u, w)
         for u in sorted(comp)
@@ -228,9 +205,12 @@ def test_rmis(
     in_vertices: frozenset[int],
     out_vertices: frozenset[int],
     labels: LabelMap,
+    covered: int | None = None,
 ) -> frozenset[int] | None:
     """Decide whether the subtree at component `x` admits a robust MIS
     compatible with the forced `in_vertices`/`out_vertices`, and build one.
+    `covered` names a vertex with a neighbor in the set outside the subtree;
+    it reads as PO.
 
     Edges whose two endpoints both carry PO may have both ends out (each
     side covers itself from below); they are set aside with an at-most-one
@@ -239,52 +219,48 @@ def test_rmis(
     boolean per piece, plus unit constraints from single-tag articulation
     points and from the forced vertices.
     """
-    g = rt.graph
-    comp = set(x.vertices)
+    comp = x.vertices
+    tags = {v: labels.get(AbcNode.articulation(v), _NO_LABELS) for v in comp}
+    if covered is not None:
+        tags[covered] = {TAG_PO: frozenset()}
 
-    def tags_of(v: int) -> LabelSet:
-        return labels.get(AbcNode.articulation(v), _NO_LABELS)
+    removed: list[tuple[int, int]] = []
+    core: dict[int, list[int]] = {v: [] for v in comp}
+    for u, v in _edges_within(rt.graph, tags.keys()):
+        if TAG_PO in tags[u] and TAG_PO in tags[v]:
+            removed.append((u, v))
+        else:
+            core[u].append(v)
+            core[v].append(u)
 
-    removed = [
-        (u, v)
-        for u, v in _edges_within(g, comp)
-        if TAG_PO in tags_of(u) and TAG_PO in tags_of(v)
-    ]
-    removed_set = set(removed)
-    core_edges = [e for e in _edges_within(g, comp) if e not in removed_set]
-    core = Graph(comp, core_edges)
-
-    pieces: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for v in sorted(comp):
-        if v in seen:
-            continue
-        piece = _reach(core, v)
-        seen |= piece
-        pieces.append(frozenset(piece))
-
-    # one variable per piece; the side holding the piece's smallest vertex
-    # is the positive side
+    # one variable per connected piece of the core, numbered by smallest
+    # vertex; the side holding that vertex is the positive side
     literal: dict[int, tuple[int, bool]] = {}
-    for i, piece in enumerate(pieces):
-        parts = is_bipartite(induced_subgraph(core, piece))
-        if parts is None:
-            return None
-        pos, neg = parts
-        for v in pos:
-            literal[v] = (i, True)
-        for v in neg:
-            literal[v] = (i, False)
+    pieces = 0
+    for start in comp:
+        if start in literal:
+            continue
+        literal[start] = (pieces, True)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            side = not literal[v][1]
+            for w in core[v]:
+                if w not in literal:
+                    literal[w] = (pieces, side)
+                    stack.append(w)
+                elif literal[w][1] != side:
+                    return None
+        pieces += 1
 
     def lit(v: int, value: bool) -> tuple[int, bool]:
         var, pol = literal[v]
         return (var, pol if value else not pol)
 
-    formula = TwoSatFormula(len(pieces))
-    for v in sorted(comp):
-        tags = tags_of(v)
-        if len(tags) == 1:
-            (tag,) = tags
+    formula = TwoSatFormula(pieces)
+    for v in comp:
+        if len(tags[v]) == 1:
+            (tag,) = tags[v]
             if tag == TAG_PI:
                 formula.add_unit(lit(v, True))
             elif tag in (TAG_PO, TAG_PE):
@@ -314,15 +290,3 @@ def test_rmis(
             )
         witness |= part
     return frozenset(witness)
-
-
-def _reach(g: Graph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen

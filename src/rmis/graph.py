@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from typing import NamedTuple
 
 Edge = tuple[int, int]
 
@@ -203,11 +204,6 @@ def is_connected(g: Graph) -> bool:
     return len(bfs_distances(g, g.vertices[0])) == g.n
 
 
-def _require_connected(g: Graph, op: str) -> None:
-    if not is_connected(g):
-        raise GraphError(f"{op} requires a connected graph")
-
-
 def pendant_vertices(g: Graph) -> set[int]:
     """Vertices of degree exactly 1."""
     return {v for v in g.vertices if g.degree(v) == 1}
@@ -216,9 +212,18 @@ def pendant_vertices(g: Graph) -> set[int]:
 # ---------------------------------------------------------------------------
 # lowlink decomposition: articulation points, bridges, biconnected components
 
-def _lowlink(g: Graph) -> tuple[set[int], set[Edge], list[frozenset[int]]]:
+class Blocks(NamedTuple):
+    articulation_points: set[int]
+    bridges: set[Edge]
+    components: list[frozenset[int]]  # edge-based, sorted by vertex content
+
+
+def blocks(g: Graph, op: str = "blocks") -> Blocks:
     """One iterative depth-first pass computing articulation points, bridges,
-    and edge-based biconnected components (as vertex sets).
+    and biconnected components (as vertex sets). Every edge lies in exactly
+    one component; size-2 components are exactly the bridges.
+
+    Raises GraphError naming `op` when the pass does not reach every vertex.
     """
     root = g.vertices[0]
     disc: dict[int, int] = {}
@@ -273,32 +278,27 @@ def _lowlink(g: Graph) -> tuple[set[int], set[Edge], list[frozenset[int]]]:
                 aps.add(u)
         if low[v] > disc[u]:
             brs.add(edge(u, v))
+    if len(disc) != g.n:
+        raise GraphError(f"{op} requires a connected graph")
     if root_children > 1:
         aps.add(root)
     comps.sort(key=lambda c: tuple(sorted(c)))
-    return aps, brs, comps
+    return Blocks(aps, brs, comps)
 
 
 def articulation_points(g: Graph) -> set[int]:
     """Vertices whose removal disconnects the graph."""
-    _require_connected(g, "articulation_points")
-    return _lowlink(g)[0]
+    return blocks(g, "articulation_points").articulation_points
 
 
 def bridges(g: Graph) -> set[Edge]:
     """Edges whose removal disconnects the graph (the non-removable edges)."""
-    _require_connected(g, "bridges")
-    return _lowlink(g)[1]
+    return blocks(g, "bridges").bridges
 
 
 def biconnected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal 2-vertex-connected subgraphs as vertex sets.
-
-    Every edge lies in exactly one component; size-2 components are exactly
-    the bridges. Sorted by vertex content for determinism.
-    """
-    _require_connected(g, "biconnected_components")
-    return _lowlink(g)[2]
+    """Maximal 2-vertex-connected subgraphs as vertex sets (see `blocks`)."""
+    return blocks(g, "biconnected_components").components
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,8 @@ def ball(g: Graph, v: int, radius: int) -> tuple[Graph, set[int]]:
 
 def diameter(g: Graph) -> int:
     """Longest shortest-path length over all vertex pairs."""
-    _require_connected(g, "diameter")
+    if not is_connected(g):
+        raise GraphError("diameter requires a connected graph")
     best = 0
     for v in g.vertices:
         best = max(best, max(bfs_distances(g, v).values()))

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from rmis.graph import Graph, induced_subgraph, is_connected, remove_edges
+from rmis.abctree import KIND_A, KIND_B, KIND_P, AbcNode, RootedAbcTree
+from rmis.graph import Edge, Graph, GraphError, induced_subgraph, is_connected, remove_edges
 
 
 def brute_articulation_points(g: Graph) -> set[int]:
@@ -75,6 +76,42 @@ def brute_biconnected_components(g: Graph) -> list[frozenset[int]]:
     for e, i in idx.items():
         classes.setdefault(find(i), set()).update(e)
     return sorted((frozenset(c) for c in classes.values()), key=lambda c: tuple(sorted(c)))
+
+
+def _node_contribution(g: Graph, x: AbcNode) -> tuple[set[int], list[Edge]]:
+    if x.kind in (KIND_A, KIND_P):
+        return {x.vertex}, []
+    if x.kind == KIND_B:
+        u, v = x.edge
+        return {u, v}, [(u, v)]
+    comp = set(x.vertices)
+    return comp, [(u, v) for u, v in g.edges() if u in comp and v in comp]
+
+
+def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: AbcNode) -> Graph:
+    """Union of the vertex/edge contributions of every node in the subtree
+    at `x`: A/P contribute a vertex, B its edge, C its component. The
+    labelling-soundness checks judge each label against this graph.
+    """
+    vs: set[int] = set()
+    es: list[Edge] = []
+    for node in rt.subtree_nodes(x):
+        nvs, nes = _node_contribution(g, node)
+        vs |= nvs
+        es += nes
+    return Graph(vs, es)
+
+
+def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: AbcNode) -> tuple[Graph, int]:
+    """Subtree subgraph plus a fresh pendant attached at the attachment
+    point. The fresh vertex id is max(g) + 1, so it never collides.
+    """
+    if rt.parent[x] is None:
+        raise GraphError("the root has no attachment point for an aerial vertex")
+    sub = induced_subgraph_of_subtree(g, rt, x)
+    aerial = max(g.vertices) + 1
+    ap = rt.attachment_point(x)
+    return Graph(set(sub.vertices) | {aerial}, list(sub.edges()) + [(ap, aerial)]), aerial
 
 
 def connected_graphs(n: int):

@@ -4,11 +4,9 @@ import pytest
 
 from rmis.abctree import (
     AbcNode,
-    aerial_subgraph_of_subtree,
     build_abc_tree,
     decomposition_dot,
     default_root,
-    induced_subgraph_of_subtree,
     render_text,
     root_at,
     tree_to_dot,
@@ -16,7 +14,7 @@ from rmis.abctree import (
 from rmis.graph import Graph, GraphError, is_connected
 from rmis.generators import gen_bull, gen_cycle, gen_path, gen_random_connected
 
-from conftest import connected_graphs
+from conftest import aerial_subgraph_of_subtree, connected_graphs, induced_subgraph_of_subtree
 
 
 def tree_is_actually_a_tree(t) -> bool:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rmis import findrmis
 from rmis.cli import main
 from rmis.graph import from_edge_list
 from rmis.generators import gen_bull, gen_gk, gen_square, gen_triangle
@@ -178,3 +179,39 @@ class TestErrors:
         assert main(["abc", str(path)]) == 0
         out = capsys.readouterr().out
         assert "A(1)" in out and "P(0)" in out and "B(1,2)" in out
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"\xff\xfe1 2\n")
+        assert main(["find", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+    def test_internal_failure_exits_2(self, bull_file, capsys, monkeypatch):
+        def broken(g):
+            raise findrmis.InternalLabelingError("invariant broke")
+
+        monkeypatch.setattr(findrmis, "run_labeling", broken)
+        assert main(["find", bull_file]) == 2
+        assert capsys.readouterr().err == "error: internal failure: InternalLabelingError: invariant broke\n"
+
+
+class TestDeepTrees:
+    """gen_gk(600) roots an ABC tree about 1,200 levels deep."""
+
+    @pytest.fixture(scope="class")
+    def gk600_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deep") / "gk600.edges"
+        path.write_text(to_edge_list(gen_gk(600).graph))
+        return str(path)
+
+    def test_abc_renders(self, gk600_file, capsys):
+        assert main(["abc", gk600_file]) == 0
+        assert capsys.readouterr().out.count("\n") > 2400
+
+    def test_find_trace(self, gk600_file, capsys):
+        assert main(["find", gk600_file, "--trace"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        inst = gen_gk(600)
+        assert out[-1] in {",".join(map(str, sorted(s))) for s in (inst.m1, inst.m2)}
+

@@ -4,9 +4,7 @@ import pytest
 
 from rmis.abctree import (
     AbcNode,
-    aerial_subgraph_of_subtree,
     build_abc_tree,
-    induced_subgraph_of_subtree,
     root_at,
 )
 from rmis.findrmis import (
@@ -33,7 +31,7 @@ from rmis.generators import (
 )
 from rmis.oracle import enumerate_mis, enumerate_robust_mis, is_robust_mis
 
-from conftest import connected_graphs
+from conftest import aerial_subgraph_of_subtree, connected_graphs, induced_subgraph_of_subtree
 
 
 def robust_sets(g):
@@ -259,7 +257,6 @@ class TestWellLabeled:
             if run.tree_case:
                 continue
             assert_well_labeled(g, run)
-            assert run.anomalies == []
             checked += 1
         assert checked >= 60
 
