@@ -19,7 +19,6 @@ from .graph import (
     blocks,
     bridges,
     connected_components,
-    diameter,
     from_edge_list,
     induced_subgraph,
     is_bipartite,
@@ -67,7 +66,6 @@ from .localsim import (
     NodeProgram,
     SimResult,
     SimulationTimeout,
-    forest_mis_program,
     identity_ids,
     indistinguishability_check,
     random_ids,

@@ -4,9 +4,10 @@ class of graphs in which every MIS is robust (exactly the union of the two).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, blocks, is_bipartite, is_connected, pendant_vertices
+from .graph import Graph, GraphError, blocks, is_connected, pendant_vertices
 
 
 @dataclass(frozen=True)
@@ -17,6 +18,18 @@ class ClassVerdict:
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None
 
 
+def complete_bipartite_sides(adj: Mapping[int, Set[int]]) -> tuple[set[int], set[int]] | None:
+    """The sides (V1, V2) of a complete bipartite adjacency map, or None.
+    V2 is the neighborhood of the smallest vertex and V1 every other vertex;
+    every neighbor must be a key. Linear in the map's size, with no search.
+    """
+    v2 = set(adj[min(adj)])
+    v1 = adj.keys() - v2
+    if v2 and all(adj[v] == v2 for v in v1) and all(adj[v] == v1 for v in v2):
+        return v1, v2
+    return None
+
+
 def is_complete_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
     """The bipartition (V1, V2) if every V1-V2 pair is an edge and there are
     no others; None otherwise. A single vertex does not qualify (one side
@@ -24,15 +37,7 @@ def is_complete_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
     """
     if not is_connected(g):
         raise GraphError("is_complete_bipartite requires a connected graph")
-    parts = is_bipartite(g)
-    if parts is None:
-        return None
-    v1, v2 = parts
-    if not v1 or not v2:
-        return None
-    if g.num_edges != len(v1) * len(v2):
-        return None
-    return v1, v2
+    return complete_bipartite_sides(g._adj)
 
 
 def cycle_vertices(g: Graph, op: str = "cycle_vertices") -> set[int]:

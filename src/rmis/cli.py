@@ -169,9 +169,15 @@ def _cmd_simulate(args) -> int:
     if args.ids == "identity":
         ids = localsim.identity_ids(g)
     elif args.ids.startswith("random:"):
-        ids = localsim.random_ids(g, int(args.ids.split(":", 1)[1]))
+        try:
+            seed = int(args.ids.removeprefix("random:"))
+        except ValueError:
+            raise GraphError(f"bad --ids value {args.ids!r}; the seed must be an integer") from None
+        ids = localsim.random_ids(g, seed)
     else:
         raise GraphError(f"bad --ids value {args.ids!r}; use identity or random:<seed>")
+    if args.max_rounds is not None and args.max_rounds < 0:
+        raise GraphError(f"bad --max-rounds value {args.max_rounds}; use a non-negative count")
     result = localsim.run_sync(g, localsim.rmis_forall_program(), ids, args.max_rounds)
     chosen = {v for v, out in result.outputs.items() if out == localsim.IN}
     valid = oracle.is_mis(g, chosen)

@@ -302,7 +302,7 @@ def biconnected_components(g: Graph) -> list[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# bipartiteness, balls, diameter, edge removal
+# bipartiteness, balls, edge removal
 
 def is_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
     """Two-color the graph if possible.
@@ -343,16 +343,6 @@ def ball(g: Graph, v: int, radius: int) -> tuple[Graph, set[int]]:
         if dist[w] == radius and any(x not in inside for x in g.neighbors(w))
     }
     return induced_subgraph(g, inside), boundary
-
-
-def diameter(g: Graph) -> int:
-    """Longest shortest-path length over all vertex pairs."""
-    if not is_connected(g):
-        raise GraphError("diameter requires a connected graph")
-    best = 0
-    for v in g.vertices:
-        best = max(best, max(bfs_distances(g, v).values()))
-    return best
 
 
 def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:

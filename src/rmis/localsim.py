@@ -6,8 +6,8 @@ size is unbounded. Nodes are addressed by ports (neighbor slots ordered by
 the neighbors' assigned identifiers), so a node initially knows nothing
 beyond its own identifier and degree.
 
-Programs must treat received message objects as read-only and snapshot any
-mutable payload they send.
+Programs must treat received message objects as read-only and never mutate
+a payload after sending it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-from .classify import is_complete_bipartite
+from .classify import complete_bipartite_sides
 from .generators import gen_gk
 from .graph import Graph, GraphError, ball, is_connected
 
@@ -151,8 +151,8 @@ class _GatherState:
     decision: str | None = None
     port_ids: dict[int, int] = field(default_factory=dict)  # port -> neighbor id
     adj: dict[int, frozenset[int]] = field(default_factory=dict)  # id -> full nbhd
-    residual_ports: list[int] = field(default_factory=list)
     residual: dict[int, tuple[int, str | None]] = field(default_factory=dict)
+    outbox: dict[int, Any] = field(default_factory=dict)  # next round's messages
 
 
 class RmisForallProgram(NodeProgram):
@@ -166,7 +166,8 @@ class RmisForallProgram(NodeProgram):
     joins. Otherwise, on the graphs this program is meant for, every cycle
     vertex has a pendant neighbor: pendants join, their neighbors leave, and
     what remains induces a forest handled by the id-priority rule, ignoring
-    edges into the already-decided part.
+    edges into the already-decided part. A forest node announces its status
+    once, in the round after it decides; neighbors keep the last one heard.
 
     The forest stage is a plain greedy; it can take a number of rounds
     linear in the forest size rather than the best known bounds, so only
@@ -178,14 +179,11 @@ class RmisForallProgram(NodeProgram):
         return _GatherState(ident, degree)
 
     def send(self, state: _GatherState) -> dict[int, Any]:
-        all_ports = range(state.degree)
         if state.round == 0:
-            return {p: ("id", state.ident) for p in all_ports}
+            return {p: ("id", state.ident) for p in range(state.degree)}
         if state.round in (1, 2):
-            return {p: ("adj", dict(state.adj)) for p in all_ports}
-        if state.residual_ports:
-            return {p: ("status", state.ident, state.decision) for p in state.residual_ports}
-        return {}
+            return {p: ("adj", state.adj) for p in range(state.degree)}
+        return state.outbox
 
     def step(self, state: _GatherState, inbox: dict[int, Any]) -> _GatherState:
         state.round += 1
@@ -194,29 +192,28 @@ class RmisForallProgram(NodeProgram):
                 state.port_ids[port] = ident
             state.adj[state.ident] = frozenset(state.port_ids.values())
         elif state.round in (2, 3):
-            for _, (_, mapping) in sorted(inbox.items()):
-                for ident, nbrs in mapping.items():
-                    state.adj.setdefault(ident, nbrs)
+            merged: dict[int, frozenset[int]] = {}  # fresh: state.adj was sent
+            for _, mapping in inbox.values():
+                merged.update(mapping)
+            merged.update(state.adj)
+            state.adj = merged
             if state.round == 3:
                 self._gather_decision(state)
         elif state.decision is None:
             for port, (_, ident, status) in inbox.items():
                 state.residual[port] = (ident, status)
             state.decision = _greedy_decision(state.ident, state.residual)
+            if state.decision is not None:
+                state.outbox = {p: ("status", state.ident, state.decision) for p in state.residual}
+        elif state.outbox:  # announced this round; nothing more to say
+            state.outbox = {}
         return state
 
     def _gather_decision(self, state: _GatherState) -> None:
-        known = set(state.adj)
-        for nbrs in state.adj.values():
-            known |= nbrs
-        frontier = known - set(state.adj)
-        if not frontier:
-            whole = Graph(known, [(u, w) for u in state.adj for w in state.adj[u] if u < w])
-            parts = is_complete_bipartite(whole)
+        if all(nbrs <= state.adj.keys() for nbrs in state.adj.values()):
+            parts = complete_bipartite_sides(state.adj)
             if parts is not None:
-                lowest = min(known)
-                side = parts[0] if lowest in parts[0] else parts[1]
-                state.decision = IN if state.ident in side else OUT
+                state.decision = IN if state.ident in parts[0] else OUT
                 return
         if state.degree == 1:
             state.decision = IN
@@ -229,7 +226,6 @@ class RmisForallProgram(NodeProgram):
         # pendant neighbor, run the greedy on what remains
         for port, ident in sorted(state.port_ids.items()):
             if not any(len(state.adj[w]) == 1 for w in state.adj[ident]):
-                state.residual_ports.append(port)
                 state.residual[port] = (ident, None)
 
     def output(self, state: _GatherState) -> str | None:
@@ -238,43 +234,6 @@ class RmisForallProgram(NodeProgram):
 
 def rmis_forall_program() -> NodeProgram:
     return RmisForallProgram()
-
-
-@dataclass
-class _GreedyState:
-    ident: int
-    degree: int
-    round: int = 0
-    decision: str | None = None
-    neighbors: dict[int, tuple[int, str | None]] = field(default_factory=dict)
-
-
-class ForestMisProgram(NodeProgram):
-    """Standalone id-priority MIS: a node joins once every smaller-id
-    neighbor has left, leaves once a neighbor joined. Correct on any graph,
-    meant for forests where it needs at most linearly many rounds.
-    """
-
-    def init(self, ident: int, degree: int) -> _GreedyState:
-        return _GreedyState(ident, degree)
-
-    def send(self, state: _GreedyState) -> dict[int, Any]:
-        return {p: ("status", state.ident, state.decision) for p in range(state.degree)}
-
-    def step(self, state: _GreedyState, inbox: dict[int, Any]) -> _GreedyState:
-        state.round += 1
-        for port, (_, ident, status) in inbox.items():
-            state.neighbors[port] = (ident, status)
-        if state.decision is None:
-            state.decision = _greedy_decision(state.ident, state.neighbors)
-        return state
-
-    def output(self, state: _GreedyState) -> str | None:
-        return state.decision
-
-
-def forest_mis_program() -> NodeProgram:
-    return ForestMisProgram()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,25 @@ from itertools import combinations
 import pytest
 
 from rmis.abctree import KIND_A, KIND_B, KIND_P, AbcNode, RootedAbcTree
-from rmis.graph import Edge, Graph, GraphError, induced_subgraph, is_connected, remove_edges
+from rmis.graph import (
+    Edge,
+    Graph,
+    GraphError,
+    bfs_distances,
+    induced_subgraph,
+    is_connected,
+    remove_edges,
+)
+
+
+def diameter(g: Graph) -> int:
+    """Longest shortest-path length over all vertex pairs."""
+    if not is_connected(g):
+        raise GraphError("diameter requires a connected graph")
+    best = 0
+    for v in g.vertices:
+        best = max(best, max(bfs_distances(g, v).values()))
+    return best
 
 
 def brute_articulation_points(g: Graph) -> set[int]:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rmis.classify import in_rmis_forall, is_complete_bipartite, is_sputnik
+from rmis.classify import complete_bipartite_sides, in_rmis_forall, is_complete_bipartite, is_sputnik
 from rmis.graph import Graph, GraphError
 from rmis.generators import (
     gen_bull,
@@ -15,6 +15,81 @@ from rmis.generators import (
 from rmis.oracle import enumerate_mis, is_robust_mis
 
 from conftest import connected_graphs
+
+
+def reference_sides(adj):
+    """Definition: a proper 2-colouring whose sides are both non-empty and
+    fully joined, |E| = |V1| * |V2|; V1 holds the smallest vertex.
+    """
+    colour = {}
+    for start in sorted(adj):
+        if start in colour:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    v1 = {v for v, c in colour.items() if c == 0}
+    v2 = {v for v, c in colour.items() if c == 1}
+    num_edges = sum(len(ns) for ns in adj.values()) // 2
+    if v1 and v2 and num_edges == len(v1) * len(v2):
+        return v1, v2
+    return None
+
+
+def k_map(m, n):
+    """Adjacency map of K_{m,n} with sides range(m) and range(m, m + n)."""
+    left, right = set(range(m)), set(range(m, m + n))
+    return {v: set(right if v in left else left) for v in left | right}
+
+
+class TestCompleteBipartiteSides:
+    def test_matches_definition_on_small_corpus(self, small_corpus):
+        positives = 0
+        for g in small_corpus:
+            adj = {v: g.neighbors(v) for v in g}
+            got = complete_bipartite_sides(adj)
+            assert got == reference_sides(adj), g.edges()
+            positives += got is not None
+        assert positives > 0
+
+    def test_complete_bipartite_shapes(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                adj = k_map(m, n)
+                assert complete_bipartite_sides(adj) == reference_sides(adj) == (
+                    set(range(m)),
+                    set(range(m, m + n)),
+                )
+
+    def test_one_edge_missing(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                adj = k_map(m, n)
+                adj[m - 1].discard(m + n - 1)
+                adj[m + n - 1].discard(m - 1)
+                assert complete_bipartite_sides(adj) is None
+                assert reference_sides(adj) is None
+
+    def test_one_edge_inside_a_side(self):
+        for m in range(1, 7):
+            for n in range(2, 7):
+                adj = k_map(m, n)
+                adj[m].add(m + 1)
+                adj[m + 1].add(m)
+                assert complete_bipartite_sides(adj) is None
+                assert reference_sides(adj) is None
+
+    def test_two_disjoint_edges(self):
+        adj = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+        assert complete_bipartite_sides(adj) is None
+        assert reference_sides(adj) is None
 
 
 class TestCompleteBipartite:

@@ -156,6 +156,28 @@ class TestSimulate:
         path.write_text(to_edge_list(gen_square()))
         assert main(["simulate", str(path), "--ids", "bogus"]) == 2
 
+    def test_non_integer_seed_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "square.edges"
+        path.write_text(to_edge_list(gen_square()))
+        assert main(["simulate", str(path), "--ids", "random:abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --ids value 'random:abc'")
+        assert "internal failure" not in err
+
+    def test_negative_round_cap_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "square.edges"
+        path.write_text(to_edge_list(gen_square()))
+        assert main(["simulate", str(path), "--max-rounds", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --max-rounds value -1")
+        assert "undecided" not in err
+
+    def test_zero_round_cap_times_out(self, tmp_path, capsys):
+        path = tmp_path / "square.edges"
+        path.write_text(to_edge_list(gen_square()))
+        assert main(["simulate", str(path), "--max-rounds", "0"]) == 2
+        assert "4 nodes undecided after 0 rounds" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

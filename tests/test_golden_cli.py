@@ -1,5 +1,6 @@
 """Golden CLI output: the stdout of `find`, `abc` and `classify` on a fixed
-corpus must stay byte-identical across refactors.
+corpus, and of `simulate` on a second one, must stay byte-identical across
+refactors.
 
 `golden_cli.json` maps "<graph> <command>" to the exit code and the sha256
 of stdout. Regenerate it only when an output change is intended:
@@ -22,6 +23,7 @@ from rmis.generators import (
     gen_complete_bipartite,
     gen_gk,
     gen_lollipop,
+    gen_path,
     gen_random_connected,
     gen_random_sputnik,
 )
@@ -37,6 +39,11 @@ COMMANDS = {
     "abc-dot": ["abc", "--dot"],
     "abc-dot-graph": ["abc", "--dot-graph"],
     "classify": ["classify"],
+}
+
+SIM_COMMANDS = {
+    "simulate": ["simulate"],
+    "simulate-random": ["simulate", "--ids", "random:7"],
 }
 
 
@@ -55,16 +62,32 @@ def corpus():
     return graphs
 
 
+def sim_corpus():
+    """Name -> graph for `simulate`: complete bipartite shapes, sputniks,
+    paths and small gadget ladders.
+    """
+    sizes = (1, 2, 3, 4, 7, 12, 20, 30)
+    graphs = {f"k{m}x{n}": gen_complete_bipartite(m, n) for m in sizes for n in sizes if m <= n}
+    for seed in range(1, 21):
+        graphs[f"sputnik-{seed}-{3 * seed}"] = gen_random_sputnik(seed, 3 * seed)
+    for n in (1, 2, 3, 4, 5, 8, 13, 40):
+        graphs[f"path{n}"] = gen_path(n)
+    for k in range(2, 11):
+        graphs[f"gk{k}"] = gen_gk(k).graph
+    return graphs
+
+
 def run_all(tmp_dir: Path) -> dict[str, list]:
     out = {}
-    for name, g in corpus().items():
-        path = tmp_dir / f"{name}.edges"
-        path.write_text(to_edge_list(g))
-        for label, argv in COMMANDS.items():
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                rc = main([argv[0], str(path), *argv[1:]])
-            out[f"{name} {label}"] = [rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+    for graphs, commands in ((corpus(), COMMANDS), (sim_corpus(), SIM_COMMANDS)):
+        for name, g in graphs.items():
+            path = tmp_dir / f"{name}.edges"
+            path.write_text(to_edge_list(g))
+            for label, argv in commands.items():
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    rc = main([argv[0], str(path), *argv[1:]])
+                out[f"{name} {label}"] = [rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
     return out
 
 

@@ -10,7 +10,6 @@ from rmis.graph import (
     ball,
     biconnected_components,
     bridges,
-    diameter,
     from_edge_list,
     is_bipartite,
     is_connected,
@@ -20,7 +19,13 @@ from rmis.graph import (
 )
 from rmis.generators import gen_bull, gen_complete_bipartite, gen_cycle, gen_gk, gen_path, gen_random_connected
 
-from conftest import brute_articulation_points, brute_bridges, brute_biconnected_components, connected_graphs
+from conftest import (
+    brute_articulation_points,
+    brute_biconnected_components,
+    brute_bridges,
+    connected_graphs,
+    diameter,
+)
 
 
 class TestParsing:

@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
@@ -9,7 +11,6 @@ from rmis.graph import (
     GraphError,
     ball,
     connected_components,
-    diameter,
     induced_subgraph,
     pendant_vertices,
 )
@@ -23,8 +24,9 @@ from rmis.localsim import (
     IN,
     OUT,
     NodeProgram,
+    RmisForallProgram,
     SimulationTimeout,
-    forest_mis_program,
+    _greedy_decision,
     identity_ids,
     indistinguishability_check,
     labeled_ball_view,
@@ -33,6 +35,8 @@ from rmis.localsim import (
     run_sync,
 )
 from rmis.oracle import is_mis
+
+from conftest import diameter
 
 
 class ConstantIn(NodeProgram):
@@ -97,6 +101,43 @@ class FloodProbe(NodeProgram):
 
     def output(self, state):
         return IN if state.done else None
+
+
+@dataclass
+class _GreedyState:
+    ident: int
+    degree: int
+    round: int = 0
+    decision: str | None = None
+    neighbors: dict = field(default_factory=dict)
+
+
+class ForestMisProgram(NodeProgram):
+    """Standalone id-priority MIS: a node joins once every smaller-id
+    neighbor has left, leaves once a neighbor joined. Correct on any graph,
+    meant for forests where it needs at most linearly many rounds.
+    """
+
+    def init(self, ident, degree):
+        return _GreedyState(ident, degree)
+
+    def send(self, state):
+        return {p: ("status", state.ident, state.decision) for p in range(state.degree)}
+
+    def step(self, state, inbox):
+        state.round += 1
+        for port, (_, ident, status) in inbox.items():
+            state.neighbors[port] = (ident, status)
+        if state.decision is None:
+            state.decision = _greedy_decision(state.ident, state.neighbors)
+        return state
+
+    def output(self, state):
+        return state.decision
+
+
+def forest_mis_program():
+    return ForestMisProgram()
 
 
 def in_set(result):
@@ -236,6 +277,54 @@ class TestRmisForallProgram:
         g = gen_path(9)
         result = run_sync(g, rmis_forall_program(), identity_ids(g))
         assert is_mis(g, in_set(result))
+
+    @staticmethod
+    def forest_instances():
+        for n in (3, 6, 10, 40):
+            g = gen_path(n)
+            yield g, identity_ids(g)
+            yield g, random_ids(g, n)
+        rng = random.Random(6)
+        for i in range(20):
+            g = gen_random_sputnik(300 + i, rng.randint(3, 60))
+            yield g, random_ids(g, i)
+
+    def test_each_port_carries_at_most_one_status(self):
+        class StatusCounter(RmisForallProgram):
+            def __init__(self):
+                self.sent = Counter()
+
+            def send(self, state):
+                msgs = super().send(state)
+                for port, msg in msgs.items():
+                    if msg[0] == "status":
+                        self.sent[state.ident, port] += 1
+                return msgs
+
+        announced = 0
+        for g, ids in self.forest_instances():
+            program = StatusCounter()
+            result = run_sync(g, program, ids)
+            assert is_mis(g, in_set(result))
+            assert max(program.sent.values(), default=0) <= 1
+            announced += len(program.sent)
+        assert announced > 0
+
+    def test_payloads_are_not_changed_after_sending(self):
+        class Snapshots(RmisForallProgram):
+            def __init__(self):
+                self.sent = []
+
+            def send(self, state):
+                msgs = super().send(state)
+                self.sent.extend((msg, copy.deepcopy(msg)) for msg in msgs.values())
+                return msgs
+
+        instances = [(gen_complete_bipartite(3, 4), None), *self.forest_instances()]
+        for g, ids in instances:
+            program = Snapshots()
+            run_sync(g, program, ids or identity_ids(g))
+            assert all(msg == snapshot for msg, snapshot in program.sent)
 
 
 class TestForestProgram:
