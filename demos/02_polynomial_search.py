@@ -11,7 +11,7 @@ import time
 
 from rmis import build_abc_tree, default_root, find_rmis, gen_bull, gen_gk, is_robust_mis, root_at
 from rmis.abctree import render_text
-from rmis.findrmis import run_labeling
+from rmis.findrmis import all_witnesses, run_labeling
 
 bull = gen_bull()
 print("== decomposition of the bull graph")
@@ -22,10 +22,11 @@ print("   A = articulation point, B = bridge, C = big component, P = pendant")
 
 print("\n== labeled run")
 run = run_labeling(bull)
+witnesses = all_witnesses(run.rooted, run.labels)  # labels hold own vertices only
 
 
 def tags(node):
-    return " ".join(f"{t}{sorted(w)}" for t, w in sorted(run.labels.get(node, {}).items()))
+    return " ".join(f"{t}{sorted(w)}" for t, w in sorted(witnesses[node].items()))
 
 
 print(render_text(run.rooted, tags), end="")

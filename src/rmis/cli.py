@@ -39,9 +39,10 @@ def _node_key(x: abctree.AbcNode) -> str:
 
 
 def _labels_json(run: findrmis.LabelingRun) -> dict:
+    witnesses = findrmis.all_witnesses(run.rooted, run.labels) if run.rooted is not None else {}
     return {
         _node_key(node): {tag: sorted(w) for tag, w in sorted(tags.items())}
-        for node, tags in sorted(run.labels.items())
+        for node, tags in sorted(witnesses.items())
     }
 
 
@@ -92,8 +93,10 @@ def _cmd_find(args) -> int:
         )
     elif args.trace:
         if run.rooted is not None:
+            witnesses = findrmis.all_witnesses(run.rooted, run.labels)
+
             def annotate(x):
-                tags = run.labels.get(x, {})
+                tags = witnesses[x]
                 return " ".join(f"{t}{sorted(w)}" for t, w in sorted(tags.items())) or "-"
 
             print(abctree.render_text(run.rooted, annotate), end="")

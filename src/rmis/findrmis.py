@@ -14,20 +14,19 @@ the rest of the graph):
   N   (negative)          none of the above; the whole search fails;
   E   (end)               root-only: a robust MIS of the whole graph.
 
-Every label carries a witness set realizing it. Component nodes resolve
-their internal membership constraints through 2-SAT: after dropping edges
-whose two endpoints may both stay out, membership must 2-color each
-remaining piece, one boolean variable per piece.
+A label holds, per tag, only its own node's vertices; one rule (`_picks`)
+gives each child's tag, and witnesses are assembled from it on demand.
+Component nodes settle their constraints through 2-SAT: once edges whose two
+ends may both stay out are dropped, membership 2-colors each piece.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 
 from .abctree import (
     AbcNode,
-    AbcTree,
     KIND_A,
     KIND_B,
     KIND_C,
@@ -36,7 +35,7 @@ from .abctree import (
     default_root,
     root_at,
 )
-from .graph import Graph, GraphError, is_bipartite
+from .graph import Graph, is_bipartite
 from .twosat import TwoSatFormula, solve
 
 TAG_PI = "PI"
@@ -45,7 +44,7 @@ TAG_PE = "PE"
 TAG_N = "N"
 TAG_E = "E"
 
-# per-node labels: tag -> witness vertex set
+# per-node labels: tag -> the node's own vertices under that tag
 LabelSet = dict[str, frozenset[int]]
 LabelMap = dict[AbcNode, LabelSet]
 
@@ -60,8 +59,6 @@ class InternalLabelingError(RuntimeError):
 class LabelingRun:
     """Everything one search produced, kept for inspection and tracing."""
 
-    graph: Graph
-    tree: AbcTree
     rooted: RootedAbcTree | None
     labels: LabelMap
     result: frozenset[int] | None
@@ -80,25 +77,52 @@ def run_labeling(g: Graph) -> LabelingRun:
         # acyclic: every MIS is robust; return one color class of a
         # 2-coloring (the class holding the smallest vertex is never empty)
         v1, _ = is_bipartite(g)  # type: ignore[misc]
-        return LabelingRun(g, tree, None, {}, frozenset(v1), tree_case=True)
+        return LabelingRun(None, {}, frozenset(v1), tree_case=True)
     rt = root_at(tree, default_root(tree))
     labels: LabelMap = {}
-    for c in rt.children[rt.root]:
-        label_subtree(rt, c, labels)
-    if any(TAG_N in labels[c] for c in rt.children[rt.root]):
-        labels[rt.root] = {TAG_N: frozenset()}
-    else:
-        witness = test_rmis(rt, rt.root, frozenset(), frozenset(), labels)
-        if witness is None:
-            labels[rt.root] = {TAG_N: frozenset()}
+    label_subtree(rt, rt.root, labels)
+    return LabelingRun(rt, labels, decide(rt, labels), False)
+
+
+def _picks(rt: RootedAbcTree, labels: LabelMap, x: AbcNode, tag: str) -> Iterator[tuple[AbcNode, str]]:
+    """Yield (child, tag) per child of `x` under `tag`: PI if the child's attachment
+    point is in `x`'s own set for `tag`, else PO if the child has it, else PE; none for N.
+    """
+    for child in rt.children[x] if tag != TAG_N else ():
+        kl = labels[child]
+        if rt.attachment_point(child) in labels[x][tag]:
+            pick = TAG_PI
         else:
-            labels[rt.root] = {TAG_E: witness}
-    return LabelingRun(g, tree, rt, labels, decide(labels, rt.root), False)
+            pick = TAG_PO if TAG_PO in kl else TAG_PE
+        if pick not in kl:
+            raise InternalLabelingError(f"child {child} lacks the label needed for its assigned polarity")
+        yield child, pick
 
 
-def decide(labels: LabelMap, root: AbcNode) -> frozenset[int] | None:
-    """Read the verdict off the root: the E witness, or None on N."""
-    return labels.get(root, _NO_LABELS).get(TAG_E)
+def decide(rt: RootedAbcTree, labels: LabelMap) -> frozenset[int] | None:
+    """The root's E witness, assembled in one walk down the tree; None on N."""
+    if TAG_E not in labels[rt.root]:
+        return None
+    witness: set[int] = set()
+    stack = [(rt.root, TAG_E)]
+    while stack:
+        x, tag = stack.pop()
+        witness |= labels[x][tag]
+        stack += _picks(rt, labels, x, tag)
+    return frozenset(witness)
+
+
+def all_witnesses(rt: RootedAbcTree, labels: LabelMap) -> LabelMap:
+    """Every node's witness per tag, its own set plus its picks'; a node that
+    adds nothing to its one pick shares that pick's set.
+    """
+    out: LabelMap = {}
+    for x in rt.postorder():
+        out[x] = {}
+        for tag, own in labels[x].items():
+            parts = [out[c][t] for c, t in _picks(rt, labels, x, tag)]
+            out[x][tag] = parts[0] if len(parts) == 1 and own <= parts[0] else own.union(*parts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +132,8 @@ def label_subtree(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     """Label every node of the subtree at `x`, children before parents.
 
     A node with an N child is N itself; otherwise the rule for its kind
-    applies. Pendant leaves can join (their witness is themselves) or stay
-    out if their unique neighbor joins instead.
+    applies. Pendant leaves can join or stay out if their unique neighbor
+    joins instead.
     """
     for node in rt.postorder(x):
         if any(TAG_N in labels[c] for c in rt.children[node]):
@@ -127,62 +151,63 @@ def label_subtree(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
 def label_node_a(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     """Articulation point: its subtrees all share the vertex, so a tag holds
     only when every child supports it. PO additionally needs one child that
-    truly covers the vertex from below, not just tolerance (PE).
+    truly covers the vertex from below, not just tolerance (PE). PI holds
+    the vertex itself.
     """
     kids = [labels[c] for c in rt.children[x]]
     out = labels.setdefault(x, {})
     if all(TAG_PI in kl for kl in kids):
-        out[TAG_PI] = frozenset().union(*(kl[TAG_PI] for kl in kids))
+        out[TAG_PI] = frozenset({x.vertex})
     if all(TAG_PE in kl for kl in kids):
-        out[TAG_PE] = frozenset().union(*(kl[TAG_PE] for kl in kids))
+        out[TAG_PE] = frozenset()
     if all(TAG_PO in kl or TAG_PE in kl for kl in kids) and any(
         TAG_PO in kl for kl in kids
     ):
-        out[TAG_PO] = frozenset().union(
-            *(kl[TAG_PO] if TAG_PO in kl else kl[TAG_PE] for kl in kids)
-        )
+        out[TAG_PO] = frozenset()
 
 
 def label_node_b(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     """Bridge: flips the child's verdict across the edge. A child that can
     join pushes the parent endpoint out; a child that can stay out (or needs
     external help) lets the parent endpoint join. PE is suppressed when PO
-    is already present, as the two are mutually exclusive.
+    is already present, as the two are mutually exclusive. PO holds the
+    child's endpoint and PI the parent's.
     """
     (child,) = rt.children[x]
     kl = labels[child]
     out = labels.setdefault(x, {})
-    parent_vertex = rt.attachment_point(x)
     if TAG_PI in kl:
-        out[TAG_PO] = kl[TAG_PI]
-    if TAG_PO in kl:
-        out[TAG_PI] = frozenset({parent_vertex}) | kl[TAG_PO]
-        if TAG_PO not in out:
-            out[TAG_PE] = kl[TAG_PO]
-    if TAG_PE in kl:
-        out[TAG_PI] = frozenset({parent_vertex}) | kl[TAG_PE]
+        out[TAG_PO] = frozenset({child.vertex})
+    if TAG_PO in kl or TAG_PE in kl:
+        out[TAG_PI] = frozenset({rt.attachment_point(x)})
+        if TAG_PO in kl and TAG_PO not in out:
+            out[TAG_PE] = frozenset()
 
 
 def label_node_c(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
-    """Non-root component: probe with the attachment point forced in (PI),
-    forced out (PO), and, failing PO, with the attachment point covered from
-    outside (PE): an external neighbor joins, so it reads as PO in the probe.
+    """Component: probe with the attachment point forced in (PI), forced
+    out (PO), and, failing PO, with the attachment point covered from
+    outside (PE): an external neighbor joins, so it reads as PO in the
+    probe. The root has no attachment point; one free probe makes it E.
     """
+    out = labels.setdefault(x, {})
     parent = rt.parent[x]
     if parent is None:
-        raise GraphError("label_node_c does not apply to the root")
-    ap = parent.vertex
-    out = labels.setdefault(x, {})
-    witness = test_rmis(rt, x, frozenset({ap}), frozenset(), labels)
-    if witness is not None:
-        out[TAG_PI] = witness
-    witness = test_rmis(rt, x, frozenset(), frozenset({ap}), labels)
-    if witness is not None:
-        out[TAG_PO] = witness
-    else:
-        witness = test_rmis(rt, x, frozenset(), frozenset(), labels, covered=ap)
+        witness = test_rmis(rt, x, frozenset(), frozenset(), labels)
         if witness is not None:
-            out[TAG_PE] = witness
+            out[TAG_E] = witness
+    else:
+        ap = parent.vertex
+        witness = test_rmis(rt, x, frozenset({ap}), frozenset(), labels)
+        if witness is not None:
+            out[TAG_PI] = witness
+        witness = test_rmis(rt, x, frozenset(), frozenset({ap}), labels)
+        if witness is not None:
+            out[TAG_PO] = witness
+        else:
+            witness = test_rmis(rt, x, frozenset(), frozenset(), labels, covered=ap)
+            if witness is not None:
+                out[TAG_PE] = witness
     if not out:
         labels[x] = {TAG_N: frozenset()}
 
@@ -208,9 +233,9 @@ def test_rmis(
     covered: int | None = None,
 ) -> frozenset[int] | None:
     """Decide whether the subtree at component `x` admits a robust MIS
-    compatible with the forced `in_vertices`/`out_vertices`, and build one.
-    `covered` names a vertex with a neighbor in the set outside the subtree;
-    it reads as PO.
+    compatible with the forced `in_vertices`/`out_vertices`, and return the
+    component's members in one. `covered` names a vertex with a neighbor in
+    the set outside the subtree; it reads as PO.
 
     Edges whose two endpoints both carry PO may have both ends out (each
     side covers itself from below); they are set aside with an at-most-one
@@ -275,18 +300,4 @@ def test_rmis(
     assignment = solve(formula)
     if assignment is None:
         return None
-    members = {v for v in comp if assignment[literal[v][0]] == literal[v][1]}
-
-    witness = set(members)
-    for child in rt.children[x]:
-        kl = labels[child]
-        if child.vertex in members:
-            part = kl.get(TAG_PI)
-        else:
-            part = kl.get(TAG_PO, kl.get(TAG_PE))
-        if part is None:
-            raise InternalLabelingError(
-                f"child {child} lacks the label needed for its assigned polarity"
-            )
-        witness |= part
-    return frozenset(witness)
+    return frozenset(v for v in comp if assignment[literal[v][0]] == literal[v][1])

@@ -13,6 +13,9 @@ from rmis.findrmis import (
     TAG_PE,
     TAG_PI,
     TAG_PO,
+    InternalLabelingError,
+    _picks,
+    all_witnesses,
     decide,
     find_rmis,
     label_node_a,
@@ -49,10 +52,12 @@ def assert_well_labeled(g, run):
     - N exactly when even the aerial graph offers nothing.
     """
     rt = run.rooted
+    witnesses = all_witnesses(rt, run.labels)
+    assert witnesses[rt.root].get(TAG_E) == run.result
     for x in rt.postorder():
         if x == rt.root:
             continue
-        tags = run.labels[x]
+        tags = witnesses[x]
         sub = induced_subgraph_of_subtree(g, rt, x)
         aerial_graph, aerial = aerial_subgraph_of_subtree(g, rt, x)
         ap = rt.attachment_point(x)
@@ -139,6 +144,7 @@ class TestLabeling:
         rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
         labels = {}
         label_subtree(rt, AbcNode.articulation(1), labels)
+        # each label holds only the vertices its own node decides
         assert labels[AbcNode.pendant(0)] == {
             TAG_PI: frozenset({0}),
             TAG_PE: frozenset(),
@@ -150,8 +156,14 @@ class TestLabeling:
         }
         assert labels[AbcNode.articulation(1)] == {
             TAG_PI: frozenset({1}),
-            TAG_PO: frozenset({0}),
+            TAG_PO: frozenset(),
         }
+        # assembled on the full run, the witnesses read as the subtree's sets
+        run = run_labeling(g)
+        witnesses = all_witnesses(run.rooted, run.labels)
+        assert witnesses[AbcNode.pendant(0)] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
+        assert witnesses[AbcNode.bridge(0, 1)] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
+        assert witnesses[AbcNode.articulation(1)] == {TAG_PI: frozenset({1}), TAG_PO: frozenset({0})}
 
     def test_negative_child_short_circuits(self):
         # triangle leaf hanging off a square root: the leaf is hopeless and
@@ -173,22 +185,28 @@ class TestLabeling:
         kids = rt.children[a0]
         assert set(kids) == {AbcNode.bridge(0, 1), AbcNode.bridge(0, 2)}
 
-        labels = {kids[0]: {TAG_PI: frozenset({10})}, kids[1]: {TAG_PI: frozenset({11})}}
+        labels = {kids[0]: {TAG_PI: frozenset({0})}, kids[1]: {TAG_PI: frozenset({0})}}
         label_node_a(rt, a0, labels)
-        assert labels[a0] == {TAG_PI: frozenset({10, 11})}
+        assert labels[a0] == {TAG_PI: frozenset({0})}
+        assert list(_picks(rt, labels, a0, TAG_PI)) == [(kids[0], TAG_PI), (kids[1], TAG_PI)]
 
-        labels = {kids[0]: {TAG_PE: frozenset()}, kids[1]: {TAG_PO: frozenset({11})}}
+        labels = {kids[0]: {TAG_PE: frozenset()}, kids[1]: {TAG_PO: frozenset({2})}}
         label_node_a(rt, a0, labels)
-        assert labels[a0] == {TAG_PO: frozenset({11})}
+        assert labels[a0] == {TAG_PO: frozenset()}
+        assert list(_picks(rt, labels, a0, TAG_PO)) == [(kids[0], TAG_PE), (kids[1], TAG_PO)]
 
         labels = {
-            kids[0]: {TAG_PI: frozenset({10}), TAG_PE: frozenset()},
-            kids[1]: {TAG_PI: frozenset({11}), TAG_PO: frozenset({21})},
+            kids[0]: {TAG_PI: frozenset({0}), TAG_PE: frozenset()},
+            kids[1]: {TAG_PI: frozenset({0}), TAG_PO: frozenset({2})},
         }
         label_node_a(rt, a0, labels)
-        assert set(labels[a0]) == {TAG_PI, TAG_PO}
-        assert labels[a0][TAG_PI] == frozenset({10, 11})
-        assert labels[a0][TAG_PO] == frozenset({21})
+        assert labels[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset()}
+
+        # on the real tree, PI unions both legs' PI and PO takes both legs' PO
+        run = run_labeling(g)
+        witnesses = all_witnesses(run.rooted, run.labels)
+        assert witnesses[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset({1, 2})}
+        assert witnesses[AbcNode.articulation(4)] == {TAG_PI: frozenset({4, 1, 2}), TAG_PO: frozenset({0})}
 
     def test_bridge_rules_on_synthetic_children(self):
         g = gen_bull()
@@ -196,21 +214,36 @@ class TestLabeling:
         bridge = AbcNode.bridge(0, 1)  # parent side is vertex 1
         child = AbcNode.pendant(0)
 
-        labels = {child: {TAG_PO: frozenset({30})}}
+        labels = {child: {TAG_PO: frozenset()}}
         label_node_b(rt, bridge, labels)
         assert labels[bridge] == {
-            TAG_PI: frozenset({1, 30}),
-            TAG_PE: frozenset({30}),
+            TAG_PI: frozenset({1}),
+            TAG_PE: frozenset(),
         }
+        assert list(_picks(rt, labels, bridge, TAG_PI)) == [(child, TAG_PO)]
+        assert list(_picks(rt, labels, bridge, TAG_PE)) == [(child, TAG_PO)]
 
         labels = {child: {TAG_PI: frozenset({0})}}
         label_node_b(rt, bridge, labels)
         assert labels[bridge] == {TAG_PO: frozenset({0})}
+        assert list(_picks(rt, labels, bridge, TAG_PO)) == [(child, TAG_PI)]
 
         # PI child plus PO child: PE is suppressed because PO is already there
-        labels = {child: {TAG_PI: frozenset({0}), TAG_PO: frozenset({31})}}
+        labels = {child: {TAG_PI: frozenset({0}), TAG_PO: frozenset()}}
         label_node_b(rt, bridge, labels)
-        assert set(labels[bridge]) == {TAG_PO, TAG_PI}
+        assert labels[bridge] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
+
+        # on a real tree: vertex 10 can stay out but never join, so the
+        # bridge from the square takes PI and PE, both built on A(10)'s PO
+        g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 10), (10, 11), (10, 13), (10, 14), (11, 12), (11, 13)])
+        run = run_labeling(g)
+        bridge = AbcNode.bridge(0, 10)
+        assert run.labels[bridge] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
+        assert all_witnesses(run.rooted, run.labels)[bridge] == {
+            TAG_PI: frozenset({0, 12, 13, 14}),
+            TAG_PE: frozenset({12, 13, 14}),
+        }
+        assert run.result == frozenset({1, 3, 12, 13, 14})
 
     def test_leaf_component_cases(self):
         # square / five-cycle / triangle hanging below a triangle root
@@ -224,9 +257,32 @@ class TestLabeling:
             assert set(labels[leaf]) == expected
 
     def test_decide_reads_the_root(self):
-        root = AbcNode.component({0, 1, 2})
-        assert decide({root: {TAG_E: frozenset({1})}}, root) == frozenset({1})
-        assert decide({root: {TAG_N: frozenset()}}, root) is None
+        run = run_labeling(gen_bull())
+        root = run.rooted.root
+        assert run.labels[root] == {TAG_E: frozenset({3})}  # the root's own members
+        assert decide(run.rooted, run.labels) == frozenset({0, 3, 4})
+        assert all_witnesses(run.rooted, run.labels)[root] == {TAG_E: frozenset({0, 3, 4})}
+        labels = dict(run.labels)
+        labels[root] = {TAG_N: frozenset()}
+        assert decide(run.rooted, labels) is None
+
+    def test_decide_rejects_a_child_lacking_its_picked_tag(self):
+        run = run_labeling(gen_bull())
+        labels = dict(run.labels)
+        # vertex 1 is out of the root's members, so A(1) must offer PO or PE
+        labels[AbcNode.articulation(1)] = {TAG_PI: frozenset({1})}
+        with pytest.raises(InternalLabelingError, match="lacks the label"):
+            decide(run.rooted, labels)
+        with pytest.raises(InternalLabelingError, match="lacks the label"):
+            all_witnesses(run.rooted, labels)
+
+    def test_stored_labels_are_linear(self):
+        # each label holds its own node's vertices, not copies of its subtree
+        g = gen_gk(400).graph
+        run = run_labeling(g)
+        stored = sum(len(w) for tags in run.labels.values() for w in tags.values())
+        assert stored <= g.n + g.num_edges
+        assert run.result in (gen_gk(400).m1, gen_gk(400).m2)
 
     def test_component_probe_at_bare_roots(self):
         tri = gen_cycle(3)

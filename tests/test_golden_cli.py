@@ -1,6 +1,6 @@
 """Golden CLI output: the stdout of `find`, `abc` and `classify` on a fixed
-corpus, and of `simulate` on a second one, must stay byte-identical across
-refactors.
+corpus, of `simulate` on a second one, and of `find --json` and `find --trace`
+on deep gadget ladders must stay byte-identical across refactors.
 
 `golden_cli.json` maps "<graph> <command>" to the exit code and the sha256
 of stdout. Regenerate it only when an output change is intended:
@@ -46,6 +46,11 @@ SIM_COMMANDS = {
     "simulate-random": ["simulate", "--ids", "random:7"],
 }
 
+DEEP_COMMANDS = {
+    "find-json": ["find", "--json"],
+    "find-trace": ["find", "--trace"],
+}
+
 
 def corpus():
     """Name -> graph; every graph is fixed by its name."""
@@ -77,9 +82,17 @@ def sim_corpus():
     return graphs
 
 
+def deep_corpus():
+    """Name -> graph for the per-node label dumps on long ladders, whose ABC
+    trees are hundreds of levels deep.
+    """
+    return {f"gk{k}": gen_gk(k).graph for k in (200, 400)}
+
+
 def run_all(tmp_dir: Path) -> dict[str, list]:
     out = {}
-    for graphs, commands in ((corpus(), COMMANDS), (sim_corpus(), SIM_COMMANDS)):
+    suites = ((corpus(), COMMANDS), (sim_corpus(), SIM_COMMANDS), (deep_corpus(), DEEP_COMMANDS))
+    for graphs, commands in suites:
         for name, g in graphs.items():
             path = tmp_dir / f"{name}.edges"
             path.write_text(to_edge_list(g))
