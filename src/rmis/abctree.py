@@ -11,8 +11,8 @@ points nor pendant get no node of their own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .graph import Edge, Graph, GraphError, blocks, to_dot
 
@@ -22,8 +22,7 @@ KIND_C = "C"
 KIND_P = "P"
 
 
-@dataclass(frozen=True, order=True)
-class AbcNode:
+class AbcNode(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
 
@@ -213,24 +212,15 @@ def tree_to_dot(t: AbcTree) -> str:
     return "\n".join(out) + "\n"
 
 
-def decomposition_dot(g: Graph) -> str:
-    """DOT export of the graph itself with vertices colored by their role
+def decomposition_dot(t: AbcTree) -> str:
+    """DOT export of the tree's graph with vertices colored by their role
     (articulation, pendant, large-component member) and bridges dashed.
     """
-    aps, brs, comps = blocks(g, "decomposition_dot")
-    pend = {v for v in g.vertices if g.degree(v) <= 1}
-    in_comp = set().union(*[c for c in comps if len(c) >= 3], set())
-    colors: dict[int, str] = {}
-    for v in g.vertices:
-        if v in aps:
-            role = KIND_A
-        elif v in pend:
-            role = KIND_P
-        elif v in in_comp:
-            role = KIND_C
-        else:
-            role = "other"
-        if role in _ROLE_COLORS:
-            colors[v] = f'style=filled fillcolor={_ROLE_COLORS[role]} xlabel="{role}"'
-    dashed = {e: "style=dashed" for e in brs}
-    return to_dot(g, name="decomposition", vertex_attrs=colors, edge_attrs=dashed)
+    roles: dict[int, str] = {}
+    for x in t.nodes:  # A-nodes sort first, so an articulation point keeps A
+        if x.kind in _ROLE_COLORS:
+            for v in x.vertices:
+                roles.setdefault(v, x.kind)
+    colors = {v: f'style=filled fillcolor={_ROLE_COLORS[r]} xlabel="{r}"' for v, r in roles.items()}
+    dashed = {x.edge: "style=dashed" for x in t.nodes if x.kind == KIND_B}
+    return to_dot(t.graph, name="decomposition", vertex_attrs=colors, edge_attrs=dashed)

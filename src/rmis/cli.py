@@ -19,13 +19,11 @@ def _read_graph(path: str) -> Graph:
     """Parse an edge-list file, or standard input for "-", decoded strictly
     as UTF-8 so that undecodable bytes are an input error.
     """
-    if path != "-":
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
         with open(path, "rb") as fh:
             data = fh.read()
-    elif hasattr(sys.stdin, "buffer"):
-        data = sys.stdin.buffer.read()
-    else:  # a text-only stream stands in for stdin
-        return from_edge_list(sys.stdin.read())
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -67,7 +65,7 @@ def _cmd_abc(args) -> int:
         print(abctree.tree_to_dot(t), end="")
         return 0
     if args.dot_graph:
-        print(abctree.decomposition_dot(g), end="")
+        print(abctree.decomposition_dot(t), end="")
         return 0
     if t.component_nodes():
         rt = abctree.root_at(t, abctree.default_root(t))

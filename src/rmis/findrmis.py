@@ -62,7 +62,6 @@ class LabelingRun:
     rooted: RootedAbcTree | None
     labels: LabelMap
     result: frozenset[int] | None
-    tree_case: bool
 
 
 def find_rmis(g: Graph) -> frozenset[int] | None:
@@ -77,11 +76,11 @@ def run_labeling(g: Graph) -> LabelingRun:
         # acyclic: every MIS is robust; return one color class of a
         # 2-coloring (the class holding the smallest vertex is never empty)
         v1, _ = is_bipartite(g)  # type: ignore[misc]
-        return LabelingRun(None, {}, frozenset(v1), tree_case=True)
+        return LabelingRun(None, {}, frozenset(v1))
     rt = root_at(tree, default_root(tree))
     labels: LabelMap = {}
     label_subtree(rt, rt.root, labels)
-    return LabelingRun(rt, labels, decide(rt, labels), False)
+    return LabelingRun(rt, labels, decide(rt, labels))
 
 
 def _picks(rt: RootedAbcTree, labels: LabelMap, x: AbcNode, tag: str) -> Iterator[tuple[AbcNode, str]]:
@@ -245,7 +244,11 @@ def test_rmis(
     points and from the forced vertices.
     """
     comp = x.vertices
-    tags = {v: labels.get(AbcNode.articulation(v), _NO_LABELS) for v in comp}
+    # the children are the component's articulation points bar the parent,
+    # which postorder has not labeled yet
+    tags = dict.fromkeys(comp, _NO_LABELS)
+    for child in rt.children[x]:
+        tags[child.vertex] = labels[child]
     if covered is not None:
         tags[covered] = {TAG_PO: frozenset()}
 

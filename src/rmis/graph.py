@@ -7,7 +7,7 @@ function, so shared instances are safe to use from multiple threads.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 Edge = tuple[int, int]
@@ -220,67 +220,55 @@ class Blocks(NamedTuple):
 
 def blocks(g: Graph, op: str = "blocks") -> Blocks:
     """One iterative depth-first pass computing articulation points, bridges,
-    and biconnected components (as vertex sets). Every edge lies in exactly
-    one component; size-2 components are exactly the bridges.
+    and biconnected components (as vertex sets), after Hopcroft and Tarjan.
+
+    Visited vertices wait on a stack. When a child `v` of `p` finishes with
+    no back edge from its subtree above `p`, the vertices down to `v`, plus
+    `p`, form one component. Every edge lies in exactly one component;
+    size-2 components are exactly the bridges. The result does not depend
+    on the order in which neighbours are visited.
 
     Raises GraphError naming `op` when the pass does not reach every vertex.
     """
     root = g.vertices[0]
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {root: None}
+    disc = {root: 0}
+    low = {root: 0}
     aps: set[int] = set()
     brs: set[Edge] = set()
     comps: list[frozenset[int]] = []
-    edge_stack: list[Edge] = []
-    counter = 0
-    root_children = 0
-
-    disc[root] = low[root] = counter
-    counter += 1
-    stack: list[tuple[int, Iterable[int]]] = [(root, iter(sorted(g.neighbors(root))))]
+    visited = [root]
+    root_blocks = 0
+    stack: list[tuple[int, int | None, Iterator[int]]] = [(root, None, iter(g.neighbors(root)))]
     while stack:
-        v, it = stack[-1]
-        pushed = False
+        v, p, it = stack[-1]
         for w in it:
             if w not in disc:
-                parent[w] = v
-                if v == root:
-                    root_children += 1
-                disc[w] = low[w] = counter
-                counter += 1
-                edge_stack.append((v, w))
-                stack.append((w, iter(sorted(g.neighbors(w)))))
-                pushed = True
+                disc[w] = low[w] = len(disc)
+                visited.append(w)
+                stack.append((w, v, iter(g.neighbors(w))))
                 break
-            if w != parent[v] and disc[w] < disc[v]:
-                # back edge, recorded once from the deeper endpoint
-                edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
-        if pushed:
-            continue
-        stack.pop()
-        if not stack:
-            continue
-        u = stack[-1][0]
-        low[u] = min(low[u], low[v])
-        if low[v] >= disc[u]:
-            # edges since (u, v) form one biconnected component
-            members: set[int] = set()
-            while True:
-                a, b = edge_stack.pop()
-                members.add(a)
-                members.add(b)
-                if (a, b) == (u, v):
-                    break
-            comps.append(frozenset(members))
-            if u != root:
-                aps.add(u)
-        if low[v] > disc[u]:
-            brs.add(edge(u, v))
+            if w != p and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if p is None:
+                continue
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p]:
+                members = {p, v}
+                while (u := visited.pop()) != v:
+                    members.add(u)
+                comps.append(frozenset(members))
+                if len(members) == 2:
+                    brs.add(edge(p, v))
+                if p != root:
+                    aps.add(p)
+                else:
+                    root_blocks += 1
     if len(disc) != g.n:
         raise GraphError(f"{op} requires a connected graph")
-    if root_children > 1:
+    if root_blocks > 1:
         aps.add(root)
     comps.sort(key=lambda c: tuple(sorted(c)))
     return Blocks(aps, brs, comps)

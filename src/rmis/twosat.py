@@ -42,14 +42,6 @@ class TwoSatFormula:
     def add_unit(self, lit: Literal) -> None:
         self.add_clause(lit, lit)
 
-    def evaluate(self, assignment: list[bool]) -> bool:
-        if len(assignment) != self.num_vars:
-            raise TwoSatError("assignment length mismatch")
-        return all(
-            assignment[a] == pa or assignment[b] == pb
-            for (a, pa), (b, pb) in self.clauses
-        )
-
 
 def _node(lit: Literal) -> int:
     # negative literal of variable v -> 2v, positive -> 2v + 1

@@ -21,6 +21,13 @@ from rmis.graph import (
     is_connected,
     remove_edges,
 )
+from rmis.twosat import TwoSatFormula
+
+
+def evaluate(f: TwoSatFormula, assignment: list[bool]) -> bool:
+    """Whether `assignment` (one bool per variable) satisfies every clause."""
+    assert len(assignment) == f.num_vars, "assignment length mismatch"
+    return all(assignment[a] == pa or assignment[b] == pb for (a, pa), (b, pb) in f.clauses)
 
 
 def diameter(g: Graph) -> int:

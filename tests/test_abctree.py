@@ -12,7 +12,7 @@ from rmis.abctree import (
     tree_to_dot,
 )
 from rmis.graph import Graph, GraphError, is_connected
-from rmis.generators import gen_bull, gen_cycle, gen_path, gen_random_connected
+from rmis.generators import gen_bull, gen_cycle, gen_gk, gen_path, gen_random_connected
 
 from conftest import aerial_subgraph_of_subtree, connected_graphs, induced_subgraph_of_subtree
 
@@ -76,6 +76,15 @@ class TestBuild:
     def test_single_vertex_registers_as_pendant(self):
         t = build_abc_tree(Graph([3]))
         assert t.nodes == (AbcNode.pendant(3),)
+
+    def test_nodes_behave_as_kind_vertices_tuples(self):
+        nodes = list(build_abc_tree(gen_gk(3).graph).nodes)
+        pairs = [(x.kind, x.vertices) for x in nodes]
+        assert [repr(x) for x in nodes] == [f"AbcNode(kind={k!r}, vertices={vs!r})" for k, vs in pairs]
+        assert [hash(x) for x in nodes] == [hash(p) for p in pairs]
+        assert [AbcNode(*p) for p in pairs] == nodes and len(set(nodes)) == len(nodes)
+        shuffled = random.Random(3).sample(nodes, len(nodes))
+        assert [(x.kind, x.vertices) for x in sorted(shuffled)] == sorted(pairs)
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
@@ -218,5 +227,5 @@ class TestRendering:
         t = build_abc_tree(g)
         dot = tree_to_dot(t)
         assert dot.startswith("graph") and dot.rstrip().endswith("}")
-        dot2 = decomposition_dot(g)
+        dot2 = decomposition_dot(build_abc_tree(g))
         assert "style=dashed" in dot2 and "diamond" not in dot2

@@ -9,7 +9,7 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from rmis.generators import gen_gk, gen_random_sputnik  # noqa: E402
+from rmis.generators import gen_complete_bipartite, gen_gk, gen_random_sputnik  # noqa: E402
 from rmis.graph import Graph, GraphError, blocks  # noqa: E402
 
 
@@ -23,6 +23,12 @@ def sparse_connected(n: int, extra: int, seed: int) -> Graph:
             edges.append((u, v))
             extra -= 1
     return Graph(range(n), edges)
+
+
+def windmill(k: int) -> Graph:
+    """`k` triangles sharing their largest vertex, so the pass starts at a blade."""
+    hub = 2 * k
+    return Graph(edges=[e for i in range(k) for e in ((2 * i, 2 * i + 1), (2 * i, hub), (2 * i + 1, hub))])
 
 
 def assert_matches_networkx(g: Graph) -> None:
@@ -47,6 +53,21 @@ def test_gadget_ladder():
 
 def test_sputnik():
     assert_matches_networkx(gen_random_sputnik(2, 1500))
+
+
+DENSE_SHAPES = {
+    "K100,100": lambda: gen_complete_bipartite(100, 100),
+    "windmill2000": lambda: windmill(2_000),
+    "star5000": lambda: gen_complete_bipartite(1, 5_000),
+    "K60": lambda: Graph(edges=[(u, v) for u in range(60) for v in range(u + 1, 60)]),
+}
+
+
+@pytest.mark.parametrize("shape", DENSE_SHAPES)
+def test_dense_shapes(shape):
+    # the most back edges per vertex (K_{m,n}, K_n) and the most blocks at
+    # one vertex (the windmill's hub, the star's centre where the pass starts)
+    assert_matches_networkx(DENSE_SHAPES[shape]())
 
 
 def test_disconnected_raises():

@@ -46,7 +46,7 @@ class TestFind:
         assert "C(1,2,3)" in out and "E[0, 3, 4]" in out
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0 1\n1 2\n")))
         assert main(["find", "-"]) == 0
         assert capsys.readouterr().out.strip() == "0,2"
 
@@ -127,7 +127,7 @@ class TestGen:
     def test_gk_pipes_into_find(self, capsys, monkeypatch):
         assert main(["gen", "gk", "--k", "2"]) == 0
         edge_text = capsys.readouterr().out
-        monkeypatch.setattr("sys.stdin", io.StringIO(edge_text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(edge_text.encode())))
         assert main(["find", "-"]) == 0
         got = capsys.readouterr().out.strip()
         inst = gen_gk(2)

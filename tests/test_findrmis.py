@@ -310,7 +310,7 @@ class TestWellLabeled:
         for i in range(120):
             g = gen_random_connected(rng.randint(4, 8), rng.uniform(0.25, 0.65), 700 + i)
             run = run_labeling(g)
-            if run.tree_case:
+            if run.rooted is None:
                 continue
             assert_well_labeled(g, run)
             checked += 1
@@ -318,5 +318,5 @@ class TestWellLabeled:
 
     def test_tree_case_flag(self):
         run = run_labeling(gen_path(4))
-        assert run.tree_case and run.rooted is None
+        assert run.rooted is None
         assert run.result == frozenset({0, 2})

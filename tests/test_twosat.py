@@ -4,6 +4,8 @@ import pytest
 
 from rmis.twosat import TwoSatError, TwoSatFormula, solve
 
+from conftest import evaluate
+
 
 def exhaustive_satisfiable(f: TwoSatFormula) -> bool:
     """Try all 2^k assignments at once: one bit per assignment in a big
@@ -93,4 +95,4 @@ class TestSolve:
                 assert not exhaustive_satisfiable(f)
             else:
                 assert exhaustive_satisfiable(f)
-                assert f.evaluate(got)
+                assert evaluate(f, got)
