@@ -6,6 +6,9 @@ vertices (P). An A-node is adjacent to every C-node whose component
 contains it; a B-node is adjacent to the nodes representing its two
 endpoints. Interior component vertices that are neither articulation
 points nor pendant get no node of their own.
+
+Nodes are numbered 0..N-1 in sorted `AbcNode` order, and the tree, its
+rooting and the labels all work on these ids; node `i` is `nodes[i]`.
 """
 
 from __future__ import annotations
@@ -60,25 +63,29 @@ class AbcNode(NamedTuple):
 
 
 class AbcTree:
-    """Unrooted decomposition tree over a connected graph."""
+    """Unrooted decomposition tree over a connected graph.
 
-    def __init__(self, graph: Graph, nodes: Iterable[AbcNode], edges: Iterable[tuple[AbcNode, AbcNode]]):
+    Node `i` is `nodes[i]`. Ids follow the sorted node order (A-, then B-,
+    C- and P-nodes, each sorted by vertices), so sorting ids sorts nodes.
+    """
+
+    def __init__(self, graph: Graph, nodes: Iterable[AbcNode], edges: Iterable[tuple[int, int]]):
         self.graph = graph
-        self.nodes: tuple[AbcNode, ...] = tuple(sorted(set(nodes)))
-        adj: dict[AbcNode, set[AbcNode]] = {x: set() for x in self.nodes}
+        self.nodes: tuple[AbcNode, ...] = tuple(nodes)
+        adj: list[list[int]] = [[] for _ in self.nodes]
         for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {x: tuple(sorted(ns)) for x, ns in adj.items()}
+            adj[a].append(b)
+            adj[b].append(a)
+        self._adj = [tuple(sorted(ns)) for ns in adj]
 
-    def neighbors(self, x: AbcNode) -> tuple[AbcNode, ...]:
+    def neighbors(self, x: int) -> tuple[int, ...]:
         return self._adj[x]
 
-    def edges(self) -> list[tuple[AbcNode, AbcNode]]:
-        return [(x, y) for x in self.nodes for y in self._adj[x] if x < y]
+    def edges(self) -> list[tuple[int, int]]:
+        return [(x, y) for x, ys in enumerate(self._adj) for y in ys if x < y]
 
-    def component_nodes(self) -> list[AbcNode]:
-        return [x for x in self.nodes if x.kind == KIND_C]
+    def component_nodes(self) -> list[int]:
+        return [i for i, x in enumerate(self.nodes) if x.kind == KIND_C]
 
 
 def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
@@ -89,69 +96,61 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     disconnected graph raises GraphError naming `op`.
     """
     aps, brs, comps = blocks(g, op)
-    comps = [c for c in comps if len(c) >= 3]
-    pend = {v for v in g.vertices if g.degree(v) <= 1}
+    comps = [c for c in comps if len(c) >= 3]  # sorted by vertices already
+    brs = sorted(brs)
+    pend = sorted(v for v in g.vertices if g.degree(v) <= 1)
 
     nodes = [AbcNode.articulation(v) for v in sorted(aps)]
-    nodes += [AbcNode.bridge(u, v) for u, v in sorted(brs)]
+    nodes += [AbcNode.bridge(u, v) for u, v in brs]
     nodes += [AbcNode.component(c) for c in comps]
-    nodes += [AbcNode.pendant(v) for v in sorted(pend)]
+    nodes += [AbcNode.pendant(v) for v in pend]
+    # a bridge endpoint is an articulation point or a pendant, never both
+    single = {x.vertices[0]: i for i, x in enumerate(nodes) if x.kind in (KIND_A, KIND_P)}
 
-    def endpoint_node(v: int) -> AbcNode:
-        if v in aps:
-            return AbcNode.articulation(v)
-        if v in pend:
-            return AbcNode.pendant(v)
-        raise GraphError(f"bridge endpoint {v} is neither articulation nor pendant")
-
-    tree_edges: list[tuple[AbcNode, AbcNode]] = []
-    for c in comps:
-        cnode = AbcNode.component(c)
-        for v in sorted(c & aps):
-            tree_edges.append((AbcNode.articulation(v), cnode))
-    for u, v in sorted(brs):
-        bnode = AbcNode.bridge(u, v)
-        tree_edges.append((bnode, endpoint_node(u)))
-        tree_edges.append((bnode, endpoint_node(v)))
+    tree_edges: list[tuple[int, int]] = []
+    for i, c in enumerate(comps, len(aps) + len(brs)):
+        tree_edges += [(single[v], i) for v in sorted(c & aps)]
+    for i, (u, v) in enumerate(brs, len(aps)):
+        tree_edges += [(i, single[u]), (i, single[v])]
     return AbcTree(g, nodes, tree_edges)
 
 
 class RootedAbcTree:
-    """ABC tree oriented toward a chosen component node."""
+    """ABC tree oriented toward a chosen component node, by node id."""
 
-    def __init__(self, tree: AbcTree, root: AbcNode):
-        if root.kind != KIND_C:
-            raise GraphError(f"root must be a component node, got {root}")
-        if root not in tree._adj:
-            raise GraphError(f"{root} is not a node of the tree")
+    def __init__(self, tree: AbcTree, root: int):
+        if not 0 <= root < len(tree.nodes):
+            raise GraphError(f"{root} is not a node id of the tree")
+        if tree.nodes[root].kind != KIND_C:
+            raise GraphError(f"root must be a component node, got {tree.nodes[root]}")
         self.tree = tree
         self.graph = tree.graph
+        self.nodes = tree.nodes
         self.root = root
-        parent: dict[AbcNode, AbcNode | None] = {root: None}
-        children: dict[AbcNode, list[AbcNode]] = {x: [] for x in tree.nodes}
+        # a tree: every neighbour but the parent is a child
+        self.parent: list[int | None] = [None] * len(tree.nodes)
+        self.children: list[tuple[int, ...]] = [()] * len(tree.nodes)
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for y in tree.neighbors(x):
-                if y not in parent:
-                    parent[y] = x
-                    children[x].append(y)
-                    queue.append(y)
-        self.parent = parent
-        self.children = {x: tuple(ys) for x, ys in children.items()}
+            kids = tuple(y for y in tree.neighbors(x) if y != self.parent[x])
+            for y in kids:
+                self.parent[y] = x
+            self.children[x] = kids
+            queue.extend(kids)
 
-    def attachment_point(self, x: AbcNode) -> int:
+    def attachment_point(self, x: int) -> int:
         """The vertex through which the subtree at `x` meets the rest of the
         graph: `x` itself for A/P nodes, the parent's vertex for B/C nodes.
         """
-        if x.kind in (KIND_A, KIND_P):
-            return x.vertex
+        if self.nodes[x].kind in (KIND_A, KIND_P):
+            return self.nodes[x].vertex
         p = self.parent[x]
         if p is None:
             raise GraphError("the root has no attachment point")
-        return p.vertex
+        return self.nodes[p].vertex
 
-    def subtree_nodes(self, x: AbcNode) -> list[AbcNode]:
+    def subtree_nodes(self, x: int) -> list[int]:
         """Nodes of the subtree rooted at `x`, parents before children."""
         out = [x]
         i = 0
@@ -160,22 +159,22 @@ class RootedAbcTree:
             i += 1
         return out
 
-    def postorder(self, x: AbcNode | None = None) -> list[AbcNode]:
+    def postorder(self, x: int | None = None) -> list[int]:
         """Subtree nodes with every child preceding its parent."""
         return list(reversed(self.subtree_nodes(x if x is not None else self.root)))
 
 
-def default_root(t: AbcTree) -> AbcNode:
+def default_root(t: AbcTree) -> int:
     """Deterministic root choice: the component whose sorted vertex tuple is
-    smallest (ties broken by the full tuple).
+    smallest, which is the first component id.
     """
     cnodes = t.component_nodes()
     if not cnodes:
         raise GraphError("tree has no component node; the graph is acyclic")
-    return min(cnodes, key=lambda x: x.vertices)
+    return cnodes[0]
 
 
-def root_at(t: AbcTree, r: AbcNode) -> RootedAbcTree:
+def root_at(t: AbcTree, r: int) -> RootedAbcTree:
     return RootedAbcTree(t, r)
 
 
@@ -187,7 +186,7 @@ _ROLE_COLORS = {KIND_A: "orange", KIND_P: "lightblue", KIND_C: "palegreen"}
 
 
 def render_text(rt: RootedAbcTree, annotate=None) -> str:
-    """Indented textual rendering of a rooted tree; `annotate(node)` may add
+    """Indented textual rendering of a rooted tree; `annotate(id)` may add
     a suffix per line.
     """
     lines: list[str] = []
@@ -195,19 +194,18 @@ def render_text(rt: RootedAbcTree, annotate=None) -> str:
     while stack:
         x, depth = stack.pop()
         suffix = f"  {annotate(x)}" if annotate else ""
-        lines.append(f"{'  ' * depth}{x}{suffix}")
+        lines.append(f"{'  ' * depth}{rt.nodes[x]}{suffix}")
         stack.extend((c, depth + 1) for c in reversed(rt.children[x]))
     return "\n".join(lines) + "\n"
 
 
 def tree_to_dot(t: AbcTree) -> str:
     """Graphviz rendering of the decomposition tree itself."""
-    ids = {x: f"n{i}" for i, x in enumerate(t.nodes)}
     out = ["graph abctree {"]
-    for x in t.nodes:
-        out.append(f'  {ids[x]} [label="{x}" shape={_DOT_SHAPES[x.kind]}];')
+    for i, x in enumerate(t.nodes):
+        out.append(f'  n{i} [label="{x}" shape={_DOT_SHAPES[x.kind]}];')
     for a, b in t.edges():
-        out.append(f"  {ids[a]} -- {ids[b]};")
+        out.append(f"  n{a} -- n{b};")
     out.append("}")
     return "\n".join(out) + "\n"
 

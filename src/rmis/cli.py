@@ -32,15 +32,13 @@ def _read_graph(path: str) -> Graph:
     return from_edge_list(text)
 
 
-def _node_key(x: abctree.AbcNode) -> str:
-    return str(x)
-
-
 def _labels_json(run: findrmis.LabelingRun) -> dict:
-    witnesses = findrmis.all_witnesses(run.rooted, run.labels) if run.rooted is not None else {}
+    if run.rooted is None:
+        return {}
+    witnesses = findrmis.all_witnesses(run.rooted, run.labels)
     return {
-        _node_key(node): {tag: sorted(w) for tag, w in sorted(tags.items())}
-        for node, tags in sorted(witnesses.items())
+        str(run.rooted.nodes[x]): {tag: sorted(w) for tag, w in sorted(tags.items())}
+        for x, tags in sorted(witnesses.items())
     }
 
 
@@ -89,8 +87,8 @@ def _cmd_find(args) -> int:
                 }
             )
         )
-    elif args.trace:
-        if run.rooted is not None:
+    else:
+        if args.trace and run.rooted is not None:
             witnesses = findrmis.all_witnesses(run.rooted, run.labels)
 
             def annotate(x):
@@ -98,8 +96,6 @@ def _cmd_find(args) -> int:
                 return " ".join(f"{t}{sorted(w)}" for t, w in sorted(tags.items())) or "-"
 
             print(abctree.render_text(run.rooted, annotate), end="")
-        print(oracle.format_vertex_set(run.result) if run.result is not None else "NO-RMIS")
-    else:
         print(oracle.format_vertex_set(run.result) if run.result is not None else "NO-RMIS")
     return 0 if run.result is not None else 1
 

@@ -22,11 +22,10 @@ ends may both stay out are dropped, membership 2-colors each piece.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abctree import (
-    AbcNode,
     KIND_A,
     KIND_B,
     KIND_C,
@@ -46,7 +45,7 @@ TAG_E = "E"
 
 # per-node labels: tag -> the node's own vertices under that tag
 LabelSet = dict[str, frozenset[int]]
-LabelMap = dict[AbcNode, LabelSet]
+LabelMap = dict[int, LabelSet]  # by node id
 
 _NO_LABELS: LabelSet = {}
 
@@ -83,7 +82,7 @@ def run_labeling(g: Graph) -> LabelingRun:
     return LabelingRun(rt, labels, decide(rt, labels))
 
 
-def _picks(rt: RootedAbcTree, labels: LabelMap, x: AbcNode, tag: str) -> Iterator[tuple[AbcNode, str]]:
+def _picks(rt: RootedAbcTree, labels: LabelMap, x: int, tag: str) -> Iterator[tuple[int, str]]:
     """Yield (child, tag) per child of `x` under `tag`: PI if the child's attachment
     point is in `x`'s own set for `tag`, else PO if the child has it, else PE; none for N.
     """
@@ -94,7 +93,7 @@ def _picks(rt: RootedAbcTree, labels: LabelMap, x: AbcNode, tag: str) -> Iterato
         else:
             pick = TAG_PO if TAG_PO in kl else TAG_PE
         if pick not in kl:
-            raise InternalLabelingError(f"child {child} lacks the label needed for its assigned polarity")
+            raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
         yield child, pick
 
 
@@ -127,7 +126,7 @@ def all_witnesses(rt: RootedAbcTree, labels: LabelMap) -> LabelMap:
 # ---------------------------------------------------------------------------
 # bottom-up labeling
 
-def label_subtree(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
+def label_subtree(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
     """Label every node of the subtree at `x`, children before parents.
 
     A node with an N child is N itself; otherwise the rule for its kind
@@ -135,19 +134,20 @@ def label_subtree(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     joins instead.
     """
     for node in rt.postorder(x):
+        kind = rt.nodes[node].kind
         if any(TAG_N in labels[c] for c in rt.children[node]):
             labels[node] = {TAG_N: frozenset()}
-        elif node.kind == KIND_A:
+        elif kind == KIND_A:
             label_node_a(rt, node, labels)
-        elif node.kind == KIND_B:
+        elif kind == KIND_B:
             label_node_b(rt, node, labels)
-        elif node.kind == KIND_C:
+        elif kind == KIND_C:
             label_node_c(rt, node, labels)
         else:
-            labels[node] = {TAG_PI: frozenset({node.vertex}), TAG_PE: frozenset()}
+            labels[node] = {TAG_PI: frozenset({rt.nodes[node].vertex}), TAG_PE: frozenset()}
 
 
-def label_node_a(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
+def label_node_a(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
     """Articulation point: its subtrees all share the vertex, so a tag holds
     only when every child supports it. PO additionally needs one child that
     truly covers the vertex from below, not just tolerance (PE). PI holds
@@ -156,7 +156,7 @@ def label_node_a(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     kids = [labels[c] for c in rt.children[x]]
     out = labels.setdefault(x, {})
     if all(TAG_PI in kl for kl in kids):
-        out[TAG_PI] = frozenset({x.vertex})
+        out[TAG_PI] = frozenset({rt.nodes[x].vertex})
     if all(TAG_PE in kl for kl in kids):
         out[TAG_PE] = frozenset()
     if all(TAG_PO in kl or TAG_PE in kl for kl in kids) and any(
@@ -165,7 +165,7 @@ def label_node_a(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
         out[TAG_PO] = frozenset()
 
 
-def label_node_b(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
+def label_node_b(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
     """Bridge: flips the child's verdict across the edge. A child that can
     join pushes the parent endpoint out; a child that can stay out (or needs
     external help) lets the parent endpoint join. PE is suppressed when PO
@@ -176,14 +176,14 @@ def label_node_b(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
     kl = labels[child]
     out = labels.setdefault(x, {})
     if TAG_PI in kl:
-        out[TAG_PO] = frozenset({child.vertex})
+        out[TAG_PO] = frozenset({rt.nodes[child].vertex})
     if TAG_PO in kl or TAG_PE in kl:
         out[TAG_PI] = frozenset({rt.attachment_point(x)})
         if TAG_PO in kl and TAG_PO not in out:
             out[TAG_PE] = frozenset()
 
 
-def label_node_c(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
+def label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
     """Component: probe with the attachment point forced in (PI), forced
     out (PO), and, failing PO, with the attachment point covered from
     outside (PE): an external neighbor joins, so it reads as PO in the
@@ -196,7 +196,7 @@ def label_node_c(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
         if witness is not None:
             out[TAG_E] = witness
     else:
-        ap = parent.vertex
+        ap = rt.nodes[parent].vertex
         witness = test_rmis(rt, x, frozenset({ap}), frozenset(), labels)
         if witness is not None:
             out[TAG_PI] = witness
@@ -214,18 +214,9 @@ def label_node_c(rt: RootedAbcTree, x: AbcNode, labels: LabelMap) -> None:
 # ---------------------------------------------------------------------------
 # per-component constraint solving
 
-def _edges_within(g: Graph, comp: Set[int]) -> list[tuple[int, int]]:
-    return [
-        (u, w)
-        for u in sorted(comp)
-        for w in sorted(g.neighbors(u))
-        if w in comp and u < w
-    ]
-
-
 def test_rmis(
     rt: RootedAbcTree,
-    x: AbcNode,
+    x: int,
     in_vertices: frozenset[int],
     out_vertices: frozenset[int],
     labels: LabelMap,
@@ -243,23 +234,26 @@ def test_rmis(
     boolean per piece, plus unit constraints from single-tag articulation
     points and from the forced vertices.
     """
-    comp = x.vertices
+    comp = rt.nodes[x].vertices
     # the children are the component's articulation points bar the parent,
     # which postorder has not labeled yet
     tags = dict.fromkeys(comp, _NO_LABELS)
     for child in rt.children[x]:
-        tags[child.vertex] = labels[child]
+        tags[rt.nodes[child].vertex] = labels[child]
     if covered is not None:
         tags[covered] = {TAG_PO: frozenset()}
 
     removed: list[tuple[int, int]] = []
     core: dict[int, list[int]] = {v: [] for v in comp}
-    for u, v in _edges_within(rt.graph, tags.keys()):
-        if TAG_PO in tags[u] and TAG_PO in tags[v]:
-            removed.append((u, v))
-        else:
-            core[u].append(v)
-            core[v].append(u)
+    for u in comp:
+        for v in rt.graph.neighbors(u):
+            if u < v and v in tags:
+                if TAG_PO in tags[u] and TAG_PO in tags[v]:
+                    removed.append((u, v))
+                else:
+                    core[u].append(v)
+                    core[v].append(u)
+    removed.sort()  # clause order feeds the solver's model
 
     # one variable per connected piece of the core, numbered by smallest
     # vertex; the side holding that vertex is the positive side

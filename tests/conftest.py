@@ -113,21 +113,21 @@ def _node_contribution(g: Graph, x: AbcNode) -> tuple[set[int], list[Edge]]:
     return comp, [(u, v) for u, v in g.edges() if u in comp and v in comp]
 
 
-def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: AbcNode) -> Graph:
+def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> Graph:
     """Union of the vertex/edge contributions of every node in the subtree
-    at `x`: A/P contribute a vertex, B its edge, C its component. The
+    at node id `x`: A/P contribute a vertex, B its edge, C its component. The
     labelling-soundness checks judge each label against this graph.
     """
     vs: set[int] = set()
     es: list[Edge] = []
     for node in rt.subtree_nodes(x):
-        nvs, nes = _node_contribution(g, node)
+        nvs, nes = _node_contribution(g, rt.nodes[node])
         vs |= nvs
         es += nes
     return Graph(vs, es)
 
 
-def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: AbcNode) -> tuple[Graph, int]:
+def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> tuple[Graph, int]:
     """Subtree subgraph plus a fresh pendant attached at the attachment
     point. The fresh vertex id is max(g) + 1, so it never collides.
     """

@@ -24,8 +24,8 @@ def tree_is_actually_a_tree(t) -> bool:
     edges = t.edges()
     if len(edges) != len(nodes) - 1:
         return False
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
+    seen = {0}
+    frontier = [0]
     while frontier:
         x = frontier.pop()
         for y in t.neighbors(x):
@@ -47,15 +47,18 @@ class TestBuild:
             AbcNode.bridge(2, 4),
             AbcNode.component({1, 2, 3}),
         }
+        # ids follow sorted node order
+        assert list(t.nodes) == sorted(t.nodes)
         # the tree is the path P(0)-B(0,1)-A(1)-C(1,2,3)-A(2)-B(2,4)-P(4)
-        assert t.neighbors(AbcNode.component({1, 2, 3})) == (
-            AbcNode.articulation(1),
-            AbcNode.articulation(2),
+        idx = t.nodes.index
+        assert t.neighbors(idx(AbcNode.component({1, 2, 3}))) == (
+            idx(AbcNode.articulation(1)),
+            idx(AbcNode.articulation(2)),
         )
-        assert t.neighbors(AbcNode.pendant(0)) == (AbcNode.bridge(0, 1),)
-        assert t.neighbors(AbcNode.bridge(0, 1)) == (
-            AbcNode.articulation(1),
-            AbcNode.pendant(0),
+        assert t.neighbors(idx(AbcNode.pendant(0))) == (idx(AbcNode.bridge(0, 1)),)
+        assert t.neighbors(idx(AbcNode.bridge(0, 1))) == (
+            idx(AbcNode.articulation(1)),
+            idx(AbcNode.pendant(0)),
         )
 
     def test_path_is_all_bridges(self):
@@ -118,14 +121,14 @@ class TestRooting:
         g = gen_bull()
         t = build_abc_tree(g)
         rt = root_at(t, default_root(t))
-        assert rt.root == AbcNode.component({1, 2, 3})
-        assert set(rt.children[rt.root]) == {
+        assert rt.nodes[rt.root] == AbcNode.component({1, 2, 3})
+        assert {rt.nodes[c] for c in rt.children[rt.root]} == {
             AbcNode.articulation(1),
             AbcNode.articulation(2),
         }
-        assert rt.attachment_point(AbcNode.bridge(0, 1)) == 1
-        assert rt.attachment_point(AbcNode.articulation(1)) == 1
-        assert rt.attachment_point(AbcNode.pendant(0)) == 0
+        assert rt.attachment_point(rt.nodes.index(AbcNode.bridge(0, 1))) == 1
+        assert rt.attachment_point(rt.nodes.index(AbcNode.articulation(1))) == 1
+        assert rt.attachment_point(rt.nodes.index(AbcNode.pendant(0))) == 0
 
     def test_square_root_has_no_children(self):
         t = build_abc_tree(gen_cycle(4))
@@ -134,8 +137,9 @@ class TestRooting:
 
     def test_root_must_be_component(self):
         t = build_abc_tree(gen_bull())
-        with pytest.raises(GraphError):
-            root_at(t, AbcNode.articulation(1))
+        for bad in (t.nodes.index(AbcNode.articulation(1)), len(t.nodes), -1):
+            with pytest.raises(GraphError):
+                root_at(t, bad)
 
     def test_acyclic_graph_has_no_root(self):
         with pytest.raises(GraphError):
@@ -152,23 +156,28 @@ class TestRooting:
         assert order[-1] == rt.root
 
 
+def bull_rooted(g):
+    t = build_abc_tree(g)
+    return root_at(t, t.nodes.index(AbcNode.component({1, 2, 3})))
+
+
 class TestSubtreeGraphs:
     def test_bull_subtree_at_horn_side(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
-        sub = induced_subgraph_of_subtree(g, rt, AbcNode.articulation(2))
+        rt = bull_rooted(g)
+        sub = induced_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.articulation(2)))
         assert set(sub.vertices) == {2, 4}
         assert sub.edges() == ((2, 4),)
 
     def test_subtree_at_root_is_whole_graph(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
+        rt = bull_rooted(g)
         assert induced_subgraph_of_subtree(g, rt, rt.root) == g
 
     def test_subtree_at_pendant_is_one_vertex(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
-        sub = induced_subgraph_of_subtree(g, rt, AbcNode.pendant(0))
+        rt = bull_rooted(g)
+        sub = induced_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.pendant(0)))
         assert set(sub.vertices) == {0} and sub.num_edges == 0
 
     def test_subtrees_connected_and_reconstruct(self):
@@ -185,16 +194,16 @@ class TestSubtreeGraphs:
 
     def test_aerial_adds_pendant_at_attachment(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
-        sub, aerial = aerial_subgraph_of_subtree(g, rt, AbcNode.articulation(2))
+        rt = bull_rooted(g)
+        sub, aerial = aerial_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.articulation(2)))
         assert aerial == 5
         assert set(sub.vertices) == {2, 4, 5}
         assert sub.edges() == ((2, 4), (2, 5))
 
     def test_aerial_on_pendant_subtree_is_single_edge(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
-        sub, aerial = aerial_subgraph_of_subtree(g, rt, AbcNode.pendant(0))
+        rt = bull_rooted(g)
+        sub, aerial = aerial_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.pendant(0)))
         assert sub.edges() == ((0, aerial),)
 
     def test_aerial_never_collides(self):
@@ -217,7 +226,7 @@ class TestSubtreeGraphs:
 class TestRendering:
     def test_text_render_mentions_every_node(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
+        rt = bull_rooted(g)
         text = render_text(rt)
         for node in rt.tree.nodes:
             assert str(node) in text

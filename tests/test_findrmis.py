@@ -1,4 +1,5 @@
 import random
+import timeit
 
 import pytest
 
@@ -31,10 +32,16 @@ from rmis.generators import (
     gen_gk,
     gen_path,
     gen_random_connected,
+    gen_random_sputnik,
 )
 from rmis.oracle import enumerate_mis, enumerate_robust_mis, is_robust_mis
 
 from conftest import aerial_subgraph_of_subtree, connected_graphs, induced_subgraph_of_subtree
+
+
+def rooted_at(g, comp):
+    t = build_abc_tree(g)
+    return root_at(t, t.nodes.index(AbcNode.component(comp)))
 
 
 def robust_sets(g):
@@ -141,29 +148,30 @@ class TestAgainstEnumeration:
 class TestLabeling:
     def test_pendant_leaf_label(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
+        rt = rooted_at(g, {1, 2, 3})
+        p0, b01, a1 = map(rt.nodes.index, (AbcNode.pendant(0), AbcNode.bridge(0, 1), AbcNode.articulation(1)))
         labels = {}
-        label_subtree(rt, AbcNode.articulation(1), labels)
+        label_subtree(rt, a1, labels)
         # each label holds only the vertices its own node decides
-        assert labels[AbcNode.pendant(0)] == {
+        assert labels[p0] == {
             TAG_PI: frozenset({0}),
             TAG_PE: frozenset(),
         }
         # the bridge flips the pendant's verdict toward vertex 1
-        assert labels[AbcNode.bridge(0, 1)] == {
+        assert labels[b01] == {
             TAG_PO: frozenset({0}),
             TAG_PI: frozenset({1}),
         }
-        assert labels[AbcNode.articulation(1)] == {
+        assert labels[a1] == {
             TAG_PI: frozenset({1}),
             TAG_PO: frozenset(),
         }
         # assembled on the full run, the witnesses read as the subtree's sets
         run = run_labeling(g)
         witnesses = all_witnesses(run.rooted, run.labels)
-        assert witnesses[AbcNode.pendant(0)] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
-        assert witnesses[AbcNode.bridge(0, 1)] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
-        assert witnesses[AbcNode.articulation(1)] == {TAG_PI: frozenset({1}), TAG_PO: frozenset({0})}
+        assert witnesses[p0] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
+        assert witnesses[b01] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
+        assert witnesses[a1] == {TAG_PI: frozenset({1}), TAG_PO: frozenset({0})}
 
     def test_negative_child_short_circuits(self):
         # triangle leaf hanging off a square root: the leaf is hopeless and
@@ -173,17 +181,18 @@ class TestLabeling:
         )
         run = run_labeling(g)
         assert run.result is None
-        assert run.labels[AbcNode.component({4, 5, 6})] == {TAG_N: frozenset()}
-        assert run.labels[AbcNode.bridge(0, 4)] == {TAG_N: frozenset()}
+        idx = run.rooted.nodes.index
+        assert run.labels[idx(AbcNode.component({4, 5, 6}))] == {TAG_N: frozenset()}
+        assert run.labels[idx(AbcNode.bridge(0, 4))] == {TAG_N: frozenset()}
         assert run.labels[run.rooted.root] == {TAG_N: frozenset()}
 
     def test_articulation_rules_on_synthetic_children(self):
         # triangle root with a bridge to vertex 0, which carries two pendant legs
         g = Graph(edges=[(4, 5), (5, 6), (6, 4), (4, 0), (0, 1), (0, 2)])
-        rt = root_at(build_abc_tree(g), AbcNode.component({4, 5, 6}))
-        a0 = AbcNode.articulation(0)
+        rt = rooted_at(g, {4, 5, 6})
+        a0 = rt.nodes.index(AbcNode.articulation(0))
         kids = rt.children[a0]
-        assert set(kids) == {AbcNode.bridge(0, 1), AbcNode.bridge(0, 2)}
+        assert [rt.nodes[k] for k in kids] == [AbcNode.bridge(0, 1), AbcNode.bridge(0, 2)]
 
         labels = {kids[0]: {TAG_PI: frozenset({0})}, kids[1]: {TAG_PI: frozenset({0})}}
         label_node_a(rt, a0, labels)
@@ -206,13 +215,13 @@ class TestLabeling:
         run = run_labeling(g)
         witnesses = all_witnesses(run.rooted, run.labels)
         assert witnesses[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset({1, 2})}
-        assert witnesses[AbcNode.articulation(4)] == {TAG_PI: frozenset({4, 1, 2}), TAG_PO: frozenset({0})}
+        assert witnesses[run.rooted.nodes.index(AbcNode.articulation(4))] == {TAG_PI: frozenset({4, 1, 2}), TAG_PO: frozenset({0})}
 
     def test_bridge_rules_on_synthetic_children(self):
         g = gen_bull()
-        rt = root_at(build_abc_tree(g), AbcNode.component({1, 2, 3}))
-        bridge = AbcNode.bridge(0, 1)  # parent side is vertex 1
-        child = AbcNode.pendant(0)
+        rt = rooted_at(g, {1, 2, 3})
+        bridge = rt.nodes.index(AbcNode.bridge(0, 1))  # parent side is vertex 1
+        child = rt.nodes.index(AbcNode.pendant(0))
 
         labels = {child: {TAG_PO: frozenset()}}
         label_node_b(rt, bridge, labels)
@@ -237,7 +246,7 @@ class TestLabeling:
         # bridge from the square takes PI and PE, both built on A(10)'s PO
         g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 10), (10, 11), (10, 13), (10, 14), (11, 12), (11, 13)])
         run = run_labeling(g)
-        bridge = AbcNode.bridge(0, 10)
+        bridge = run.rooted.nodes.index(AbcNode.bridge(0, 10))
         assert run.labels[bridge] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
         assert all_witnesses(run.rooted, run.labels)[bridge] == {
             TAG_PI: frozenset({0, 12, 13, 14}),
@@ -250,8 +259,8 @@ class TestLabeling:
         for leaf_size, expected in ((4, {TAG_PI, TAG_PO}), (5, {TAG_N}), (3, {TAG_N})):
             ring = [(10 + i, 10 + (i + 1) % leaf_size) for i in range(leaf_size)]
             g = Graph(edges=[(0, 1), (1, 2), (2, 0), (0, 10)] + ring)
-            rt = root_at(build_abc_tree(g), AbcNode.component({0, 1, 2}))
-            leaf = AbcNode.component(range(10, 10 + leaf_size))
+            rt = rooted_at(g, {0, 1, 2})
+            leaf = rt.nodes.index(AbcNode.component(range(10, 10 + leaf_size)))
             labels = {}
             label_subtree(rt, rt.children[rt.root][0], labels)
             assert set(labels[leaf]) == expected
@@ -270,7 +279,7 @@ class TestLabeling:
         run = run_labeling(gen_bull())
         labels = dict(run.labels)
         # vertex 1 is out of the root's members, so A(1) must offer PO or PE
-        labels[AbcNode.articulation(1)] = {TAG_PI: frozenset({1})}
+        labels[run.rooted.nodes.index(AbcNode.articulation(1))] = {TAG_PI: frozenset({1})}
         with pytest.raises(InternalLabelingError, match="lacks the label"):
             decide(run.rooted, labels)
         with pytest.raises(InternalLabelingError, match="lacks the label"):
@@ -286,11 +295,11 @@ class TestLabeling:
 
     def test_component_probe_at_bare_roots(self):
         tri = gen_cycle(3)
-        rt = root_at(build_abc_tree(tri), AbcNode.component({0, 1, 2}))
+        rt = rooted_at(tri, {0, 1, 2})
         assert component_probe(rt, rt.root, frozenset(), frozenset(), {}) is None
 
         sq = gen_cycle(4)
-        rt = root_at(build_abc_tree(sq), AbcNode.component({0, 1, 2, 3}))
+        rt = rooted_at(sq, {0, 1, 2, 3})
         got = component_probe(rt, rt.root, frozenset(), frozenset(), {})
         assert got == frozenset({1, 3})  # ties resolve away from the lowest vertex
 
@@ -320,3 +329,17 @@ class TestWellLabeled:
         run = run_labeling(gen_path(4))
         assert run.rooted is None
         assert run.result == frozenset({0, 2})
+
+
+class TestScaling:
+    def test_sputnik_find_time_per_vertex_stays_flat(self):
+        # a sputnik's big component has thousands of articulation points, so
+        # any per-neighbour cost proportional to the component shows up here.
+        # timeit holds the cyclic collector off, whose full passes scale with
+        # everything the rest of the suite keeps alive, not with find
+        def per_vertex(size):
+            g = gen_random_sputnik(2, size)
+            return min(timeit.repeat(lambda: find_rmis(g), repeat=3, number=1)) / g.n
+
+        small, large = per_vertex(1500), per_vertex(12000)
+        assert large / small <= 2.5, f"{small * 1e6:.1f} -> {large * 1e6:.1f} us per vertex"
