@@ -1,10 +1,13 @@
 """Synchronous message-passing execution and the distributed RMIS program.
 
-The engine runs lock-step rounds: every node's outgoing messages are
-collected, delivered, and only then does every node take its step. Message
-size is unbounded. Nodes are addressed by ports (neighbor slots ordered by
-the neighbors' assigned identifiers), so a node initially knows nothing
-beyond its own identifier and degree.
+The engine runs lock-step rounds: the outgoing messages of every node that
+has work are collected, delivered, and only then do those nodes and every
+node that received mail take their step. A program marks a node without
+work through `NodeProgram.idle`; by default no node is idle, so every node
+sends and steps in every round. Message size is unbounded. Nodes are
+addressed by ports (neighbor slots ordered by the neighbors' assigned
+identifiers), so a node initially knows nothing beyond its own identifier
+and degree.
 
 Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
@@ -40,12 +43,19 @@ class SimResult:
     outputs: dict[int, str]
     rounds_total: int
     termination_round: dict[int, int]
+    node_steps: int  # `step` calls the engine made
 
 
 class NodeProgram(ABC):
     """Per-node behavior. One program object serves every node; all mutable
     state lives in the state value returned by `init` and threaded through
-    `step`. A round is: every node's `send`, delivery, every node's `step`.
+    `step`. A round is: `send` of every node that is not idle, delivery,
+    then `step` of every node that is not idle or has mail.
+
+    The engine skips an idle node whose inbox is empty, so `idle(state)`
+    may hold only when `send(state)` returns nothing and a step with an
+    empty inbox changes neither the node's output nor anything it will
+    send later. The default, never idle, keeps every node stepped.
     """
 
     @abstractmethod
@@ -62,6 +72,10 @@ class NodeProgram(ABC):
     @abstractmethod
     def output(self, state: Any) -> str | None:
         """None while undecided, IN or OUT once terminated."""
+
+    def idle(self, state: Any) -> bool:
+        """Whether the engine may skip this node until it receives mail."""
+        return False
 
 
 def identity_ids(g: Graph) -> IdAssignment:
@@ -107,26 +121,29 @@ def run_sync(
     for v in g.vertices:
         if program.output(states[v]) is not None:
             termination[v] = 0
-    rounds = 0
+    # senders go in vertex order, so every inbox fills in the order it
+    # would if every node sent
+    active = [v for v in g.vertices if not program.idle(states[v])]
+    rounds = node_steps = 0
     while len(termination) < g.n:
         rounds += 1
         if rounds > limit:
             undecided = [v for v in g.vertices if v not in termination]
             raise SimulationTimeout(limit, undecided)
-        outboxes = {v: program.send(states[v]) for v in g.vertices}
-        inboxes: dict[int, dict[int, Any]] = {v: {} for v in g.vertices}
-        for v, msgs in outboxes.items():
-            for port, msg in msgs.items():
+        inboxes: dict[int, dict[int, Any]] = {v: {} for v in active}
+        for v in active:
+            for port, msg in program.send(states[v]).items():
                 u = port_to[v][port]
-                inboxes[u][port_from[u][v]] = msg
-        for v in g.vertices:
-            states[v] = program.step(states[v], inboxes[v])
-        for v in g.vertices:
+                inboxes.setdefault(u, {})[port_from[u][v]] = msg
+        for v, inbox in inboxes.items():
+            states[v] = program.step(states[v], inbox)
             if v not in termination and program.output(states[v]) is not None:
                 termination[v] = rounds
+        node_steps += len(inboxes)
+        active = sorted(v for v in inboxes if not program.idle(states[v]))
     outputs = {v: program.output(states[v]) for v in g.vertices}
     rounds_total = max(termination.values()) if termination else 0
-    return SimResult(outputs, rounds_total, termination)
+    return SimResult(outputs, rounds_total, termination, node_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +164,7 @@ def _greedy_decision(ident: int, neighbors: dict[int, tuple[int, str | None]]) -
 class _GatherState:
     ident: int
     degree: int
-    round: int = 0
+    round: int = 0  # steps taken; no node idles before its fourth
     decision: str | None = None
     port_ids: dict[int, int] = field(default_factory=dict)  # port -> neighbor id
     adj: dict[int, frozenset[int]] = field(default_factory=dict)  # id -> full nbhd
@@ -210,7 +227,7 @@ class RmisForallProgram(NodeProgram):
         return state
 
     def _gather_decision(self, state: _GatherState) -> None:
-        if all(nbrs <= state.adj.keys() for nbrs in state.adj.values()):
+        if frozenset().union(*state.adj.values()) <= state.adj.keys():
             parts = complete_bipartite_sides(state.adj)
             if parts is not None:
                 state.decision = IN if state.ident in parts[0] else OUT
@@ -230,6 +247,12 @@ class RmisForallProgram(NodeProgram):
 
     def output(self, state: _GatherState) -> str | None:
         return state.decision
+
+    def idle(self, state: _GatherState) -> bool:
+        # the fourth step runs the forest greedy for the first time; after
+        # it, an empty inbox leaves the residual table and so the decision
+        # unchanged, and a node with no status to announce sends nothing
+        return state.round >= 4 and not state.outbox
 
 
 def rmis_forall_program() -> NodeProgram:

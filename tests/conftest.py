@@ -8,6 +8,7 @@ assignments) so that agreement is meaningful.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Any
 
 import pytest
 
@@ -21,6 +22,7 @@ from rmis.graph import (
     is_connected,
     remove_edges,
 )
+from rmis.localsim import IdAssignment, NodeProgram, SimResult, SimulationTimeout
 from rmis.twosat import TwoSatFormula
 
 
@@ -178,3 +180,58 @@ def small_corpus():
         assert len(batch) == expected_counts[n]
         corpus.extend(batch)
     return corpus
+
+
+def run_sync_every_node(
+    g: Graph,
+    program: NodeProgram,
+    ids: IdAssignment,
+    max_rounds: int | None = None,
+) -> SimResult:
+    """Reference LOCAL engine: every node sends, receives an inbox and
+    steps in every round, whatever `program.idle` says. `run_sync` must
+    give the same outputs, rounds and timeouts.
+    """
+    if set(ids) != set(g.vertices):
+        raise GraphError("id assignment must cover exactly the vertex set")
+    if len(set(ids.values())) != g.n:
+        raise GraphError("id assignment must be injective")
+    if any(i < 0 for i in ids.values()):
+        raise GraphError("identifiers must be non-negative")
+    if not is_connected(g):
+        raise GraphError("run_sync requires a connected graph")
+    limit = max_rounds if max_rounds is not None else 4 * g.n + 8
+
+    # port p of v leads to its p-th neighbor in order of assigned id
+    port_to: dict[int, list[int]] = {
+        v: sorted(g.neighbors(v), key=lambda u: ids[u]) for v in g.vertices
+    }
+    port_from: dict[int, dict[int, int]] = {
+        v: {u: p for p, u in enumerate(port_to[v])} for v in g.vertices
+    }
+
+    states = {v: program.init(ids[v], g.degree(v)) for v in g.vertices}
+    termination: dict[int, int] = {}
+    for v in g.vertices:
+        if program.output(states[v]) is not None:
+            termination[v] = 0
+    rounds = 0
+    while len(termination) < g.n:
+        rounds += 1
+        if rounds > limit:
+            undecided = [v for v in g.vertices if v not in termination]
+            raise SimulationTimeout(limit, undecided)
+        outboxes = {v: program.send(states[v]) for v in g.vertices}
+        inboxes: dict[int, dict[int, Any]] = {v: {} for v in g.vertices}
+        for v, msgs in outboxes.items():
+            for port, msg in msgs.items():
+                u = port_to[v][port]
+                inboxes[u][port_from[u][v]] = msg
+        for v in g.vertices:
+            states[v] = program.step(states[v], inboxes[v])
+        for v in g.vertices:
+            if v not in termination and program.output(states[v]) is not None:
+                termination[v] = rounds
+    outputs = {v: program.output(states[v]) for v in g.vertices}
+    rounds_total = max(termination.values()) if termination else 0
+    return SimResult(outputs, rounds_total, termination, rounds * g.n)

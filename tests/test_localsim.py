@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from rmis.classify import is_complete_bipartite
+from rmis.classify import in_rmis_forall, is_complete_bipartite
 from rmis.graph import (
     Graph,
     GraphError,
@@ -18,6 +18,7 @@ from rmis.generators import (
     gen_complete_bipartite,
     gen_gk,
     gen_path,
+    gen_random_connected,
     gen_random_sputnik,
 )
 from rmis.localsim import (
@@ -36,7 +37,7 @@ from rmis.localsim import (
 )
 from rmis.oracle import is_mis
 
-from conftest import diameter
+from conftest import diameter, run_sync_every_node
 
 
 class ConstantIn(NodeProgram):
@@ -349,6 +350,103 @@ class TestForestProgram:
             g = gen_random_sputnik(200 + i, rng.randint(1, 30))
             result = run_sync(g, forest_mis_program(), random_ids(g, i))
             assert is_mis(g, in_set(result))
+
+
+def outcome(engine, g, program, ids, max_rounds=None):
+    """What a run shows from outside: the result, or the timeout's report."""
+    try:
+        result = engine(g, program, ids, max_rounds)
+    except SimulationTimeout as err:
+        return "timeout", str(err), err.undecided
+    return result.outputs, result.rounds_total, result.termination_round
+
+
+def differential_graphs():
+    graphs = [gen_path(n) for n in [*range(1, 41), 1000]]
+    sides = (1, 2, 3, 4, 7, 12, 20, 30)
+    graphs += [gen_complete_bipartite(m, n) for m in sides for n in sides if m <= n]
+    graphs.append(gen_complete_bipartite(100, 100))
+    rng = random.Random(9)
+    graphs += [gen_random_sputnik(500 + i, rng.randint(2, 60)) for i in range(50)]
+    graphs += [gen_gk(k).graph for k in range(1, 21)]
+    for i, g in enumerate(graphs):
+        yield g, identity_ids(g)
+        yield g, random_ids(g, i)
+
+
+class TestActiveEngine:
+    """`run_sync` skips idle nodes; the every-node reference engine in
+    conftest must see the same run.
+    """
+
+    def test_matches_every_node_engine(self):
+        programs = [
+            (rmis_forall_program, None),
+            (ConstantIn, None),
+            (NeverDecides, 5),
+            (forest_mis_program, None),
+        ]
+        for g, ids in differential_graphs():
+            for make, max_rounds in programs:
+                if g.n >= 1000 and make is not rmis_forall_program:
+                    continue  # never idle, so a long path only costs time
+                expected = outcome(run_sync_every_node, g, make(), ids, max_rounds)
+                assert outcome(run_sync, g, make(), ids, max_rounds) == expected
+
+    def test_timeouts_match_outside_the_class(self):
+        timeouts = 0
+        for seed in range(30):
+            g = gen_random_connected(12 + seed, 0.25, seed)
+            if in_rmis_forall(g).rmis_forall:
+                continue
+            ids = random_ids(g, seed)
+            for max_rounds in (4, 5, 6):
+                expected = outcome(run_sync_every_node, g, rmis_forall_program(), ids, max_rounds)
+                assert outcome(run_sync, g, rmis_forall_program(), ids, max_rounds) == expected
+                timeouts += expected[0] == "timeout"
+        assert timeouts > 0
+
+    def test_idle_nodes_keep_the_contract(self):
+        class IdleChecker(RmisForallProgram):
+            def __init__(self):
+                self.checked = 0
+
+            def idle(self, state):
+                if not super().idle(state):
+                    return False
+                assert self.send(state) == {}
+                after = self.step(copy.deepcopy(state), {})
+                assert (after.decision, after.residual, after.outbox) == (
+                    state.decision,
+                    state.residual,
+                    state.outbox,
+                )
+                assert super().idle(after)
+                self.checked += 1
+                return True
+
+        graphs = [gen_path(n) for n in (2, 5, 17, 40)]
+        graphs += [gen_complete_bipartite(m, n) for m, n in ((1, 4), (3, 3), (5, 7))]
+        rng = random.Random(10)
+        graphs += [gen_random_sputnik(700 + i, rng.randint(3, 60)) for i in range(20)]
+        checked = 0
+        for i, g in enumerate(graphs):
+            for ids in (identity_ids(g), random_ids(g, i)):
+                program = IdleChecker()
+                assert is_mis(g, in_set(run_sync(g, program, ids)))
+                checked += program.checked
+        assert checked > 0
+
+    def test_path_steps_stay_linear(self):
+        g = gen_path(1000)
+        result = run_sync(g, rmis_forall_program(), identity_ids(g))
+        assert result.rounds_total == 999
+        assert result.node_steps <= 10 * g.n
+
+    def test_default_steps_every_node_every_round(self):
+        g = gen_path(6)
+        result = run_sync(g, forest_mis_program(), identity_ids(g))
+        assert result.node_steps == result.rounds_total * g.n
 
 
 class TestIndistinguishability:
