@@ -17,13 +17,19 @@ the rest of the graph):
 A label holds, per tag, only its own node's vertices; one rule (`_picks`)
 gives each child's tag, and witnesses are assembled from it on demand.
 Component nodes settle their constraints through 2-SAT: once edges whose two
-ends may both stay out are dropped, membership 2-colors each piece.
+ends may both stay out are dropped, membership 2-colors each piece. Each
+component's core (pieces, literals and base clauses) is built once and
+shared by its PI and PO probes (and its E probe at the root); a probe adds
+only its forced unit clause to a copy of the base and runs one solve. The
+PE probe builds its own core, since covering the attachment point can drop
+its edges and change the pieces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abctree import (
     KIND_A,
@@ -35,7 +41,7 @@ from .abctree import (
     root_at,
 )
 from .graph import Graph, is_bipartite
-from .twosat import TwoSatFormula, solve
+from .twosat import Literal, TwoSatFormula, solve
 
 TAG_PI = "PI"
 TAG_PO = "PO"
@@ -184,27 +190,29 @@ def label_node_b(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
 
 
 def label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
-    """Component: probe with the attachment point forced in (PI), forced
-    out (PO), and, failing PO, with the attachment point covered from
-    outside (PE): an external neighbor joins, so it reads as PO in the
-    probe. The root has no attachment point; one free probe makes it E.
+    """Component: build the core once and probe it with the attachment point
+    forced in (PI) and forced out (PO). Failing PO, probe a second core in
+    which the attachment point is covered from outside (PE): an external
+    neighbor joins, so it reads as PO, which can drop its edges from the core.
+    The root has no attachment point; one free probe makes it E.
     """
     out = labels.setdefault(x, {})
     parent = rt.parent[x]
+    core = component_core(rt, x, labels)
     if parent is None:
-        witness = test_rmis(rt, x, frozenset(), frozenset(), labels)
+        witness = test_rmis(core)
         if witness is not None:
             out[TAG_E] = witness
     else:
         ap = rt.nodes[parent].vertex
-        witness = test_rmis(rt, x, frozenset({ap}), frozenset(), labels)
+        witness = test_rmis(core, ((ap, True),))
         if witness is not None:
             out[TAG_PI] = witness
-        witness = test_rmis(rt, x, frozenset(), frozenset({ap}), labels)
+        witness = test_rmis(core, ((ap, False),))
         if witness is not None:
             out[TAG_PO] = witness
         else:
-            witness = test_rmis(rt, x, frozenset(), frozenset(), labels, covered=ap)
+            witness = test_rmis(component_core(rt, x, labels, covered=ap))
             if witness is not None:
                 out[TAG_PE] = witness
     if not out:
@@ -214,25 +222,34 @@ def label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
 # ---------------------------------------------------------------------------
 # per-component constraint solving
 
-def test_rmis(
-    rt: RootedAbcTree,
-    x: int,
-    in_vertices: frozenset[int],
-    out_vertices: frozenset[int],
-    labels: LabelMap,
-    covered: int | None = None,
-) -> frozenset[int] | None:
-    """Decide whether the subtree at component `x` admits a robust MIS
-    compatible with the forced `in_vertices`/`out_vertices`, and return the
-    component's members in one. `covered` names a vertex with a neighbor in
-    the set outside the subtree; it reads as PO.
+class ComponentCore(NamedTuple):
+    """A component's constraints before any vertex is forced: the literal
+    of each vertex (its piece's variable and the polarity meaning "in"),
+    and the base formula every probe of the component starts from.
+    """
+
+    vertices: tuple[int, ...]
+    literal: dict[int, Literal]
+    base: TwoSatFormula
+
+    def lit(self, v: int, value: bool) -> Literal:
+        var, pol = self.literal[v]
+        return (var, pol if value else not pol)
+
+
+def component_core(
+    rt: RootedAbcTree, x: int, labels: LabelMap, covered: int | None = None
+) -> ComponentCore | None:
+    """The constraints of component `x` given its children's labels, or None
+    if no membership satisfies them. `covered` names a vertex with a neighbor
+    in the set outside the subtree; it reads as PO.
 
     Edges whose two endpoints both carry PO may have both ends out (each
     side covers itself from below); they are set aside with an at-most-one
-    constraint. All remaining edges need exactly one endpoint in the set,
-    so membership must 2-color every connected piece of what is left: one
-    boolean per piece, plus unit constraints from single-tag articulation
-    points and from the forced vertices.
+    clause. All remaining edges need exactly one endpoint in the set, so
+    membership must 2-color every connected piece of what is left (an odd
+    cycle gives None): one boolean per piece, plus unit clauses from
+    single-tag articulation points.
     """
     comp = rt.nodes[x].vertices
     # the children are the component's articulation points bar the parent,
@@ -244,20 +261,20 @@ def test_rmis(
         tags[covered] = {TAG_PO: frozenset()}
 
     removed: list[tuple[int, int]] = []
-    core: dict[int, list[int]] = {v: [] for v in comp}
+    adj: dict[int, list[int]] = {v: [] for v in comp}
     for u in comp:
         for v in rt.graph.neighbors(u):
             if u < v and v in tags:
                 if TAG_PO in tags[u] and TAG_PO in tags[v]:
                     removed.append((u, v))
                 else:
-                    core[u].append(v)
-                    core[v].append(u)
+                    adj[u].append(v)
+                    adj[v].append(u)
     removed.sort()  # clause order feeds the solver's model
 
     # one variable per connected piece of the core, numbered by smallest
     # vertex; the side holding that vertex is the positive side
-    literal: dict[int, tuple[int, bool]] = {}
+    literal: dict[int, Literal] = {}
     pieces = 0
     for start in comp:
         if start in literal:
@@ -267,7 +284,7 @@ def test_rmis(
         while stack:
             v = stack.pop()
             side = not literal[v][1]
-            for w in core[v]:
+            for w in adj[v]:
                 if w not in literal:
                     literal[w] = (pieces, side)
                     stack.append(w)
@@ -275,26 +292,34 @@ def test_rmis(
                     return None
         pieces += 1
 
-    def lit(v: int, value: bool) -> tuple[int, bool]:
-        var, pol = literal[v]
-        return (var, pol if value else not pol)
-
-    formula = TwoSatFormula(pieces)
+    core = ComponentCore(comp, literal, TwoSatFormula(pieces))
     for v in comp:
         if len(tags[v]) == 1:
             (tag,) = tags[v]
             if tag == TAG_PI:
-                formula.add_unit(lit(v, True))
+                core.base.add_unit(core.lit(v, True))
             elif tag in (TAG_PO, TAG_PE):
-                formula.add_unit(lit(v, False))
+                core.base.add_unit(core.lit(v, False))
     for u, v in removed:
-        formula.add_clause(lit(u, False), lit(v, False))
-    for v in sorted(in_vertices):
-        formula.add_unit(lit(v, True))
-    for v in sorted(out_vertices):
-        formula.add_unit(lit(v, False))
+        core.base.add_clause(core.lit(u, False), core.lit(v, False))
+    return core
 
+
+def test_rmis(
+    core: ComponentCore | None, forced: Iterable[tuple[int, bool]] = ()
+) -> frozenset[int] | None:
+    """Probe a component's core: whether the subtree at the component admits
+    a robust MIS in which each `(vertex, value)` of `forced` is in (True) or
+    out (False), and if so the component's members in one. The probe copies
+    the core's base formula, adds a unit clause per forced vertex in the
+    order given and runs one solve; no core (an odd cycle) admits nothing.
+    """
+    if core is None:
+        return None
+    formula = core.base.copy()
+    for v, value in forced:
+        formula.add_unit(core.lit(v, value))
     assignment = solve(formula)
     if assignment is None:
         return None
-    return frozenset(v for v in comp if assignment[literal[v][0]] == literal[v][1])
+    return frozenset(v for v in core.vertices if assignment[core.literal[v][0]] == core.literal[v][1])

@@ -43,21 +43,19 @@ class Graph:
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: dict[int, set[int]] = {}
-
-        def add_vertex(v: int) -> None:
+        for v in vertices:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise GraphError(f"vertex ids must be non-negative integers, got {v!r}")
             adj.setdefault(v, set())
-
-        for v in vertices:
-            add_vertex(v)
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            add_vertex(u)
-            add_vertex(v)
-            adj[u].add(v)
-            adj[v].add(u)
+            if not isinstance(u, int) or isinstance(u, bool) or u < 0:
+                raise GraphError(f"vertex ids must be non-negative integers, got {u!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise GraphError(f"vertex ids must be non-negative integers, got {v!r}")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
         if not adj:
             raise GraphError("a graph needs at least one vertex")
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
@@ -121,16 +119,15 @@ def from_edge_list(text: str) -> Graph:
     vertices: list[int] = []
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         try:
-            nums = [int(p) for p in parts]
+            nums = list(map(int, parts))
         except ValueError:
-            raise EdgeListParseError(lineno, f"expected integers, got {line!r}") from None
+            raise EdgeListParseError(lineno, f"expected integers, got {raw.strip()!r}") from None
         if any(x < 0 for x in nums):
-            raise EdgeListParseError(lineno, f"negative vertex id in {line!r}")
+            raise EdgeListParseError(lineno, f"negative vertex id in {raw.strip()!r}")
         if len(nums) == 1:
             vertices.append(nums[0])
         elif len(nums) == 2:

@@ -4,6 +4,12 @@ Literals are (variable, polarity) pairs. Satisfiability and the model come
 from strongly connected components of the implication graph with the usual
 reverse-topological polarity choice; negative literals are indexed first so
 a variable no clause touches comes out False.
+
+A formula made only of unit clauses, which is what most component probes
+pose, skips the graph: it is unsatisfiable exactly when two units disagree,
+and otherwise the strongly connected components give each unit's variable
+its forced value and every other variable False, so that model is returned
+directly.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ class TwoSatFormula:
     def add_unit(self, lit: Literal) -> None:
         self.add_clause(lit, lit)
 
+    def copy(self) -> TwoSatFormula:
+        """A formula with the same variables and its own copy of the clauses."""
+        other = TwoSatFormula(self.num_vars)
+        other.clauses = list(self.clauses)
+        return other
+
 
 def _node(lit: Literal) -> int:
     # negative literal of variable v -> 2v, positive -> 2v + 1
@@ -55,6 +67,8 @@ def _negate(node: int) -> int:
 
 def solve(f: TwoSatFormula) -> list[bool] | None:
     """A satisfying assignment, or None. Deterministic for a fixed formula."""
+    if all(l1 == l2 for l1, l2 in f.clauses):
+        return _solve_units(f)
     size = 2 * f.num_vars
     succ: list[list[int]] = [[] for _ in range(size)]
     for l1, l2 in f.clauses:
@@ -72,6 +86,15 @@ def solve(f: TwoSatFormula) -> list[bool] | None:
         # whose component closes first is the implied one
         assignment.append(pos < neg)
     return assignment
+
+
+def _solve_units(f: TwoSatFormula) -> list[bool] | None:
+    # the model the implication graph gives when every clause is a unit
+    forced: dict[int, bool] = {}
+    for (var, pol), _ in f.clauses:
+        if forced.setdefault(var, pol) != pol:
+            return None
+    return [forced.get(v, False) for v in range(f.num_vars)]
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[int]:

@@ -3,6 +3,11 @@
 The oracles here deliberately avoid the library's own algorithms: they work
 straight from definitions (delete and re-test, enumerate cycles, enumerate
 assignments) so that agreement is meaningful.
+
+The reference implementations at the end are different: they are simpler,
+slower versions of library code (the every-node LOCAL engine, the
+line-stripping parser, the per-probe labelling and the implication-graph
+2-SAT model), and the library must give exactly their results.
 """
 
 from __future__ import annotations
@@ -12,18 +17,42 @@ from typing import Any
 
 import pytest
 
-from rmis.abctree import KIND_A, KIND_B, KIND_P, AbcNode, RootedAbcTree
+from rmis.abctree import (
+    KIND_A,
+    KIND_B,
+    KIND_C,
+    KIND_P,
+    AbcNode,
+    RootedAbcTree,
+    build_abc_tree,
+    default_root,
+    root_at,
+)
+from rmis.findrmis import (
+    TAG_E,
+    TAG_N,
+    TAG_PE,
+    TAG_PI,
+    TAG_PO,
+    LabelingRun,
+    LabelMap,
+    decide,
+    label_node_a,
+    label_node_b,
+)
 from rmis.graph import (
     Edge,
+    EdgeListParseError,
     Graph,
     GraphError,
     bfs_distances,
     induced_subgraph,
+    is_bipartite,
     is_connected,
     remove_edges,
 )
 from rmis.localsim import IdAssignment, NodeProgram, SimResult, SimulationTimeout
-from rmis.twosat import TwoSatFormula
+from rmis.twosat import TwoSatFormula, _tarjan_scc
 
 
 def evaluate(f: TwoSatFormula, assignment: list[bool]) -> bool:
@@ -235,3 +264,168 @@ def run_sync_every_node(
     outputs = {v: program.output(states[v]) for v in g.vertices}
     rounds_total = max(termination.values()) if termination else 0
     return SimResult(outputs, rounds_total, termination, rounds * g.n)
+
+
+def reference_from_edge_list(text: str) -> Graph:
+    """Reference edge-list parser: strips each line, then splits it.
+    `graph.from_edge_list` must give the same graph or the same error.
+    """
+    vertices: list[int] = []
+    edges: list[Edge] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            nums = [int(p) for p in parts]
+        except ValueError:
+            raise EdgeListParseError(lineno, f"expected integers, got {line!r}") from None
+        if any(x < 0 for x in nums):
+            raise EdgeListParseError(lineno, f"negative vertex id in {line!r}")
+        if len(nums) == 1:
+            vertices.append(nums[0])
+        elif len(nums) == 2:
+            if nums[0] == nums[1]:
+                raise EdgeListParseError(lineno, f"self-loop at vertex {nums[0]}")
+            edges.append((nums[0], nums[1]))
+        else:
+            raise EdgeListParseError(lineno, f"expected 1 or 2 integers, got {len(nums)}")
+    if not vertices and not edges:
+        raise EdgeListParseError(0, "empty edge list")
+    return Graph(vertices, edges)
+
+
+def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:
+    """Reference 2-SAT model from the strongly connected components of the
+    implication graph, for every formula: `twosat.solve` must return the
+    same assignment, including on formulas it settles without the graph.
+    """
+    succ: list[list[int]] = [[] for _ in range(2 * f.num_vars)]
+    for (a, pa), (b, pb) in f.clauses:
+        na, nb = 2 * a + pa, 2 * b + pb  # positive literal of v is 2v + 1
+        succ[na ^ 1].append(nb)
+        succ[nb ^ 1].append(na)
+    comp = _tarjan_scc(succ)
+    if any(comp[2 * v] == comp[2 * v + 1] for v in range(f.num_vars)):
+        return None
+    return [comp[2 * v + 1] < comp[2 * v] for v in range(f.num_vars)]
+
+
+def reference_labeling(g: Graph) -> LabelingRun:
+    """Reference search: `findrmis.run_labeling` with every component probe
+    rebuilding the component's tags, core and formula on its own.
+    `run_labeling` must give the same labels and the same answer.
+    """
+    tree = build_abc_tree(g, "find_rmis")
+    if not tree.component_nodes():
+        v1, _ = is_bipartite(g)  # type: ignore[misc]
+        return LabelingRun(None, {}, frozenset(v1))
+    rt = root_at(tree, default_root(tree))
+    labels: LabelMap = {}
+    for node in rt.postorder():
+        kind = rt.nodes[node].kind
+        if any(TAG_N in labels[c] for c in rt.children[node]):
+            labels[node] = {TAG_N: frozenset()}
+        elif kind == KIND_A:
+            label_node_a(rt, node, labels)
+        elif kind == KIND_B:
+            label_node_b(rt, node, labels)
+        elif kind == KIND_C:
+            _reference_label_node_c(rt, node, labels)
+        else:
+            labels[node] = {TAG_PI: frozenset({rt.nodes[node].vertex}), TAG_PE: frozenset()}
+    return LabelingRun(rt, labels, decide(rt, labels))
+
+
+def _reference_label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
+    out = labels.setdefault(x, {})
+    parent = rt.parent[x]
+    if parent is None:
+        witness = _reference_probe(rt, x, frozenset(), frozenset(), labels)
+        if witness is not None:
+            out[TAG_E] = witness
+    else:
+        ap = rt.nodes[parent].vertex
+        witness = _reference_probe(rt, x, frozenset({ap}), frozenset(), labels)
+        if witness is not None:
+            out[TAG_PI] = witness
+        witness = _reference_probe(rt, x, frozenset(), frozenset({ap}), labels)
+        if witness is not None:
+            out[TAG_PO] = witness
+        else:
+            witness = _reference_probe(rt, x, frozenset(), frozenset(), labels, covered=ap)
+            if witness is not None:
+                out[TAG_PE] = witness
+    if not out:
+        labels[x] = {TAG_N: frozenset()}
+
+
+def _reference_probe(
+    rt: RootedAbcTree,
+    x: int,
+    in_vertices: frozenset[int],
+    out_vertices: frozenset[int],
+    labels: LabelMap,
+    covered: int | None = None,
+) -> frozenset[int] | None:
+    comp = rt.nodes[x].vertices
+    tags: dict[int, dict] = dict.fromkeys(comp, {})
+    for child in rt.children[x]:
+        tags[rt.nodes[child].vertex] = labels[child]
+    if covered is not None:
+        tags[covered] = {TAG_PO: frozenset()}
+
+    removed: list[tuple[int, int]] = []
+    core: dict[int, list[int]] = {v: [] for v in comp}
+    for u in comp:
+        for v in rt.graph.neighbors(u):
+            if u < v and v in tags:
+                if TAG_PO in tags[u] and TAG_PO in tags[v]:
+                    removed.append((u, v))
+                else:
+                    core[u].append(v)
+                    core[v].append(u)
+    removed.sort()
+
+    literal: dict[int, tuple[int, bool]] = {}
+    pieces = 0
+    for start in comp:
+        if start in literal:
+            continue
+        literal[start] = (pieces, True)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            side = not literal[v][1]
+            for w in core[v]:
+                if w not in literal:
+                    literal[w] = (pieces, side)
+                    stack.append(w)
+                elif literal[w][1] != side:
+                    return None
+        pieces += 1
+
+    def lit(v: int, value: bool) -> tuple[int, bool]:
+        var, pol = literal[v]
+        return (var, pol if value else not pol)
+
+    formula = TwoSatFormula(pieces)
+    for v in comp:
+        if len(tags[v]) == 1:
+            (tag,) = tags[v]
+            if tag == TAG_PI:
+                formula.add_unit(lit(v, True))
+            elif tag in (TAG_PO, TAG_PE):
+                formula.add_unit(lit(v, False))
+    for u, v in removed:
+        formula.add_clause(lit(u, False), lit(v, False))
+    for v in sorted(in_vertices):
+        formula.add_unit(lit(v, True))
+    for v in sorted(out_vertices):
+        formula.add_unit(lit(v, False))
+
+    assignment = implication_graph_model(formula)
+    if assignment is None:
+        return None
+    return frozenset(v for v in comp if assignment[literal[v][0]] == literal[v][1])

@@ -3,7 +3,9 @@ import timeit
 
 import pytest
 
+from rmis import findrmis
 from rmis.abctree import (
+    KIND_C,
     AbcNode,
     build_abc_tree,
     root_at,
@@ -17,6 +19,7 @@ from rmis.findrmis import (
     InternalLabelingError,
     _picks,
     all_witnesses,
+    component_core,
     decide,
     find_rmis,
     label_node_a,
@@ -36,7 +39,12 @@ from rmis.generators import (
 )
 from rmis.oracle import enumerate_mis, enumerate_robust_mis, is_robust_mis
 
-from conftest import aerial_subgraph_of_subtree, connected_graphs, induced_subgraph_of_subtree
+from conftest import (
+    aerial_subgraph_of_subtree,
+    connected_graphs,
+    induced_subgraph_of_subtree,
+    reference_labeling,
+)
 
 
 def rooted_at(g, comp):
@@ -296,11 +304,11 @@ class TestLabeling:
     def test_component_probe_at_bare_roots(self):
         tri = gen_cycle(3)
         rt = rooted_at(tri, {0, 1, 2})
-        assert component_probe(rt, rt.root, frozenset(), frozenset(), {}) is None
+        assert component_probe(component_core(rt, rt.root, {}), ()) is None
 
         sq = gen_cycle(4)
         rt = rooted_at(sq, {0, 1, 2, 3})
-        got = component_probe(rt, rt.root, frozenset(), frozenset(), {})
+        got = component_probe(component_core(rt, rt.root, {}), ())
         assert got == frozenset({1, 3})  # ties resolve away from the lowest vertex
 
 
@@ -329,6 +337,72 @@ class TestWellLabeled:
         run = run_labeling(gen_path(4))
         assert run.rooted is None
         assert run.result == frozenset({0, 2})
+
+
+class TestSharedCore:
+    """Probes that share their component's core give the labels and the
+    answer, witnesses included, of probes that each rebuild it."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        run, ref = run_labeling(g), reference_labeling(g)
+        assert run.labels == ref.labels
+        assert run.result == ref.result
+        return run
+
+    def test_small_corpus(self, small_corpus):
+        for g in small_corpus:
+            self.assert_matches_reference(g)
+
+    def test_gadgets(self):
+        for k in range(1, 21):
+            self.assert_matches_reference(gen_gk(k).graph)
+
+    def test_random_sputniks(self):
+        rng = random.Random(31)
+        for i in range(50):
+            self.assert_matches_reference(gen_random_sputnik(300 + i, rng.randint(1, 60)))
+
+    def test_random_connected(self):
+        # sparse enough that trees hang off the cycles, which reaches PE
+        # probes and the at-most-one clauses of edges whose two ends carry PO
+        rng = random.Random(32)
+        pe_probes = removed_edge_clauses = 0
+        for i in range(100):
+            g = gen_random_connected(rng.randint(6, 20), rng.uniform(0.1, 0.25), 900 + i)
+            run = self.assert_matches_reference(g)
+            if run.rooted is None:
+                continue
+            rt = run.rooted
+            for x in rt.postorder():
+                if rt.nodes[x].kind != KIND_C or TAG_N in run.labels[x]:
+                    continue
+                pe_probes += rt.parent[x] is not None and TAG_PO not in run.labels[x]
+                core = component_core(rt, x, run.labels)
+                removed_edge_clauses += core is not None and any(a != b for a, b in core.base.clauses)
+        assert pe_probes > 0 and removed_edge_clauses > 0
+
+    @pytest.mark.parametrize(
+        "g, expect_pe",
+        [(gen_gk(400).graph, False), (gen_random_sputnik(321, 60), True)],
+        ids=["gk400", "sputnik-321-60"],
+    )
+    def test_one_core_per_component_and_pe_probe(self, monkeypatch, g, expect_pe):
+        calls = []
+        build = findrmis.component_core
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("covered"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(findrmis, "component_core", counting)
+        run = run_labeling(g)
+        rt = run.rooted
+        components = [x for x in rt.postorder() if rt.nodes[x].kind == KIND_C]
+        pe_probes = sum(rt.parent[x] is not None and TAG_PO not in run.labels[x] for x in components)
+        assert (pe_probes > 0) == expect_pe
+        assert len(calls) == len(components) + pe_probes
+        assert sum(c is not None for c in calls) == pe_probes
 
 
 class TestScaling:

@@ -79,6 +79,14 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(edges=[(1, 1)])
 
+    @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
+    def test_bad_id_rejected_at_either_endpoint(self, bad):
+        message = f"vertex ids must be non-negative integers, got {bad!r}"
+        for e in ((bad, 5), (5, bad)):
+            with pytest.raises(GraphError) as err:
+                Graph(edges=[(0, 1), e])
+            assert str(err.value) == message
+
     def test_adjacency_symmetric(self):
         g = gen_bull()
         for u in g.vertices:

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from rmis.twosat import TwoSatError, TwoSatFormula, solve
 
-from conftest import evaluate
+from conftest import evaluate, implication_graph_model
 
 
 def exhaustive_satisfiable(f: TwoSatFormula) -> bool:
@@ -96,3 +97,23 @@ class TestSolve:
             else:
                 assert exhaustive_satisfiable(f)
                 assert evaluate(f, got)
+
+    def test_unit_only_formulas_match_the_implication_graph(self):
+        # every unit-only formula over up to 3 variables with up to 4 units
+        checked = 0
+        for k in range(4):
+            literals = [(v, pol) for v in range(k) for pol in (False, True)]
+            for count in range(5):
+                for units in product(literals, repeat=count):
+                    f = TwoSatFormula(k)
+                    for lit in units:
+                        f.add_unit(lit)
+                    assert solve(f) == implication_graph_model(f), units
+                    checked += 1
+        assert checked == 1 + 31 + 341 + 1555
+
+    def test_mixed_formulas_match_the_implication_graph(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            f = random_formula(rng, max_vars=8)
+            assert solve(f) == implication_graph_model(f)
