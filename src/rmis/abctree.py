@@ -123,7 +123,6 @@ class RootedAbcTree:
             raise GraphError(f"{root} is not a node id of the tree")
         if tree.nodes[root].kind != KIND_C:
             raise GraphError(f"root must be a component node, got {tree.nodes[root]}")
-        self.tree = tree
         self.graph = tree.graph
         self.nodes = tree.nodes
         self.root = root

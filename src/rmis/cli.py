@@ -121,43 +121,20 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    family = args.family
-    if family == "gk":
+    if args.family == "gk" and args.json:
         inst = generators.gen_gk(args.k)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "edges": [list(e) for e in inst.graph.edges()],
-                        "names": inst.names,
-                        "m1": sorted(inst.m1),
-                        "m2": sorted(inst.m2),
-                    }
-                )
+        print(
+            json.dumps(
+                {
+                    "edges": [list(e) for e in inst.graph.edges()],
+                    "names": inst.names,
+                    "m1": sorted(inst.m1),
+                    "m2": sorted(inst.m2),
+                }
             )
-            return 0
-        g = inst.graph
-    elif family == "complete-bipartite":
-        g = generators.gen_complete_bipartite(args.m, args.n)
-    elif family == "cycle":
-        g = generators.gen_cycle(args.n)
-    elif family == "path":
-        g = generators.gen_path(args.n)
-    elif family == "bull":
-        g = generators.gen_bull()
-    elif family == "triangle":
-        g = generators.gen_triangle()
-    elif family == "square":
-        g = generators.gen_square()
-    elif family == "lollipop":
-        g = generators.gen_lollipop(args.path_len, args.clique_size)
-    elif family == "random-connected":
-        g = generators.gen_random_connected(args.n, args.edge_prob, args.seed)
-    elif family == "random-sputnik":
-        g = generators.gen_random_sputnik(args.seed, args.size)
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown family {family}")
-    print(to_edge_list(g), end="")
+        )
+        return 0
+    print(to_edge_list(args.make(args)), end="")
     return 0
 
 
@@ -233,26 +210,33 @@ def build_parser() -> argparse.ArgumentParser:
     q = gsub.add_parser("gk")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--json", action="store_true", help="also emit the name map and both solutions")
+    q.set_defaults(make=lambda a: generators.gen_gk(a.k).graph)
     q = gsub.add_parser("complete-bipartite")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_complete_bipartite(a.m, a.n))
     q = gsub.add_parser("cycle")
     q.add_argument("--n", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_cycle(a.n))
     q = gsub.add_parser("path")
     q.add_argument("--n", type=int, required=True)
-    gsub.add_parser("bull")
-    gsub.add_parser("triangle")
-    gsub.add_parser("square")
+    q.set_defaults(make=lambda a: generators.gen_path(a.n))
+    gsub.add_parser("bull").set_defaults(make=lambda a: generators.gen_bull())
+    gsub.add_parser("triangle").set_defaults(make=lambda a: generators.gen_triangle())
+    gsub.add_parser("square").set_defaults(make=lambda a: generators.gen_square())
     q = gsub.add_parser("lollipop")
     q.add_argument("--path-len", type=int, required=True)
     q.add_argument("--clique-size", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_lollipop(a.path_len, a.clique_size))
     q = gsub.add_parser("random-connected")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--edge-prob", type=float, required=True)
     q.add_argument("--seed", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_random_connected(a.n, a.edge_prob, a.seed))
     q = gsub.add_parser("random-sputnik")
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--seed", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_random_sputnik(a.seed, a.size))
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("simulate", help="run the distributed program in lock-step rounds")

@@ -16,10 +16,11 @@ from .graph import Edge, Graph, GraphError, connected_components, pendant_vertic
 class GkInstance:
     """A ladder-of-diamonds gadget with exactly two robust MISs.
 
-    Level i contributes vertices a_i, b_i, c_i, alpha_i, beta_i, gamma_i.
-    Level 0 is a six-cycle; each further level hangs one diamond off b_{i-1}
-    and one off beta_{i-1}. The two stored solutions are complements: m1
-    holds every alpha, gamma, and b; m2 holds everything else.
+    Level i holds a_i, b_i, c_i, alpha_i, beta_i, gamma_i at ids 6i..6i+5,
+    in that order; `names` maps "a0", "b0", ... to those ids. Level 0 is a
+    six-cycle; each further level hangs one diamond off b_{i-1} and one off
+    beta_{i-1}. The two stored solutions are complements: m1 holds every b,
+    alpha and gamma (the odd ids); m2 holds everything else.
     """
 
     graph: Graph
@@ -31,40 +32,20 @@ class GkInstance:
 def gen_gk(k: int) -> GkInstance:
     if k < 0:
         raise GraphError("k must be non-negative")
-    names: dict[str, int] = {}
-    for i in range(k + 1):
-        base = 6 * i
-        for offset, stem in enumerate(("a", "b", "c", "alpha", "beta", "gamma")):
-            names[f"{stem}{i}"] = base + offset
-
-    def v(stem: str, i: int) -> int:
-        return names[f"{stem}{i}"]
-
-    edges: list[Edge] = [
-        (v("a", 0), v("b", 0)),
-        (v("b", 0), v("c", 0)),
-        (v("c", 0), v("gamma", 0)),
-        (v("gamma", 0), v("beta", 0)),
-        (v("beta", 0), v("alpha", 0)),
-        (v("alpha", 0), v("a", 0)),
-    ]
+    n = 6 * (k + 1)
+    # level 0, a-b-c-gamma-beta-alpha-a
+    edges: list[Edge] = [(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 0)]
     for i in range(1, k + 1):
+        a, b, c, alpha, beta, gamma = range(6 * i, 6 * i + 6)
+        b_up, beta_up = a - 5, a - 2  # b_{i-1} and beta_{i-1}
         edges += [
-            (v("beta", i - 1), v("alpha", i)),
-            (v("beta", i - 1), v("gamma", i)),
-            (v("alpha", i), v("beta", i)),
-            (v("gamma", i), v("beta", i)),
-            (v("b", i - 1), v("a", i)),
-            (v("b", i - 1), v("c", i)),
-            (v("a", i), v("b", i)),
-            (v("c", i), v("b", i)),
+            (beta_up, alpha), (beta_up, gamma), (alpha, beta), (gamma, beta),
+            (b_up, a), (b_up, c), (a, b), (c, b),
         ]
-    g = Graph(range(6 * (k + 1)), edges)
-    m1 = frozenset(
-        names[f"{stem}{i}"] for i in range(k + 1) for stem in ("alpha", "gamma", "b")
-    )
-    m2 = frozenset(g.vertices) - m1
-    return GkInstance(g, names, m1, m2)
+    stems = ("a", "b", "c", "alpha", "beta", "gamma")
+    names = {f"{s}{i}": 6 * i + j for i in range(k + 1) for j, s in enumerate(stems)}
+    m1 = frozenset(range(1, n, 2))
+    return GkInstance(Graph(range(n), edges), names, m1, frozenset(range(0, n, 2)))
 
 
 def gen_complete_bipartite(m: int, n: int) -> Graph:
@@ -124,7 +105,6 @@ def gen_random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     g = Graph(range(n), edges)
     comps = connected_components(g)
     if len(comps) > 1:
-        comps = list(comps)
         rng.shuffle(comps)
         for i in range(1, len(comps)):
             a = rng.choice(sorted(comps[rng.randrange(i)]))

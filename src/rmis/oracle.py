@@ -116,7 +116,8 @@ def is_robust_mis_bruteforce(
 def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[frozenset[int]]:
     """All maximal independent sets, canonically sorted.
 
-    Backtracks over in/out decisions per vertex, pruning branches where a
+    Decides in or out for each vertex in turn, depth-first on an explicit
+    stack of (position, chosen, blocked) states, pruning branches where a
     skipped vertex can no longer be dominated.
     """
     if g.n > max_vertices:
@@ -124,28 +125,20 @@ def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[f
     order = g.vertices
     rank = {v: i for i, v in enumerate(order)}
     found: list[frozenset[int]] = []
-
-    def rec(i: int, chosen: set[int], blocked: set[int]) -> None:
+    stack = [(0, frozenset(), frozenset())]
+    while stack:
+        i, chosen, blocked = stack.pop()
+        while i < len(order) and order[i] in blocked:
+            i += 1
         if i == len(order):
             if len(chosen) + len(blocked) == g.n:
-                found.append(frozenset(chosen))
-            return
+                found.append(chosen)
+            continue
         v = order[i]
-        if v in blocked:
-            rec(i + 1, chosen, blocked)
-            return
-        # include v
-        chosen.add(v)
-        newly = g.neighbors(v) - blocked
-        blocked |= newly
-        rec(i + 1, chosen, blocked)
-        blocked -= newly
-        chosen.remove(v)
         # exclude v: only viable if some later neighbor can still dominate it
         if any(rank[w] > i for w in g.neighbors(v)):
-            rec(i + 1, chosen, blocked)
-
-    rec(0, set(), set())
+            stack.append((i + 1, chosen, blocked))
+        stack.append((i + 1, chosen | {v}, blocked | g.neighbors(v)))
     found.sort(key=lambda m: tuple(sorted(m)))
     return found
 

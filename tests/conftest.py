@@ -6,8 +6,9 @@ assignments) so that agreement is meaningful.
 
 The reference implementations at the end are different: they are simpler,
 slower versions of library code (the every-node LOCAL engine, the
-line-stripping parser, the per-probe labelling and the implication-graph
-2-SAT model), and the library must give exactly their results.
+line-stripping parser, the name-lookup gadget builder, the per-probe
+labelling and the implication-graph 2-SAT model), and the library must
+give exactly their results.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from rmis.findrmis import (
     label_node_a,
     label_node_b,
 )
+from rmis.generators import GkInstance
 from rmis.graph import (
     Edge,
     EdgeListParseError,
@@ -294,6 +296,48 @@ def reference_from_edge_list(text: str) -> Graph:
     if not vertices and not edges:
         raise EdgeListParseError(0, "empty edge list")
     return Graph(vertices, edges)
+
+
+def reference_gen_gk(k: int) -> GkInstance:
+    """Reference gadget builder: looks up every edge endpoint by its name.
+    `generators.gen_gk` must give an equal instance with the same name order.
+    """
+    if k < 0:
+        raise GraphError("k must be non-negative")
+    names: dict[str, int] = {}
+    for i in range(k + 1):
+        base = 6 * i
+        for offset, stem in enumerate(("a", "b", "c", "alpha", "beta", "gamma")):
+            names[f"{stem}{i}"] = base + offset
+
+    def v(stem: str, i: int) -> int:
+        return names[f"{stem}{i}"]
+
+    edges: list[Edge] = [
+        (v("a", 0), v("b", 0)),
+        (v("b", 0), v("c", 0)),
+        (v("c", 0), v("gamma", 0)),
+        (v("gamma", 0), v("beta", 0)),
+        (v("beta", 0), v("alpha", 0)),
+        (v("alpha", 0), v("a", 0)),
+    ]
+    for i in range(1, k + 1):
+        edges += [
+            (v("beta", i - 1), v("alpha", i)),
+            (v("beta", i - 1), v("gamma", i)),
+            (v("alpha", i), v("beta", i)),
+            (v("gamma", i), v("beta", i)),
+            (v("b", i - 1), v("a", i)),
+            (v("b", i - 1), v("c", i)),
+            (v("a", i), v("b", i)),
+            (v("c", i), v("b", i)),
+        ]
+    g = Graph(range(6 * (k + 1)), edges)
+    m1 = frozenset(
+        names[f"{stem}{i}"] for i in range(k + 1) for stem in ("alpha", "gamma", "b")
+    )
+    m2 = frozenset(g.vertices) - m1
+    return GkInstance(g, names, m1, m2)
 
 
 def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:

@@ -228,7 +228,7 @@ class TestRendering:
         g = gen_bull()
         rt = bull_rooted(g)
         text = render_text(rt)
-        for node in rt.tree.nodes:
+        for node in rt.nodes:
             assert str(node) in text
 
     def test_dot_outputs_parse_superficially(self):

@@ -6,7 +6,7 @@ import pytest
 from rmis import findrmis
 from rmis.cli import main
 from rmis.graph import from_edge_list
-from rmis.generators import gen_bull, gen_gk, gen_square, gen_triangle
+from rmis.generators import gen_bull, gen_complete_bipartite, gen_gk, gen_square, gen_triangle
 from rmis.graph import to_edge_list
 
 
@@ -89,6 +89,12 @@ class TestOracle:
 
     def test_triangle(self, triangle_file, capsys):
         assert main(["oracle", triangle_file]) == 1
+
+    def test_large_star_under_a_raised_cap(self, tmp_path, capsys):
+        path = tmp_path / "star.edges"
+        path.write_text(to_edge_list(gen_complete_bipartite(1, 1500)))
+        assert main(["oracle", str(path), "--max-vertices", "2000"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0", ",".join(map(str, range(1, 1501)))]
 
 
 class TestGen:

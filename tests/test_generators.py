@@ -18,6 +18,8 @@ from rmis.generators import (
 )
 from rmis.oracle import is_robust_mis
 
+from conftest import reference_gen_gk
+
 
 class TestGadgetFamily:
     def test_level_zero_is_the_six_cycle(self):
@@ -76,6 +78,12 @@ class TestGadgetFamily:
     def test_negative_k_rejected(self):
         with pytest.raises(GraphError):
             gen_gk(-1)
+
+    def test_matches_reference_builder(self):
+        for k in [*range(41), 1600]:
+            got, want = gen_gk(k), reference_gen_gk(k)
+            assert got == want
+            assert list(got.names.items()) == list(want.names.items())
 
 
 class TestNamedGraphs:

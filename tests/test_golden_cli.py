@@ -1,9 +1,11 @@
 """Golden CLI output: the stdout of `find`, `abc` and `classify` on a fixed
-corpus, of `simulate` on a second one, and of `find --json` and `find --trace`
-on deep gadget ladders must stay byte-identical across refactors.
+corpus, of `simulate` on a second one, of `find --json` and `find --trace`
+on deep gadget ladders, and of `gen` (edge lists, `gk --json` and each
+family's `--help`) must stay byte-identical across refactors.
 
-`golden_cli.json` maps "<graph> <command>" to the exit code and the sha256
-of stdout. Regenerate it only when an output change is intended:
+`golden_cli.json` maps "<graph> <command>" (or "gen <arguments>") to the
+exit code and the sha256 of stdout. Regenerate it only when an output
+change is intended:
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
 """
@@ -14,8 +16,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 from pathlib import Path
+from unittest import mock
 
 from rmis.cli import main
 from rmis.generators import (
@@ -50,6 +54,26 @@ DEEP_COMMANDS = {
     "find-json": ["find", "--json"],
     "find-trace": ["find", "--trace"],
 }
+
+FAMILY_CALLS = [
+    ["gk", "--k", "2"],
+    ["complete-bipartite", "--m", "2", "--n", "3"],
+    ["cycle", "--n", "5"],
+    ["path", "--n", "4"],
+    ["bull"],
+    ["triangle"],
+    ["square"],
+    ["lollipop", "--path-len", "3", "--clique-size", "3"],
+    ["random-connected", "--n", "9", "--edge-prob", "0.3", "--seed", "4"],
+    ["random-sputnik", "--size", "9", "--seed", "4"],
+]
+
+GEN_CALLS = [
+    *FAMILY_CALLS,
+    ["gk", "--k", "200"],
+    ["gk", "--k", "5", "--json"],
+    *([argv[0], "--help"] for argv in FAMILY_CALLS),
+]
 
 
 def corpus():
@@ -89,6 +113,19 @@ def deep_corpus():
     return {f"gk{k}": gen_gk(k).graph for k in (200, 400)}
 
 
+def _digest(argv: list[str]) -> list:
+    """Exit code and stdout digest of one CLI call; `--help` exits through
+    SystemExit, whose code is recorded instead.
+    """
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return [rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+
+
 def run_all(tmp_dir: Path) -> dict[str, list]:
     out = {}
     suites = ((corpus(), COMMANDS), (sim_corpus(), SIM_COMMANDS), (deep_corpus(), DEEP_COMMANDS))
@@ -97,10 +134,11 @@ def run_all(tmp_dir: Path) -> dict[str, list]:
             path = tmp_dir / f"{name}.edges"
             path.write_text(to_edge_list(g))
             for label, argv in commands.items():
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    rc = main([argv[0], str(path), *argv[1:]])
-                out[f"{name} {label}"] = [rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+                out[f"{name} {label}"] = _digest([argv[0], str(path), *argv[1:]])
+    # help text wraps at the terminal width, so fix it
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in GEN_CALLS:
+            out["gen " + " ".join(argv)] = _digest(["gen", *argv])
     return out
 
 

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from rmis.graph import Graph, GraphError
-from rmis.generators import gen_bull, gen_cycle, gen_gk, gen_path, gen_random_connected
+from rmis.generators import (
+    gen_bull,
+    gen_complete_bipartite,
+    gen_cycle,
+    gen_gk,
+    gen_path,
+    gen_random_connected,
+)
 from rmis.oracle import (
     enumerate_mis,
     enumerate_robust_mis,
@@ -123,6 +130,14 @@ class TestEnumeration:
                 if is_mis(g, s := {v for v in range(n) if mask >> v & 1})
             }
             assert set(enumerate_mis(g)) == by_filter
+
+    def test_deep_search_with_a_tiny_answer(self):
+        # 1,501 decisions deep, two answers: no recursion limit may interfere
+        star = gen_complete_bipartite(1, 1500)
+        assert enumerate_mis(star, max_vertices=2000) == [
+            frozenset({0}),
+            frozenset(range(1, 1501)),
+        ]
 
 
 class TestEnumerateRobust:
