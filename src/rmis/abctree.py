@@ -95,7 +95,7 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     that every vertex of the graph appears somewhere in the tree. A
     disconnected graph raises GraphError naming `op`.
     """
-    aps, brs, comps = blocks(g, op)
+    aps, brs, comps, _ = blocks(g, op)
     comps = [c for c in comps if len(c) >= 3]  # sorted by vertices already
     brs = sorted(brs)
     pend = sorted(v for v in g.vertices if g.degree(v) <= 1)

@@ -8,6 +8,7 @@ internal failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -170,7 +171,11 @@ def _cmd_simulate(args) -> int:
     return 0 if valid else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; parsing leaves it unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="rmis",
         description="Robust maximal independent sets: classify, decompose, find, verify, simulate.",

@@ -58,6 +58,10 @@ class Graph:
             adj.setdefault(v, set()).add(u)
         if not adj:
             raise GraphError("a graph needs at least one vertex")
+        self._freeze(adj)
+
+    def _freeze(self, adj: dict[int, set[int]]) -> None:
+        """Take a validated, non-empty, symmetric adjacency as this graph's own."""
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(adj))
 
@@ -115,30 +119,51 @@ class Graph:
 def from_edge_list(text: str) -> Graph:
     """Parse edge-list text: one "u v" pair per line, "#" comment lines,
     and bare integers declaring isolated vertices. Duplicate edges collapse.
+
+    Each line is split once and its ids go straight into the adjacency. A
+    line is a comment when `int` rejects its first token and that token
+    starts with "#" (`int` never accepts "#"). A bad line is reported by its
+    first fault: a non-integer, then a negative id, then the count or a
+    self-loop.
     """
-    vertices: list[int] = []
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        try:
-            nums = list(map(int, parts))
-        except ValueError:
-            raise EdgeListParseError(lineno, f"expected integers, got {raw.strip()!r}") from None
-        if any(x < 0 for x in nums):
-            raise EdgeListParseError(lineno, f"negative vertex id in {raw.strip()!r}")
-        if len(nums) == 1:
-            vertices.append(nums[0])
-        elif len(nums) == 2:
-            if nums[0] == nums[1]:
-                raise EdgeListParseError(lineno, f"self-loop at vertex {nums[0]}")
-            edges.append((nums[0], nums[1]))
-        else:
-            raise EdgeListParseError(lineno, f"expected 1 or 2 integers, got {len(nums)}")
-    if not vertices and not edges:
+    lines = text.splitlines()
+    adj: dict[int, set[int]] = {}
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
+        if len(parts) == 2:
+            try:
+                u = int(parts[0])
+                v = int(parts[1])
+            except ValueError:
+                if parts[0].startswith("#"):
+                    continue
+                raise _line_error(lines, lineno, "expected integers, got") from None
+            if u < 0 or v < 0:
+                raise _line_error(lines, lineno, "negative vertex id in")
+            if u == v:
+                raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        elif parts:
+            try:
+                nums = list(map(int, parts))
+            except ValueError:
+                if parts[0].startswith("#"):
+                    continue
+                raise _line_error(lines, lineno, "expected integers, got") from None
+            if any(x < 0 for x in nums):
+                raise _line_error(lines, lineno, "negative vertex id in")
+            if len(nums) != 1:
+                raise EdgeListParseError(lineno, f"expected 1 or 2 integers, got {len(nums)}")
+            adj.setdefault(nums[0], set())
+    if not adj:
         raise EdgeListParseError(0, "empty edge list")
-    return Graph(vertices, edges)
+    g = Graph.__new__(Graph)
+    g._freeze(adj)  # int() ids are exact non-negative ints, never bools
+    return g
+
+
+def _line_error(lines: list[str], lineno: int, message: str) -> EdgeListParseError:
+    return EdgeListParseError(lineno, f"{message} {lines[lineno - 1].strip()!r}")
 
 
 def to_edge_list(g: Graph) -> str:
@@ -213,6 +238,9 @@ class Blocks(NamedTuple):
     articulation_points: set[int]
     bridges: set[Edge]
     components: list[frozenset[int]]  # edge-based, sorted by vertex content
+    # the component each vertex was popped into (the root: its last one); an
+    # edge lies in block_of[x] for its endpoint x found later in the search
+    block_of: dict[int, frozenset[int]]
 
 
 def blocks(g: Graph, op: str = "blocks") -> Blocks:
@@ -222,8 +250,8 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     Visited vertices wait on a stack. When a child `v` of `p` finishes with
     no back edge from its subtree above `p`, the vertices down to `v`, plus
     `p`, form one component. Every edge lies in exactly one component;
-    size-2 components are exactly the bridges. The result does not depend
-    on the order in which neighbours are visited.
+    size-2 components are exactly the bridges. Only `block_of` depends on
+    the order in which neighbours are visited; the rest does not.
 
     Raises GraphError naming `op` when the pass does not reach every vertex.
     """
@@ -233,6 +261,7 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     aps: set[int] = set()
     brs: set[Edge] = set()
     comps: list[frozenset[int]] = []
+    block_of: dict[int, frozenset[int]] = {}
     visited = [root]
     root_blocks = 0
     stack: list[tuple[int, int | None, Iterator[int]]] = [(root, None, iter(g.neighbors(root)))]
@@ -256,7 +285,10 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
                 members = {p, v}
                 while (u := visited.pop()) != v:
                     members.add(u)
-                comps.append(frozenset(members))
+                comp = frozenset(members)
+                comps.append(comp)
+                for u in comp:  # p is popped later, and set again then
+                    block_of[u] = comp
                 if len(members) == 2:
                     brs.add(edge(p, v))
                 if p != root:
@@ -268,7 +300,7 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     if root_blocks > 1:
         aps.add(root)
     comps.sort(key=lambda c: tuple(sorted(c)))
-    return Blocks(aps, brs, comps)
+    return Blocks(aps, brs, comps, block_of)
 
 
 def articulation_points(g: Graph) -> set[int]:

@@ -1,7 +1,7 @@
 """Ground-truth verification for maximal independent sets and their robustness.
 
 A set is a *robust* MIS when it stays maximal in every connected spanning
-subgraph of the original graph. Two checkers live here: a polynomial one
+subgraph of the original graph. Two checkers live here: a linear-time one
 based on a cut criterion, and an exponential one that enumerates connected
 spanning subgraphs directly. The second exists to validate the first at
 desk scale, so the two must stay independent.
@@ -9,10 +9,9 @@ desk scale, so the two must stay independent.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
-from .graph import Graph, GraphError, bridges, is_connected, remove_edges
+from .graph import Graph, GraphError, blocks, bridges, is_connected, remove_edges
 
 DEFAULT_VERTEX_CAP = 16
 DEFAULT_REMOVABLE_CAP = 20
@@ -41,43 +40,66 @@ def is_mis(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
-    """Polynomial robustness check.
+    """Robustness check in linear time, but for the block pass's sort.
 
     An MIS is robust iff for every vertex u outside it, deleting all edges
     between u and the set disconnects the graph: any connectivity-preserving
-    removal then leaves u covered.
+    removal then leaves u covered. Only a *suspect*, a vertex outside with a
+    neighbour outside, can fail this. One pass over the adjacency checks the
+    MIS and collects the suspects. One search settles the first suspect,
+    which is all a non-robust greedy set usually needs. One block pass
+    settles the rest: deleting u's edges into the set disconnects the graph
+    iff some block holding u has none of u's edges to vertices outside.
     """
-    if not is_connected(g):
+    first = g.vertices[0]
+    if not _reaches_all(g, first, g.neighbors(first)):
         raise GraphError("is_robust_mis requires a connected graph")
     members = _as_member_set(g, s)
-    if not is_mis(g, members):
+    suspects = []
+    for v in g.vertices:
+        ns = g.neighbors(v)
+        if v in members:
+            if not ns.isdisjoint(members):
+                return False
+        elif ns.isdisjoint(members):
+            return False
+        elif not ns <= members:
+            suspects.append(v)
+    if not suspects:
+        return True
+    u = suspects[0]
+    if _reaches_all(g, u, g.neighbors(u) - members):
         return False
-    for u in g.vertices:
-        if u in members:
-            continue
-        if g.neighbors(u) <= members:
-            # u loses all its edges, so the deletion isolates it
-            continue
-        if _connected_without_cut(g, u, members):
+    aps, _, _, block_of = blocks(g, "is_robust_mis")
+    for u in suspects[1:]:
+        if u not in aps:
+            return False  # u's one block keeps u's edge to a non-member
+        own = block_of[u]
+        every: set[frozenset[int]] = set()
+        kept: set[frozenset[int]] = set()
+        for w in g.neighbors(u):
+            b = block_of[w]
+            if u not in b:
+                b = own  # u is the endpoint found later in the search
+            every.add(b)
+            if w not in members:
+                kept.add(b)
+        if len(kept) == len(every):
             return False
     return True
 
 
-def _connected_without_cut(g: Graph, u: int, members: frozenset[int]) -> bool:
-    """Connectivity of g after deleting every edge from u into `members`."""
-    start = u
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if v == u and w in members:
-                continue
-            if w == u and v in members:
-                continue
+def _reaches_all(g: Graph, start: int, exits: frozenset[int]) -> bool:
+    """Whether a search that leaves `start` only through `exits` reaches
+    every vertex of g.
+    """
+    seen = {start, *exits}
+    todo = list(exits)
+    while todo:
+        for w in g.neighbors(todo.pop()):
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
+                todo.append(w)
     return len(seen) == g.n
 
 
@@ -156,7 +178,7 @@ def parse_vertex_set(text: str) -> frozenset[int]:
     if not text:
         return frozenset()
     try:
-        return frozenset(int(p) for p in text.split(","))
+        return frozenset(map(int, text.split(",")))
     except ValueError:
         raise GraphError(f"bad vertex set {text!r}; expected comma-separated ids") from None
 

@@ -7,12 +7,13 @@ assignments) so that agreement is meaningful.
 The reference implementations at the end are different: they are simpler,
 slower versions of library code (the every-node LOCAL engine, the
 line-stripping parser, the name-lookup gadget builder, the per-probe
-labelling and the implication-graph 2-SAT model), and the library must
-give exactly their results.
+labelling, the implication-graph 2-SAT model and the one-search-per-vertex
+robustness check), and the library must give exactly their results.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Any
 
@@ -54,6 +55,7 @@ from rmis.graph import (
     remove_edges,
 )
 from rmis.localsim import IdAssignment, NodeProgram, SimResult, SimulationTimeout
+from rmis.oracle import _as_member_set, is_mis
 from rmis.twosat import TwoSatFormula, _tarjan_scc
 
 
@@ -296,6 +298,44 @@ def reference_from_edge_list(text: str) -> Graph:
     if not vertices and not edges:
         raise EdgeListParseError(0, "empty edge list")
     return Graph(vertices, edges)
+
+
+def reference_is_robust_mis(g: Graph, s) -> bool:
+    """Reference robustness check: one search per vertex outside the set.
+    `oracle.is_robust_mis` must give the same answer or the same error.
+    """
+    if not is_connected(g):
+        raise GraphError("is_robust_mis requires a connected graph")
+    members = _as_member_set(g, s)
+    if not is_mis(g, members):
+        return False
+    for u in g.vertices:
+        if u in members:
+            continue
+        if g.neighbors(u) <= members:
+            # u loses all its edges, so the deletion isolates it
+            continue
+        if _connected_without_cut(g, u, members):
+            return False
+    return True
+
+
+def _connected_without_cut(g: Graph, u: int, members: frozenset[int]) -> bool:
+    """Connectivity of g after deleting every edge from u into `members`."""
+    start = u
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if v == u and w in members:
+                continue
+            if w == u and v in members:
+                continue
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == g.n
 
 
 def reference_gen_gk(k: int) -> GkInstance:

@@ -39,6 +39,15 @@ def assert_matches_networkx(g: Graph) -> None:
     assert got.bridges == {(min(e), max(e)) for e in nx.bridges(ng)}
     want = sorted((frozenset(c) for c in nx.biconnected_components(ng)), key=lambda c: tuple(sorted(c)))
     assert got.components == want
+    # an edge lies in block_of[w] if that holds u, else in block_of[u]
+    assert all(v in got.block_of[v] for v in g.vertices)
+    returned = {c: c for c in got.components}  # compare by identity: blocks are large
+    for comp_edges in nx.biconnected_component_edges(ng):
+        comp = returned[frozenset(x for e in comp_edges for x in e)]
+        for e in comp_edges:
+            for u, w in (e, e[::-1]):
+                b = got.block_of[w]
+                assert (b if u in b else got.block_of[u]) is comp
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,8 +1,13 @@
+import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rmis
 from rmis import findrmis
 from rmis.cli import main
 from rmis.graph import from_edge_list
@@ -243,3 +248,35 @@ class TestDeepTrees:
         inst = gen_gk(600)
         assert out[-1] in {",".join(map(str, sorted(s))) for s in (inst.m1, inst.m2)}
 
+
+class TestOneParserPerProcess:
+    def test_back_to_back_runs_match_fresh_interpreters(self, bull_file, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
+        runs = [
+            ["verify", bull_file, "--set", "0,3,4"],
+            ["find", "--json", bull_file],
+            ["verify", bull_file],  # missing --set: a usage error, exit 2
+            ["classify", bull_file],
+            ["verify", bull_file, "--set", "0,9"],  # unknown vertex: exit 2
+            ["gen", "path", "--n", "4"],
+            ["find", "--help"],
+            ["simulate", bull_file, "--ids", "random:3"],
+            ["verify", bull_file, "--set", "0,2"],
+        ]
+        src = str(Path(rmis.__file__).resolve().parents[1])
+        monkeypatch.setenv("PYTHONPATH", src)
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            fresh = subprocess.run(
+                [sys.executable, "-m", "rmis.cli", *argv], capture_output=True, text=True, timeout=60
+            )
+            assert (rc, out.getvalue(), err.getvalue()) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            ), argv

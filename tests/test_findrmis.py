@@ -406,14 +406,26 @@ class TestSharedCore:
 
 
 class TestScaling:
-    def test_sputnik_find_time_per_vertex_stays_flat(self):
-        # a sputnik's big component has thousands of articulation points, so
-        # any per-neighbour cost proportional to the component shows up here.
-        # timeit holds the cyclic collector off, whose full passes scale with
-        # everything the rest of the suite keeps alive, not with find
-        def per_vertex(size):
-            g = gen_random_sputnik(2, size)
+    # a sputnik's big component has thousands of articulation points, so
+    # any per-neighbour cost proportional to the component shows up here.
+    # timeit holds the cyclic collector off, whose full passes scale with
+    # everything the rest of the suite keeps alive, not with the code timed
+    @pytest.fixture(scope="class")
+    def sputniks(self):
+        return [gen_random_sputnik(2, size) for size in (1500, 12000)]  # generating is quadratic
+
+    def test_sputnik_find_time_per_vertex_stays_flat(self, sputniks):
+        def per_vertex(g):
             return min(timeit.repeat(lambda: find_rmis(g), repeat=3, number=1)) / g.n
 
-        small, large = per_vertex(1500), per_vertex(12000)
+        small, large = map(per_vertex, sputniks)
+        assert large / small <= 2.5, f"{small * 1e6:.1f} -> {large * 1e6:.1f} us per vertex"
+
+    def test_sputnik_verify_time_per_vertex_stays_flat(self, sputniks):
+        def per_vertex(g):
+            s = find_rmis(g)
+            assert s is not None
+            return min(timeit.repeat(lambda: is_robust_mis(g, s), repeat=3, number=1)) / g.n
+
+        small, large = map(per_vertex, sputniks)
         assert large / small <= 2.5, f"{small * 1e6:.1f} -> {large * 1e6:.1f} us per vertex"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rmis.findrmis import find_rmis
 from rmis.graph import Graph, GraphError
 from rmis.generators import (
     gen_bull,
@@ -10,6 +11,7 @@ from rmis.generators import (
     gen_gk,
     gen_path,
     gen_random_connected,
+    gen_random_sputnik,
 )
 from rmis.oracle import (
     enumerate_mis,
@@ -22,7 +24,7 @@ from rmis.oracle import (
     parse_vertex_set,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, reference_is_robust_mis
 
 BULL = gen_bull()
 TRIANGLE = gen_cycle(3)
@@ -73,6 +75,58 @@ class TestRobustness:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
             is_robust_mis(Graph(edges=[(0, 1), (2, 3)]), {0, 2})
+
+
+def greedy_mis(g: Graph, rng: random.Random) -> frozenset[int]:
+    order = list(g.vertices)
+    rng.shuffle(order)
+    chosen: set[int] = set()
+    for v in order:
+        if chosen.isdisjoint(g.neighbors(v)):
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+class TestAgainstSearchReference:
+    """`is_robust_mis` against the one-search-per-vertex check in conftest."""
+
+    def test_every_mis_of_the_small_corpus(self, small_corpus):
+        robust = 0
+        for g in small_corpus:
+            for s in enumerate_mis(g):
+                expected = reference_is_robust_mis(g, s)
+                assert is_robust_mis(g, s) == expected, (g.edges(), sorted(s))
+                robust += expected
+        assert robust > 0
+
+    def test_random_graphs_with_greedy_and_found_sets(self):
+        rng = random.Random(12)
+        answers = []
+        for i in range(300):
+            if i % 3:
+                g = gen_random_connected(rng.randint(2, 60), rng.uniform(0.02, 0.3), 500 + i)
+            else:
+                g = gen_random_sputnik(500 + i, rng.randint(4, 60))
+            sets = [greedy_mis(g, rng) for _ in range(5)]
+            found = find_rmis(g)
+            if found is not None:
+                sets.append(found)
+            for s in sets:
+                expected = reference_is_robust_mis(g, s)
+                assert is_robust_mis(g, s) == expected, (g.edges(), sorted(s))
+                answers.append(expected)
+        assert 0 < sum(answers) < len(answers)
+
+    def test_same_errors_and_non_mis_answers(self):
+        apart = Graph(edges=[(0, 1), (2, 3)])
+        for check in (is_robust_mis, reference_is_robust_mis):
+            with pytest.raises(GraphError, match="connected"):
+                check(apart, {0, 2})
+            with pytest.raises(GraphError, match="unknown vertex 9"):
+                check(BULL, {0, 3, 9})
+            assert not check(BULL, {0})  # independent, not maximal
+            assert not check(BULL, {0, 3, 4, 1})  # maximal, not independent
+            assert not check(SQUARE, set())
 
 
 class TestBruteforce:

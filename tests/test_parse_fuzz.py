@@ -41,5 +41,10 @@ class TestAgainstReference:
     @example("\xa07 8\xa0\n# x\n")
     @example("")
     @example("#\n \n")
+    @example("# 1")
+    @example("1 #")
+    @example("1 -2")
+    @example("+5 5")
+    @example("1 2\n2 1\n2\n")
     def test_same_graph_or_same_error(self, text):
         assert outcome(from_edge_list, text) == outcome(reference_from_edge_list, text)
