@@ -22,7 +22,7 @@ print("   A = articulation point, B = bridge, C = big component, P = pendant")
 
 print("\n== labeled run")
 run = run_labeling(bull)
-witnesses = all_witnesses(run.rooted, run.labels)  # labels hold own vertices only
+witnesses = all_witnesses(run)  # labels hold own vertices only
 
 
 def tags(node):

@@ -9,6 +9,9 @@ points nor pendant get no node of their own.
 
 Nodes are numbered 0..N-1 in sorted `AbcNode` order, and the tree, its
 rooting and the labels all work on these ids; node `i` is `nodes[i]`.
+Rooting fills per-node lists by id: each node's parent, its children and
+its attachment point, the vertex its subtree shares with the rest of the
+graph, which the search's tag masks are relative to.
 """
 
 from __future__ import annotations
@@ -123,31 +126,32 @@ class RootedAbcTree:
             raise GraphError(f"{root} is not a node id of the tree")
         if tree.nodes[root].kind != KIND_C:
             raise GraphError(f"root must be a component node, got {tree.nodes[root]}")
+        nodes = self.nodes = tree.nodes
         self.graph = tree.graph
-        self.nodes = tree.nodes
         self.root = root
         # a tree: every neighbour but the parent is a child
-        self.parent: list[int | None] = [None] * len(tree.nodes)
-        self.children: list[tuple[int, ...]] = [()] * len(tree.nodes)
+        parent: list[int | None] = [None] * len(nodes)
+        children: list[tuple[int, ...]] = [()] * len(nodes)
+        # the vertex through which the subtree at a node meets the rest of
+        # the graph: its own for A/P nodes, the parent's for B/C nodes (whose
+        # parent is an A-node); the root has none
+        attachment: list[int | None] = [None] * len(nodes)
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            kids = tuple(y for y in tree.neighbors(x) if y != self.parent[x])
-            for y in kids:
-                self.parent[y] = x
-            self.children[x] = kids
+            up = parent[x]
+            children[x] = kids = tuple([y for y in tree.neighbors(x) if y != up])
+            if nodes[x].kind == KIND_A:
+                vertex = nodes[x].vertices[0]
+                for y in kids:
+                    parent[y] = x
+                    attachment[y] = vertex
+            else:
+                for y in kids:
+                    parent[y] = x
+                    attachment[y] = nodes[y].vertices[0]
             queue.extend(kids)
-
-    def attachment_point(self, x: int) -> int:
-        """The vertex through which the subtree at `x` meets the rest of the
-        graph: `x` itself for A/P nodes, the parent's vertex for B/C nodes.
-        """
-        if self.nodes[x].kind in (KIND_A, KIND_P):
-            return self.nodes[x].vertex
-        p = self.parent[x]
-        if p is None:
-            raise GraphError("the root has no attachment point")
-        return self.nodes[p].vertex
+        self.parent, self.children, self.attachment = parent, children, attachment
 
     def subtree_nodes(self, x: int) -> list[int]:
         """Nodes of the subtree rooted at `x`, parents before children."""

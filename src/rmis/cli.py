@@ -36,7 +36,7 @@ def _read_graph(path: str) -> Graph:
 def _labels_json(run: findrmis.LabelingRun) -> dict:
     if run.rooted is None:
         return {}
-    witnesses = findrmis.all_witnesses(run.rooted, run.labels)
+    witnesses = findrmis.all_witnesses(run)
     return {
         str(run.rooted.nodes[x]): {tag: sorted(w) for tag, w in sorted(tags.items())}
         for x, tags in sorted(witnesses.items())
@@ -90,7 +90,7 @@ def _cmd_find(args) -> int:
         )
     else:
         if args.trace and run.rooted is not None:
-            witnesses = findrmis.all_witnesses(run.rooted, run.labels)
+            witnesses = findrmis.all_witnesses(run)
 
             def annotate(x):
                 tags = witnesses[x]

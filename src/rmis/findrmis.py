@@ -14,21 +14,31 @@ the rest of the graph):
   N   (negative)          none of the above; the whole search fails;
   E   (end)               root-only: a robust MIS of the whole graph.
 
-A label holds, per tag, only its own node's vertices; one rule (`_picks`)
-gives each child's tag, and witnesses are assembled from it on demand.
-Component nodes settle their constraints through 2-SAT: once edges whose two
-ends may both stay out are dropped, membership 2-colors each piece. Each
-component's core (pieces, literals and base clauses) is built once and
-shared by its PI and PO probes (and its E probe at the root); a probe adds
-only its forced unit clause to a copy of the base and runs one solve. The
+The labels live in flat lists indexed by node id, filled in one postorder
+loop. Each node's tags are one int mask of the bits `PI`..`E`; the A-, B-
+and P-node rules are arithmetic on the children's masks. Only component
+nodes store vertex sets: their members in the PI (or E) witness and in the
+PO or PE one. Every other node's own set follows from the node: an A- or
+P-node owns its vertex under PI, a B-node owns its attachment point under
+PI and its child's vertex under PO, and nothing else owns anything. One
+rule (`LabelingRun.witness_parts`) gives each child's tag, and witnesses are
+assembled from it on demand.
+
+Component nodes settle their constraints through 2-SAT: once edges whose
+two ends may both stay out are dropped, membership 2-colors each piece.
+Each component's core (pieces, literals and one base formula) is built
+once and shared by its PI and PO probes (and its E probe at the root); a
+probe solves the base under its one forced literal as an assumption. The
 PE probe builds its own core, since covering the attachment point can drop
 its edges and change the pieces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .abctree import (
@@ -49,11 +59,14 @@ TAG_PE = "PE"
 TAG_N = "N"
 TAG_E = "E"
 
-# per-node labels: tag -> the node's own vertices under that tag
-LabelSet = dict[str, frozenset[int]]
-LabelMap = dict[int, LabelSet]  # by node id
+# tag bits of a node's mask
+PI, PO, PE, N, E = 1, 2, 4, 8, 16
+TAG_NAMES = {PI: TAG_PI, PO: TAG_PO, PE: TAG_PE, N: TAG_N, E: TAG_E}
 
-_NO_LABELS: LabelSet = {}
+# the read-only view of the labels: node id -> tag name -> own vertices
+LabelMap = Mapping[int, Mapping[str, frozenset[int]]]
+
+_EMPTY: frozenset[int] = frozenset()
 
 
 class InternalLabelingError(RuntimeError):
@@ -62,11 +75,66 @@ class InternalLabelingError(RuntimeError):
 
 @dataclass
 class LabelingRun:
-    """Everything one search produced, kept for inspection and tracing."""
+    """Everything one search produced, kept for inspection and tracing.
+
+    `mask[x]` holds node x's tags. A component node's own members are
+    `own_in[x]` under PI or E and `own_out[x]` under PO or PE; both lists
+    hold None for every other node. An acyclic graph has no tree and no
+    labels.
+    """
 
     rooted: RootedAbcTree | None
-    labels: LabelMap
-    result: frozenset[int] | None
+    mask: list[int]
+    own_in: list[frozenset[int] | None]
+    own_out: list[frozenset[int] | None]
+    result: frozenset[int] | None = None
+
+    def own(self, x: int, tag: int) -> frozenset[int]:
+        """Node x's own vertices under the single tag bit `tag`."""
+        rt = self.rooted
+        kind = rt.nodes[x].kind
+        if kind == KIND_C:
+            if tag & (PI | E):
+                return self.own_in[x]
+            return self.own_out[x] if tag & (PO | PE) else _EMPTY
+        if tag == PI:
+            return frozenset({rt.attachment[x]})
+        if tag == PO and kind == KIND_B:
+            return frozenset({rt.attachment[rt.children[x][0]]})
+        return _EMPTY
+
+    def witness_parts(self, x: int, tag: int) -> tuple[frozenset[int], list[tuple[int, int]]]:
+        """The parts of node x's witness under the tag bit `tag`: its own
+        vertices, and (child, tag bit) per child whose witness joins them.
+        A child takes PI if its attachment point is among the own vertices,
+        else PO if it has it, else PE; an N node has no parts below it.
+        """
+        own = self.own(x, tag)
+        if tag == N:
+            return own, []
+        rt = self.rooted
+        picks = []
+        for child in rt.children[x]:
+            m = self.mask[child]
+            pick = PI if rt.attachment[child] in own else PO if m & PO else PE
+            if not m & pick:
+                raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
+            picks.append((child, pick))
+        return own, picks
+
+    @cached_property
+    def labels(self) -> LabelMap:
+        """Per node id, each tag's name and the node's own vertices under it;
+        built on first use.
+        """
+        if self.rooted is None:
+            return MappingProxyType({})
+        return MappingProxyType(
+            {
+                x: MappingProxyType({name: self.own(x, bit) for bit, name in TAG_NAMES.items() if m & bit})
+                for x, m in enumerate(self.mask)
+            }
+        )
 
 
 def find_rmis(g: Graph) -> frozenset[int] | None:
@@ -81,142 +149,124 @@ def run_labeling(g: Graph) -> LabelingRun:
         # acyclic: every MIS is robust; return one color class of a
         # 2-coloring (the class holding the smallest vertex is never empty)
         v1, _ = is_bipartite(g)  # type: ignore[misc]
-        return LabelingRun(None, {}, frozenset(v1))
-    rt = root_at(tree, default_root(tree))
-    labels: LabelMap = {}
-    label_subtree(rt, rt.root, labels)
-    return LabelingRun(rt, labels, decide(rt, labels))
+        return LabelingRun(None, [], [], [], frozenset(v1))
+    run = label_tree(root_at(tree, default_root(tree)))
+    run.result = decide(run)
+    return run
 
 
-def _picks(rt: RootedAbcTree, labels: LabelMap, x: int, tag: str) -> Iterator[tuple[int, str]]:
-    """Yield (child, tag) per child of `x` under `tag`: PI if the child's attachment
-    point is in `x`'s own set for `tag`, else PO if the child has it, else PE; none for N.
-    """
-    for child in rt.children[x] if tag != TAG_N else ():
-        kl = labels[child]
-        if rt.attachment_point(child) in labels[x][tag]:
-            pick = TAG_PI
-        else:
-            pick = TAG_PO if TAG_PO in kl else TAG_PE
-        if pick not in kl:
-            raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
-        yield child, pick
-
-
-def decide(rt: RootedAbcTree, labels: LabelMap) -> frozenset[int] | None:
+def decide(run: LabelingRun) -> frozenset[int] | None:
     """The root's E witness, assembled in one walk down the tree; None on N."""
-    if TAG_E not in labels[rt.root]:
+    root = run.rooted.root
+    if not run.mask[root] & E:
         return None
     witness: set[int] = set()
-    stack = [(rt.root, TAG_E)]
+    stack = [(root, E)]
     while stack:
-        x, tag = stack.pop()
-        witness |= labels[x][tag]
-        stack += _picks(rt, labels, x, tag)
+        own, picks = run.witness_parts(*stack.pop())
+        witness |= own
+        stack += picks
     return frozenset(witness)
 
 
-def all_witnesses(rt: RootedAbcTree, labels: LabelMap) -> LabelMap:
+def all_witnesses(run: LabelingRun) -> dict[int, dict[str, frozenset[int]]]:
     """Every node's witness per tag, its own set plus its picks'; a node that
     adds nothing to its one pick shares that pick's set.
     """
-    out: LabelMap = {}
-    for x in rt.postorder():
-        out[x] = {}
-        for tag, own in labels[x].items():
-            parts = [out[c][t] for c, t in _picks(rt, labels, x, tag)]
-            out[x][tag] = parts[0] if len(parts) == 1 and own <= parts[0] else own.union(*parts)
+    out: dict[int, dict[str, frozenset[int]]] = {}
+    for x in run.rooted.postorder():
+        out[x] = tags = {}
+        for bit, name in TAG_NAMES.items():
+            if run.mask[x] & bit:
+                own, picks = run.witness_parts(x, bit)
+                parts = [out[c][TAG_NAMES[t]] for c, t in picks]
+                tags[name] = parts[0] if len(parts) == 1 and own <= parts[0] else own.union(*parts)
     return out
 
 
 # ---------------------------------------------------------------------------
 # bottom-up labeling
 
-def label_subtree(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
-    """Label every node of the subtree at `x`, children before parents.
-
-    A node with an N child is N itself; otherwise the rule for its kind
-    applies. Pendant leaves can join or stay out if their unique neighbor
-    joins instead.
+def articulation_mask(kids: Iterable[int]) -> int:
+    """Articulation point, from its children's masks: its subtrees all share
+    the vertex, so a tag holds only when every child supports it. PO
+    additionally needs one child that truly covers the vertex from below,
+    not just tolerance (PE). An N child makes it N.
     """
-    for node in rt.postorder(x):
-        kind = rt.nodes[node].kind
-        if any(TAG_N in labels[c] for c in rt.children[node]):
-            labels[node] = {TAG_N: frozenset()}
-        elif kind == KIND_A:
-            label_node_a(rt, node, labels)
-        elif kind == KIND_B:
-            label_node_b(rt, node, labels)
-        elif kind == KIND_C:
-            label_node_c(rt, node, labels)
-        else:
-            labels[node] = {TAG_PI: frozenset({rt.nodes[node].vertex}), TAG_PE: frozenset()}
+    every = PI | PE  # of these, the tags every child has
+    out = PO  # kept while every child has PO or PE
+    some = 0
+    for m in kids:
+        every &= m
+        out &= m | m >> 1
+        some |= m
+    return N if some & N else every | (out & some)
 
 
-def label_node_a(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
-    """Articulation point: its subtrees all share the vertex, so a tag holds
-    only when every child supports it. PO additionally needs one child that
-    truly covers the vertex from below, not just tolerance (PE). PI holds
-    the vertex itself.
+def bridge_mask(m: int) -> int:
+    """Bridge, from its child's mask: flips the child's verdict across the
+    edge. A child that can join pushes the parent endpoint out; a child
+    that can stay out (or needs external help) lets the parent endpoint
+    join. PE needs a child that can stay out but not join. An N child makes
+    it N.
     """
-    kids = [labels[c] for c in rt.children[x]]
-    out = labels.setdefault(x, {})
-    if all(TAG_PI in kl for kl in kids):
-        out[TAG_PI] = frozenset({rt.nodes[x].vertex})
-    if all(TAG_PE in kl for kl in kids):
-        out[TAG_PE] = frozenset()
-    if all(TAG_PO in kl or TAG_PE in kl for kl in kids) and any(
-        TAG_PO in kl for kl in kids
-    ):
-        out[TAG_PO] = frozenset()
+    if m & N:
+        return N
+    out = (m & PI) << 1  # PI -> PO
+    if m & (PO | PE):
+        out |= PI
+    if m & (PI | PO) == PO:
+        out |= PE
+    return out
 
 
-def label_node_b(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
-    """Bridge: flips the child's verdict across the edge. A child that can
-    join pushes the parent endpoint out; a child that can stay out (or needs
-    external help) lets the parent endpoint join. PE is suppressed when PO
-    is already present, as the two are mutually exclusive. PO holds the
-    child's endpoint and PI the parent's.
-    """
-    (child,) = rt.children[x]
-    kl = labels[child]
-    out = labels.setdefault(x, {})
-    if TAG_PI in kl:
-        out[TAG_PO] = frozenset({rt.nodes[child].vertex})
-    if TAG_PO in kl or TAG_PE in kl:
-        out[TAG_PI] = frozenset({rt.attachment_point(x)})
-        if TAG_PO in kl and TAG_PO not in out:
-            out[TAG_PE] = frozenset()
+def label_tree(rt: RootedAbcTree) -> LabelingRun:
+    """Label every node, children before parents; `result` is left unset.
 
-
-def label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
-    """Component: build the core once and probe it with the attachment point
-    forced in (PI) and forced out (PO). Failing PO, probe a second core in
+    A pendant leaf can join, or stay out if its unique neighbor joins
+    instead. A component probes its core with the attachment point forced
+    in (PI) and forced out (PO). Failing PO, it probes a second core in
     which the attachment point is covered from outside (PE): an external
-    neighbor joins, so it reads as PO, which can drop its edges from the core.
-    The root has no attachment point; one free probe makes it E.
+    neighbor joins, so it reads as PO, which can drop its edges from the
+    core. The root has no attachment point; one free probe makes it E. A
+    component with an N child, or that no probe satisfies, is N.
     """
-    out = labels.setdefault(x, {})
-    parent = rt.parent[x]
-    core = component_core(rt, x, labels)
-    if parent is None:
-        witness = test_rmis(core)
-        if witness is not None:
-            out[TAG_E] = witness
-    else:
-        ap = rt.nodes[parent].vertex
-        witness = test_rmis(core, ((ap, True),))
-        if witness is not None:
-            out[TAG_PI] = witness
-        witness = test_rmis(core, ((ap, False),))
-        if witness is not None:
-            out[TAG_PO] = witness
+    size = len(rt.nodes)
+    mask = [0] * size
+    own_in: list[frozenset[int] | None] = [None] * size
+    own_out: list[frozenset[int] | None] = [None] * size
+    nodes, children = rt.nodes, rt.children
+    for x in rt.postorder():
+        kind = nodes[x].kind
+        kids = children[x]
+        if kind == KIND_A:
+            mask[x] = articulation_mask([mask[c] for c in kids])
+        elif kind == KIND_B:
+            mask[x] = bridge_mask(mask[kids[0]])
+        elif kind != KIND_C:
+            mask[x] = PI | PE
+        elif any(mask[c] & N for c in kids):
+            mask[x] = N
         else:
-            witness = test_rmis(component_core(rt, x, labels, covered=ap))
+            core = component_core(rt, x, mask)
+            ap = rt.attachment[x]
+            if ap is None:
+                own_in[x] = witness = test_rmis(core)
+                mask[x] = N if witness is None else E
+                continue
+            m = 0
+            own_in[x] = witness = test_rmis(core, ((ap, True),))
             if witness is not None:
-                out[TAG_PE] = witness
-    if not out:
-        labels[x] = {TAG_N: frozenset()}
+                m = PI
+            own_out[x] = witness = test_rmis(core, ((ap, False),))
+            if witness is not None:
+                m |= PO
+            else:
+                own_out[x] = witness = test_rmis(component_core(rt, x, mask, covered=ap))
+                if witness is not None:
+                    m |= PE
+            mask[x] = m or N
+    return LabelingRun(rt, mask, own_in, own_out)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +275,7 @@ def label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
 class ComponentCore(NamedTuple):
     """A component's constraints before any vertex is forced: the literal
     of each vertex (its piece's variable and the polarity meaning "in"),
-    and the base formula every probe of the component starts from.
+    and the base formula every probe of the component solves.
     """
 
     vertices: tuple[int, ...]
@@ -238,9 +288,9 @@ class ComponentCore(NamedTuple):
 
 
 def component_core(
-    rt: RootedAbcTree, x: int, labels: LabelMap, covered: int | None = None
+    rt: RootedAbcTree, x: int, mask: list[int], covered: int | None = None
 ) -> ComponentCore | None:
-    """The constraints of component `x` given its children's labels, or None
+    """The constraints of component `x` given its children's masks, or None
     if no membership satisfies them. `covered` names a vertex with a neighbor
     in the set outside the subtree; it reads as PO.
 
@@ -254,26 +304,16 @@ def component_core(
     comp = rt.nodes[x].vertices
     # the children are the component's articulation points bar the parent,
     # which postorder has not labeled yet
-    tags = dict.fromkeys(comp, _NO_LABELS)
+    tags = dict.fromkeys(comp, 0)
     for child in rt.children[x]:
-        tags[rt.nodes[child].vertex] = labels[child]
+        tags[rt.attachment[child]] = mask[child]
     if covered is not None:
-        tags[covered] = {TAG_PO: frozenset()}
-
-    removed: list[tuple[int, int]] = []
-    adj: dict[int, list[int]] = {v: [] for v in comp}
-    for u in comp:
-        for v in rt.graph.neighbors(u):
-            if u < v and v in tags:
-                if TAG_PO in tags[u] and TAG_PO in tags[v]:
-                    removed.append((u, v))
-                else:
-                    adj[u].append(v)
-                    adj[v].append(u)
-    removed.sort()  # clause order feeds the solver's model
+        tags[covered] = PO
 
     # one variable per connected piece of the core, numbered by smallest
     # vertex; the side holding that vertex is the positive side
+    neighbors = rt.graph.neighbors
+    removed: list[tuple[int, int]] = []
     literal: dict[int, Literal] = {}
     pieces = 0
     for start in comp:
@@ -283,23 +323,31 @@ def component_core(
         stack = [start]
         while stack:
             v = stack.pop()
+            tag = tags[v]
             side = not literal[v][1]
-            for w in adj[v]:
-                if w not in literal:
+            for w in neighbors(v):
+                if w not in tags:
+                    continue
+                if tag & tags[w] & PO:
+                    if v < w:
+                        removed.append((v, w))
+                    continue
+                lit = literal.get(w)
+                if lit is None:
                     literal[w] = (pieces, side)
                     stack.append(w)
-                elif literal[w][1] != side:
+                elif lit[1] != side:
                     return None
         pieces += 1
+    removed.sort()  # clause order feeds the solver's model
 
     core = ComponentCore(comp, literal, TwoSatFormula(pieces))
     for v in comp:
-        if len(tags[v]) == 1:
-            (tag,) = tags[v]
-            if tag == TAG_PI:
-                core.base.add_unit(core.lit(v, True))
-            elif tag in (TAG_PO, TAG_PE):
-                core.base.add_unit(core.lit(v, False))
+        tag = tags[v]
+        if tag == PI:
+            core.base.add_unit(literal[v])
+        elif tag == PO or tag == PE:
+            core.base.add_unit(core.lit(v, False))
     for u, v in removed:
         core.base.add_clause(core.lit(u, False), core.lit(v, False))
     return core
@@ -310,16 +358,13 @@ def test_rmis(
 ) -> frozenset[int] | None:
     """Probe a component's core: whether the subtree at the component admits
     a robust MIS in which each `(vertex, value)` of `forced` is in (True) or
-    out (False), and if so the component's members in one. The probe copies
-    the core's base formula, adds a unit clause per forced vertex in the
-    order given and runs one solve; no core (an odd cycle) admits nothing.
+    out (False), and if so the component's members in one. The probe solves
+    the core's base formula under one assumed literal per forced vertex, in
+    the order given; no core (an odd cycle) admits nothing.
     """
     if core is None:
         return None
-    formula = core.base.copy()
-    for v, value in forced:
-        formula.add_unit(core.lit(v, value))
-    assignment = solve(formula)
+    assignment = solve(core.base, tuple([core.lit(v, value) for v, value in forced]))
     if assignment is None:
         return None
-    return frozenset(v for v in core.vertices if assignment[core.literal[v][0]] == core.literal[v][1])
+    return frozenset(v for v, (var, pol) in core.literal.items() if assignment[var] == pol)

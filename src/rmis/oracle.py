@@ -121,18 +121,22 @@ def is_robust_mis_bruteforce(
             "use is_robust_mis instead"
         )
 
-    # Depth-first over subsets of removable edges; a subset whose removal
-    # already disconnects the graph is pruned with all its supersets.
-    def survives(start: int, sub: Graph) -> bool:
-        if not is_mis(sub, members):
-            return False
-        for j in range(start, len(removable)):
-            smaller = remove_edges(sub, [removable[j]])
-            if is_connected(smaller) and not survives(j + 1, smaller):
+    # Depth-first over subsets of removable edges, in increasing order of
+    # their edges; a subset whose removal already disconnects the graph is
+    # pruned with all its supersets. Each stack entry is a subgraph and the
+    # next removable edge to try on it.
+    stack = [(g, 0)]
+    while stack:
+        sub, j = stack.pop()
+        if j == len(removable):
+            continue
+        stack.append((sub, j + 1))
+        smaller = remove_edges(sub, [removable[j]])
+        if is_connected(smaller):
+            if not is_mis(smaller, members):
                 return False
-        return True
-
-    return survives(0, g)
+            stack.append((smaller, j + 1))
+    return True
 
 
 def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[frozenset[int]]:

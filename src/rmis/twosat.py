@@ -14,6 +14,9 @@ directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import chain
+
 Literal = tuple[int, bool]
 
 
@@ -46,13 +49,8 @@ class TwoSatFormula:
         self.clauses.append((l1, l2))
 
     def add_unit(self, lit: Literal) -> None:
-        self.add_clause(lit, lit)
-
-    def copy(self) -> TwoSatFormula:
-        """A formula with the same variables and its own copy of the clauses."""
-        other = TwoSatFormula(self.num_vars)
-        other.clauses = list(self.clauses)
-        return other
+        self._check(lit)
+        self.clauses.append((lit, lit))
 
 
 def _node(lit: Literal) -> int:
@@ -65,13 +63,21 @@ def _negate(node: int) -> int:
     return node ^ 1
 
 
-def solve(f: TwoSatFormula) -> list[bool] | None:
-    """A satisfying assignment, or None. Deterministic for a fixed formula."""
+def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | None:
+    """A satisfying assignment, or None. Deterministic for a fixed formula.
+
+    Each literal of `assume` holds as a unit clause appended after the
+    formula's own clauses, in order; `f` itself is left unchanged, so one
+    formula can be solved under several assumptions.
+    """
+    for lit in assume:
+        f._check(lit)
+    clauses = chain(f.clauses, zip(assume, assume))
     if all(l1 == l2 for l1, l2 in f.clauses):
-        return _solve_units(f)
+        return _solve_units(f.num_vars, clauses)
     size = 2 * f.num_vars
     succ: list[list[int]] = [[] for _ in range(size)]
-    for l1, l2 in f.clauses:
+    for l1, l2 in clauses:
         a, b = _node(l1), _node(l2)
         succ[_negate(a)].append(b)
         succ[_negate(b)].append(a)
@@ -88,13 +94,15 @@ def solve(f: TwoSatFormula) -> list[bool] | None:
     return assignment
 
 
-def _solve_units(f: TwoSatFormula) -> list[bool] | None:
+def _solve_units(num_vars: int, units: Iterable[tuple[Literal, Literal]]) -> list[bool] | None:
     # the model the implication graph gives when every clause is a unit
+    model = [False] * num_vars
     forced: dict[int, bool] = {}
-    for (var, pol), _ in f.clauses:
+    for (var, pol), _ in units:
         if forced.setdefault(var, pol) != pol:
             return None
-    return [forced.get(v, False) for v in range(f.num_vars)]
+        model[var] = pol
+    return model
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[int]:

@@ -6,16 +6,18 @@ assignments) so that agreement is meaningful.
 
 The reference implementations at the end are different: they are simpler,
 slower versions of library code (the every-node LOCAL engine, the
-line-stripping parser, the name-lookup gadget builder, the per-probe
-labelling, the implication-graph 2-SAT model and the one-search-per-vertex
-robustness check), and the library must give exactly their results.
+line-stripping parser, the name-lookup gadget builder, the dict-of-frozensets
+per-probe labelling, the implication-graph 2-SAT model and the
+one-search-per-vertex robustness check), and the library must give exactly
+their results.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Any
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -30,18 +32,7 @@ from rmis.abctree import (
     default_root,
     root_at,
 )
-from rmis.findrmis import (
-    TAG_E,
-    TAG_N,
-    TAG_PE,
-    TAG_PI,
-    TAG_PO,
-    LabelingRun,
-    LabelMap,
-    decide,
-    label_node_a,
-    label_node_b,
-)
+from rmis.findrmis import TAG_E, TAG_N, TAG_PE, TAG_PI, TAG_PO, InternalLabelingError
 from rmis.generators import GkInstance
 from rmis.graph import (
     Edge,
@@ -162,6 +153,20 @@ def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> Graph:
     return Graph(vs, es)
 
 
+def attachment_point(rt: RootedAbcTree, x: int) -> int:
+    """The vertex through which the subtree at node id `x` meets the rest of
+    the graph: the node's own vertex for A/P nodes, the parent's for B/C
+    nodes. Read off the node kinds, not `rt.attachment`.
+    """
+    node = rt.nodes[x]
+    if node.kind in (KIND_A, KIND_P):
+        return node.vertex
+    p = rt.parent[x]
+    if p is None:
+        raise GraphError("the root has no attachment point")
+    return rt.nodes[p].vertex
+
+
 def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> tuple[Graph, int]:
     """Subtree subgraph plus a fresh pendant attached at the attachment
     point. The fresh vertex id is max(g) + 1, so it never collides.
@@ -170,7 +175,7 @@ def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> tuple[Gra
         raise GraphError("the root has no attachment point for an aerial vertex")
     sub = induced_subgraph_of_subtree(g, rt, x)
     aerial = max(g.vertices) + 1
-    ap = rt.attachment_point(x)
+    ap = attachment_point(rt, x)
     return Graph(set(sub.vertices) | {aerial}, list(sub.edges()) + [(ap, aerial)]), aerial
 
 
@@ -396,15 +401,27 @@ def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:
     return [comp[2 * v + 1] < comp[2 * v] for v in range(f.num_vars)]
 
 
-def reference_labeling(g: Graph) -> LabelingRun:
-    """Reference search: `findrmis.run_labeling` with every component probe
-    rebuilding the component's tags, core and formula on its own.
-    `run_labeling` must give the same labels and the same answer.
+# per-node labels of the reference search: tag -> the node's own vertices
+LabelMap = dict[int, dict[str, frozenset[int]]]
+
+
+class ReferenceRun(NamedTuple):
+    rooted: RootedAbcTree | None
+    labels: LabelMap
+    result: frozenset[int] | None
+
+
+def reference_labeling(g: Graph) -> ReferenceRun:
+    """Reference search: `findrmis.run_labeling` with every label a dict of
+    frozensets, the A- and B-node rules written over those dicts, the
+    witness walk over them, and every component probe rebuilding the
+    component's tags, core and formula on its own. `run_labeling` must give
+    the same labels, as its `labels` view, and the same answer.
     """
     tree = build_abc_tree(g, "find_rmis")
     if not tree.component_nodes():
         v1, _ = is_bipartite(g)  # type: ignore[misc]
-        return LabelingRun(None, {}, frozenset(v1))
+        return ReferenceRun(None, {}, frozenset(v1))
     rt = root_at(tree, default_root(tree))
     labels: LabelMap = {}
     for node in rt.postorder():
@@ -412,14 +429,66 @@ def reference_labeling(g: Graph) -> LabelingRun:
         if any(TAG_N in labels[c] for c in rt.children[node]):
             labels[node] = {TAG_N: frozenset()}
         elif kind == KIND_A:
-            label_node_a(rt, node, labels)
+            labels[node] = reference_label_a([labels[c] for c in rt.children[node]], rt.nodes[node].vertex)
         elif kind == KIND_B:
-            label_node_b(rt, node, labels)
+            (child,) = rt.children[node]
+            labels[node] = reference_label_b(labels[child], attachment_point(rt, node), rt.nodes[child].vertex)
         elif kind == KIND_C:
             _reference_label_node_c(rt, node, labels)
         else:
             labels[node] = {TAG_PI: frozenset({rt.nodes[node].vertex}), TAG_PE: frozenset()}
-    return LabelingRun(rt, labels, decide(rt, labels))
+    return ReferenceRun(rt, labels, _reference_decide(rt, labels))
+
+
+def reference_label_a(kids: list[dict[str, frozenset[int]]], vertex: int) -> dict[str, frozenset[int]]:
+    """Articulation point `vertex` from its children's labels: a tag holds
+    when every child supports it; PO also needs one child with PO."""
+    out = {}
+    if all(TAG_PI in kl for kl in kids):
+        out[TAG_PI] = frozenset({vertex})
+    if all(TAG_PE in kl for kl in kids):
+        out[TAG_PE] = frozenset()
+    if all(TAG_PO in kl or TAG_PE in kl for kl in kids) and any(TAG_PO in kl for kl in kids):
+        out[TAG_PO] = frozenset()
+    return out
+
+
+def reference_label_b(kl: dict[str, frozenset[int]], ap: int, child_vertex: int) -> dict[str, frozenset[int]]:
+    """Bridge from its child's label: PO (owning the child's vertex) on a
+    PI child, PI (owning `ap`) on a PO or PE child, and PE on a PO child
+    that lacks PI."""
+    out = {}
+    if TAG_PI in kl:
+        out[TAG_PO] = frozenset({child_vertex})
+    if TAG_PO in kl or TAG_PE in kl:
+        out[TAG_PI] = frozenset({ap})
+        if TAG_PO in kl and TAG_PO not in out:
+            out[TAG_PE] = frozenset()
+    return out
+
+
+def _reference_picks(rt: RootedAbcTree, labels: LabelMap, x: int, tag: str) -> Iterator[tuple[int, str]]:
+    for child in rt.children[x] if tag != TAG_N else ():
+        kl = labels[child]
+        if attachment_point(rt, child) in labels[x][tag]:
+            pick = TAG_PI
+        else:
+            pick = TAG_PO if TAG_PO in kl else TAG_PE
+        if pick not in kl:
+            raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
+        yield child, pick
+
+
+def _reference_decide(rt: RootedAbcTree, labels: LabelMap) -> frozenset[int] | None:
+    if TAG_E not in labels[rt.root]:
+        return None
+    witness: set[int] = set()
+    stack = [(rt.root, TAG_E)]
+    while stack:
+        x, tag = stack.pop()
+        witness |= labels[x][tag]
+        stack += _reference_picks(rt, labels, x, tag)
+    return frozenset(witness)
 
 
 def _reference_label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:

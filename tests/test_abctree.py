@@ -126,9 +126,10 @@ class TestRooting:
             AbcNode.articulation(1),
             AbcNode.articulation(2),
         }
-        assert rt.attachment_point(rt.nodes.index(AbcNode.bridge(0, 1))) == 1
-        assert rt.attachment_point(rt.nodes.index(AbcNode.articulation(1))) == 1
-        assert rt.attachment_point(rt.nodes.index(AbcNode.pendant(0))) == 0
+        assert rt.attachment[rt.nodes.index(AbcNode.bridge(0, 1))] == 1
+        assert rt.attachment[rt.nodes.index(AbcNode.articulation(1))] == 1
+        assert rt.attachment[rt.nodes.index(AbcNode.pendant(0))] == 0
+        assert rt.attachment[rt.root] is None
 
     def test_square_root_has_no_children(self):
         t = build_abc_tree(gen_cycle(4))

@@ -1,5 +1,8 @@
+import gc
 import random
 import timeit
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -11,20 +14,25 @@ from rmis.abctree import (
     root_at,
 )
 from rmis.findrmis import (
+    E,
+    N,
+    PE,
+    PI,
+    PO,
     TAG_E,
     TAG_N,
     TAG_PE,
     TAG_PI,
     TAG_PO,
     InternalLabelingError,
-    _picks,
+    LabelingRun,
     all_witnesses,
+    articulation_mask,
+    bridge_mask,
     component_core,
     decide,
     find_rmis,
-    label_node_a,
-    label_node_b,
-    label_subtree,
+    label_tree,
     run_labeling,
 )
 from rmis.findrmis import test_rmis as component_probe  # alias keeps pytest from collecting it
@@ -41,6 +49,7 @@ from rmis.oracle import enumerate_mis, enumerate_robust_mis, is_robust_mis
 
 from conftest import (
     aerial_subgraph_of_subtree,
+    attachment_point,
     connected_graphs,
     induced_subgraph_of_subtree,
     reference_labeling,
@@ -50,6 +59,15 @@ from conftest import (
 def rooted_at(g, comp):
     t = build_abc_tree(g)
     return root_at(t, t.nodes.index(AbcNode.component(comp)))
+
+
+def synthetic_run(rt, masks):
+    """A labelling of `rt` holding the given masks (node id -> mask), zero
+    elsewhere, and no component sets."""
+    mask = [0] * len(rt.nodes)
+    for x, m in masks.items():
+        mask[x] = m
+    return LabelingRun(rt, mask, [None] * len(mask), [None] * len(mask))
 
 
 def robust_sets(g):
@@ -67,15 +85,17 @@ def assert_well_labeled(g, run):
     - N exactly when even the aerial graph offers nothing.
     """
     rt = run.rooted
-    witnesses = all_witnesses(rt, run.labels)
+    witnesses = all_witnesses(run)
     assert witnesses[rt.root].get(TAG_E) == run.result
+    assert rt.attachment[rt.root] is None
     for x in rt.postorder():
         if x == rt.root:
             continue
         tags = witnesses[x]
         sub = induced_subgraph_of_subtree(g, rt, x)
         aerial_graph, aerial = aerial_subgraph_of_subtree(g, rt, x)
-        ap = rt.attachment_point(x)
+        ap = attachment_point(rt, x)
+        assert rt.attachment[x] == ap
         plain = robust_sets(sub)
         with_aerial = [s for s in robust_sets(aerial_graph) if aerial in s]
         can_in = any(ap in s for s in plain)
@@ -158,25 +178,27 @@ class TestLabeling:
         g = gen_bull()
         rt = rooted_at(g, {1, 2, 3})
         p0, b01, a1 = map(rt.nodes.index, (AbcNode.pendant(0), AbcNode.bridge(0, 1), AbcNode.articulation(1)))
-        labels = {}
-        label_subtree(rt, a1, labels)
+        run = label_tree(rt)
+        assert (run.mask[p0], run.mask[b01], run.mask[a1]) == (PI | PE, PO | PI, PI | PO)
+        # only component nodes store sets
+        assert run.own_in[p0] is run.own_in[b01] is run.own_in[a1] is None
         # each label holds only the vertices its own node decides
-        assert labels[p0] == {
+        assert run.labels[p0] == {
             TAG_PI: frozenset({0}),
             TAG_PE: frozenset(),
         }
         # the bridge flips the pendant's verdict toward vertex 1
-        assert labels[b01] == {
+        assert run.labels[b01] == {
             TAG_PO: frozenset({0}),
             TAG_PI: frozenset({1}),
         }
-        assert labels[a1] == {
+        assert run.labels[a1] == {
             TAG_PI: frozenset({1}),
             TAG_PO: frozenset(),
         }
         # assembled on the full run, the witnesses read as the subtree's sets
         run = run_labeling(g)
-        witnesses = all_witnesses(run.rooted, run.labels)
+        witnesses = all_witnesses(run)
         assert witnesses[p0] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
         assert witnesses[b01] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
         assert witnesses[a1] == {TAG_PI: frozenset({1}), TAG_PO: frozenset({0})}
@@ -193,6 +215,8 @@ class TestLabeling:
         assert run.labels[idx(AbcNode.component({4, 5, 6}))] == {TAG_N: frozenset()}
         assert run.labels[idx(AbcNode.bridge(0, 4))] == {TAG_N: frozenset()}
         assert run.labels[run.rooted.root] == {TAG_N: frozenset()}
+        assert run.mask[idx(AbcNode.articulation(4))] == N
+        assert run.mask[run.rooted.root] == N
 
     def test_articulation_rules_on_synthetic_children(self):
         # triangle root with a bridge to vertex 0, which carries two pendant legs
@@ -202,26 +226,28 @@ class TestLabeling:
         kids = rt.children[a0]
         assert [rt.nodes[k] for k in kids] == [AbcNode.bridge(0, 1), AbcNode.bridge(0, 2)]
 
-        labels = {kids[0]: {TAG_PI: frozenset({0})}, kids[1]: {TAG_PI: frozenset({0})}}
-        label_node_a(rt, a0, labels)
-        assert labels[a0] == {TAG_PI: frozenset({0})}
-        assert list(_picks(rt, labels, a0, TAG_PI)) == [(kids[0], TAG_PI), (kids[1], TAG_PI)]
+        assert articulation_mask([PI, PI]) == PI
+        run = synthetic_run(rt, {kids[0]: PI, kids[1]: PI, a0: PI})
+        assert run.labels[a0] == {TAG_PI: frozenset({0})}
+        assert run.witness_parts(a0, PI) == (frozenset({0}), [(kids[0], PI), (kids[1], PI)])
 
-        labels = {kids[0]: {TAG_PE: frozenset()}, kids[1]: {TAG_PO: frozenset({2})}}
-        label_node_a(rt, a0, labels)
-        assert labels[a0] == {TAG_PO: frozenset()}
-        assert list(_picks(rt, labels, a0, TAG_PO)) == [(kids[0], TAG_PE), (kids[1], TAG_PO)]
+        assert articulation_mask([PE, PO]) == PO
+        run = synthetic_run(rt, {kids[0]: PE, kids[1]: PO, a0: PO})
+        assert run.labels[a0] == {TAG_PO: frozenset()}
+        assert run.witness_parts(a0, PO) == (frozenset(), [(kids[0], PE), (kids[1], PO)])
 
-        labels = {
-            kids[0]: {TAG_PI: frozenset({0}), TAG_PE: frozenset()},
-            kids[1]: {TAG_PI: frozenset({0}), TAG_PO: frozenset({2})},
-        }
-        label_node_a(rt, a0, labels)
-        assert labels[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset()}
+        assert articulation_mask([PI | PE, PI | PO]) == PI | PO
+        run = synthetic_run(rt, {kids[0]: PI | PE, kids[1]: PI | PO, a0: PI | PO})
+        assert run.labels[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset()}
+
+        # PE needs it of every child, PO of one; an N child wins over all
+        assert articulation_mask([PI | PE, PE]) == PE
+        assert articulation_mask([PE, PE]) == PE
+        assert articulation_mask([PI | PO, N]) == N
 
         # on the real tree, PI unions both legs' PI and PO takes both legs' PO
         run = run_labeling(g)
-        witnesses = all_witnesses(run.rooted, run.labels)
+        witnesses = all_witnesses(run)
         assert witnesses[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset({1, 2})}
         assert witnesses[run.rooted.nodes.index(AbcNode.articulation(4))] == {TAG_PI: frozenset({4, 1, 2}), TAG_PO: frozenset({0})}
 
@@ -231,24 +257,29 @@ class TestLabeling:
         bridge = rt.nodes.index(AbcNode.bridge(0, 1))  # parent side is vertex 1
         child = rt.nodes.index(AbcNode.pendant(0))
 
-        labels = {child: {TAG_PO: frozenset()}}
-        label_node_b(rt, bridge, labels)
-        assert labels[bridge] == {
+        assert bridge_mask(PO) == PI | PE
+        run = synthetic_run(rt, {child: PO, bridge: PI | PE})
+        assert run.labels[bridge] == {
             TAG_PI: frozenset({1}),
             TAG_PE: frozenset(),
         }
-        assert list(_picks(rt, labels, bridge, TAG_PI)) == [(child, TAG_PO)]
-        assert list(_picks(rt, labels, bridge, TAG_PE)) == [(child, TAG_PO)]
+        assert run.witness_parts(bridge, PI) == (frozenset({1}), [(child, PO)])
+        assert run.witness_parts(bridge, PE) == (frozenset(), [(child, PO)])
 
-        labels = {child: {TAG_PI: frozenset({0})}}
-        label_node_b(rt, bridge, labels)
-        assert labels[bridge] == {TAG_PO: frozenset({0})}
-        assert list(_picks(rt, labels, bridge, TAG_PO)) == [(child, TAG_PI)]
+        assert bridge_mask(PI) == PO
+        run = synthetic_run(rt, {child: PI, bridge: PO})
+        assert run.labels[bridge] == {TAG_PO: frozenset({0})}
+        assert run.witness_parts(bridge, PO) == (frozenset({0}), [(child, PI)])
 
         # PI child plus PO child: PE is suppressed because PO is already there
-        labels = {child: {TAG_PI: frozenset({0}), TAG_PO: frozenset()}}
-        label_node_b(rt, bridge, labels)
-        assert labels[bridge] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
+        assert bridge_mask(PI | PO) == PO | PI
+        run = synthetic_run(rt, {child: PI | PO, bridge: PO | PI})
+        assert run.labels[bridge] == {TAG_PO: frozenset({0}), TAG_PI: frozenset({1})}
+
+        # a PE child lets the far endpoint join, without PE; N passes up
+        assert bridge_mask(PE) == PI
+        assert bridge_mask(PI | PE) == PO | PI
+        assert bridge_mask(N) == N
 
         # on a real tree: vertex 10 can stay out but never join, so the
         # bridge from the square takes PI and PE, both built on A(10)'s PO
@@ -256,7 +287,7 @@ class TestLabeling:
         run = run_labeling(g)
         bridge = run.rooted.nodes.index(AbcNode.bridge(0, 10))
         assert run.labels[bridge] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
-        assert all_witnesses(run.rooted, run.labels)[bridge] == {
+        assert all_witnesses(run)[bridge] == {
             TAG_PI: frozenset({0, 12, 13, 14}),
             TAG_PE: frozenset({12, 13, 14}),
         }
@@ -264,34 +295,52 @@ class TestLabeling:
 
     def test_leaf_component_cases(self):
         # square / five-cycle / triangle hanging below a triangle root
-        for leaf_size, expected in ((4, {TAG_PI, TAG_PO}), (5, {TAG_N}), (3, {TAG_N})):
+        for leaf_size, expected, mask in ((4, {TAG_PI, TAG_PO}, PI | PO), (5, {TAG_N}, N), (3, {TAG_N}, N)):
             ring = [(10 + i, 10 + (i + 1) % leaf_size) for i in range(leaf_size)]
             g = Graph(edges=[(0, 1), (1, 2), (2, 0), (0, 10)] + ring)
             rt = rooted_at(g, {0, 1, 2})
             leaf = rt.nodes.index(AbcNode.component(range(10, 10 + leaf_size)))
-            labels = {}
-            label_subtree(rt, rt.children[rt.root][0], labels)
-            assert set(labels[leaf]) == expected
+            run = label_tree(rt)
+            assert set(run.labels[leaf]) == expected
+            assert run.mask[leaf] == mask
+
+    def test_edge_between_two_pe_articulation_points_is_kept(self):
+        # 6 and 10 can each stay out only with a neighbour outside their
+        # subtrees in the set, so the root keeps its edge 6-10 and, with
+        # both forced out, fails; setting the edge aside as if both were PO
+        # would accept a set that is not robust
+        g = Graph(
+            edges=[(0, 13), (1, 6), (1, 11), (2, 10), (2, 13), (3, 6), (3, 10), (3, 11), (4, 5),
+                   (5, 6), (5, 9), (6, 9), (6, 10), (7, 8), (7, 10), (7, 12), (8, 13)]
+        )
+        run = run_labeling(g)
+        idx = run.rooted.nodes.index
+        assert run.mask[idx(AbcNode.articulation(6))] == run.mask[idx(AbcNode.articulation(10))] == PE
+        assert run.mask[run.rooted.root] == N
+        assert run.result is None and enumerate_robust_mis(g) == []
+        assert run.labels == reference_labeling(g).labels
 
     def test_decide_reads_the_root(self):
         run = run_labeling(gen_bull())
         root = run.rooted.root
+        assert run.mask[root] == E
         assert run.labels[root] == {TAG_E: frozenset({3})}  # the root's own members
-        assert decide(run.rooted, run.labels) == frozenset({0, 3, 4})
-        assert all_witnesses(run.rooted, run.labels)[root] == {TAG_E: frozenset({0, 3, 4})}
-        labels = dict(run.labels)
-        labels[root] = {TAG_N: frozenset()}
-        assert decide(run.rooted, labels) is None
+        assert decide(run) == frozenset({0, 3, 4})
+        assert all_witnesses(run)[root] == {TAG_E: frozenset({0, 3, 4})}
+        mask = list(run.mask)
+        mask[root] = N
+        assert decide(replace(run, mask=mask)) is None
 
     def test_decide_rejects_a_child_lacking_its_picked_tag(self):
         run = run_labeling(gen_bull())
-        labels = dict(run.labels)
+        mask = list(run.mask)
         # vertex 1 is out of the root's members, so A(1) must offer PO or PE
-        labels[run.rooted.nodes.index(AbcNode.articulation(1))] = {TAG_PI: frozenset({1})}
+        mask[run.rooted.nodes.index(AbcNode.articulation(1))] = PI
+        broken = replace(run, mask=mask)
         with pytest.raises(InternalLabelingError, match="lacks the label"):
-            decide(run.rooted, labels)
+            decide(broken)
         with pytest.raises(InternalLabelingError, match="lacks the label"):
-            all_witnesses(run.rooted, labels)
+            all_witnesses(broken)
 
     def test_stored_labels_are_linear(self):
         # each label holds its own node's vertices, not copies of its subtree
@@ -304,11 +353,11 @@ class TestLabeling:
     def test_component_probe_at_bare_roots(self):
         tri = gen_cycle(3)
         rt = rooted_at(tri, {0, 1, 2})
-        assert component_probe(component_core(rt, rt.root, {}), ()) is None
+        assert component_probe(component_core(rt, rt.root, []), ()) is None
 
         sq = gen_cycle(4)
         rt = rooted_at(sq, {0, 1, 2, 3})
-        got = component_probe(component_core(rt, rt.root, {}), ())
+        got = component_probe(component_core(rt, rt.root, []), ())
         assert got == frozenset({1, 3})  # ties resolve away from the lowest vertex
 
 
@@ -375,10 +424,10 @@ class TestSharedCore:
                 continue
             rt = run.rooted
             for x in rt.postorder():
-                if rt.nodes[x].kind != KIND_C or TAG_N in run.labels[x]:
+                if rt.nodes[x].kind != KIND_C or run.mask[x] & N:
                     continue
-                pe_probes += rt.parent[x] is not None and TAG_PO not in run.labels[x]
-                core = component_core(rt, x, run.labels)
+                pe_probes += rt.parent[x] is not None and not run.mask[x] & PO
+                core = component_core(rt, x, run.mask)
                 removed_edge_clauses += core is not None and any(a != b for a, b in core.base.clauses)
         assert pe_probes > 0 and removed_edge_clauses > 0
 
@@ -403,6 +452,29 @@ class TestSharedCore:
         assert (pe_probes > 0) == expect_pe
         assert len(calls) == len(components) + pe_probes
         assert sum(c is not None for c in calls) == pe_probes
+
+
+class TestRetainedMemory:
+    def test_labelled_tree_bytes_per_node(self):
+        # what one search keeps alive per ABC tree node on a built graph: the
+        # rooted tree and its labels. A label dict of frozensets per node
+        # retained 926 B per node on gk(1600); tag masks in flat lists with
+        # sets only on component nodes retain 512 B
+        g = gen_gk(1600).graph
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = run_labeling(g)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        per_node = retained / len(run.rooted.nodes)
+        assert per_node <= 700, f"{per_node:.0f} B per tree node"
 
 
 class TestScaling:

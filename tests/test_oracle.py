@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -144,6 +145,22 @@ class TestBruteforce:
         big = gen_cycle(10)
         with pytest.raises(GraphError, match="is_robust_mis"):
             is_robust_mis_bruteforce(big, {0, 2, 4, 6, 8}, max_removable=5)
+
+    def test_deep_search_is_not_bounded_by_the_recursion_limit(self):
+        # a 20x20 grid plus a vertex joined to the last two grid vertices,
+        # with the even checkerboard class as the set: the search removes
+        # about 340 edges, one level each, before a removal uncovers a vertex
+        grid = [(20 * i + j, 20 * i + j + 1) for i in range(20) for j in range(19)]
+        grid += [(20 * i + j, 20 * i + j + 20) for i in range(19) for j in range(20)]
+        g = Graph(edges=grid + [(399, 1_000_000), (398, 1_000_000)])
+        even = {20 * i + j for i in range(20) for j in range(20) if (i + j) % 2 == 0}
+        assert not is_robust_mis(g, even)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            assert not is_robust_mis_bruteforce(g, even, max_removable=1000)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestEnumeration:

@@ -62,6 +62,8 @@ class TestFormula:
         f = TwoSatFormula(2)
         with pytest.raises(TwoSatError):
             f.add_clause((2, True), (0, True))
+        with pytest.raises(TwoSatError):
+            solve(f, ((2, True),))
 
 
 class TestSolve:
@@ -117,3 +119,25 @@ class TestSolve:
         for _ in range(500):
             f = random_formula(rng, max_vars=8)
             assert solve(f) == implication_graph_model(f)
+
+    def test_assumptions_act_as_appended_units(self):
+        # solving under assumptions gives the model of the formula with the
+        # assumed literals appended as unit clauses, and leaves it unchanged
+        rng = random.Random(4)
+        for units_only in (True, False):
+            for _ in range(500):
+                if units_only:
+                    f = TwoSatFormula(rng.randint(1, 6))
+                    for _ in range(rng.randint(0, 4)):
+                        f.add_unit((rng.randrange(f.num_vars), rng.random() < 0.5))
+                else:
+                    f = random_formula(rng, max_vars=8)
+                assume = tuple((rng.randrange(f.num_vars), rng.random() < 0.5) for _ in range(rng.randint(0, 3)))
+                appended = TwoSatFormula(f.num_vars)
+                for l1, l2 in f.clauses:
+                    appended.add_clause(l1, l2)
+                for lit in assume:
+                    appended.add_unit(lit)
+                before = list(f.clauses)
+                assert solve(f, assume) == solve(appended) == implication_graph_model(appended)
+                assert f.clauses == before
