@@ -8,16 +8,20 @@ endpoints. Interior component vertices that are neither articulation
 points nor pendant get no node of their own.
 
 Nodes are numbered 0..N-1 in sorted `AbcNode` order, and the tree, its
-rooting and the labels all work on these ids; node `i` is `nodes[i]`.
-Rooting fills per-node lists by id: each node's parent, its children and
-its attachment point, the vertex its subtree shares with the rest of the
-graph, which the search's tag masks are relative to.
+rooting and the labels all work on these ids. The tree is flat per-node
+lists by id: `kinds[i]` and `vertices[i]` (a sorted vertex tuple), plus
+each node's neighbour ids. Rooting fills further lists: each node's
+parent, its children and its attachment point, the vertex its subtree
+shares with the rest of the graph, which the search's tag masks are
+relative to, and keeps the breadth-first order it walked. `AbcNode`
+values serve output and inspection only: `nodes[i]` is built from the
+lists on first read.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
+from functools import cached_property
 from typing import NamedTuple
 
 from .graph import Edge, Graph, GraphError, blocks, to_dot
@@ -65,30 +69,41 @@ class AbcNode(NamedTuple):
         return f"{self.kind}({','.join(map(str, self.vertices))})"
 
 
-class AbcTree:
-    """Unrooted decomposition tree over a connected graph.
-
-    Node `i` is `nodes[i]`. Ids follow the sorted node order (A-, then B-,
-    C- and P-nodes, each sorted by vertices), so sorting ids sorts nodes.
+class _TreeNodes:
+    """Per-node lists by id, shared by a tree and its rootings: `kinds[i]` and
+    `vertices[i]` are node i's kind and sorted vertex tuple. The `AbcNode`
+    of each id is built on first read of `nodes`, for output and inspection.
     """
 
-    def __init__(self, graph: Graph, nodes: Iterable[AbcNode], edges: Iterable[tuple[int, int]]):
+    def __init__(self, graph: Graph, kinds: list[str], vertices: list[tuple[int, ...]]):
         self.graph = graph
-        self.nodes: tuple[AbcNode, ...] = tuple(nodes)
-        adj: list[list[int]] = [[] for _ in self.nodes]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = [tuple(sorted(ns)) for ns in adj]
+        self.kinds = kinds
+        self.vertices = vertices
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return self._adj[x]
+    @cached_property
+    def nodes(self) -> tuple[AbcNode, ...]:
+        return tuple(map(AbcNode, self.kinds, self.vertices))
+
+    def component_nodes(self) -> list[int]:
+        return [i for i, kind in enumerate(self.kinds) if kind == KIND_C]
+
+
+class AbcTree(_TreeNodes):
+    """Unrooted decomposition tree over a connected graph.
+
+    Ids follow the sorted node order (A-, then B-, C- and P-nodes, each
+    sorted by vertices), so sorting ids sorts nodes. Each node's neighbours
+    are listed in increasing id order.
+    """
+
+    def __init__(
+        self, graph: Graph, kinds: list[str], vertices: list[tuple[int, ...]], adjacency: list[list[int]]
+    ):
+        super().__init__(graph, kinds, vertices)
+        self._adj = adjacency
 
     def edges(self) -> list[tuple[int, int]]:
         return [(x, y) for x, ys in enumerate(self._adj) for y in ys if x < y]
-
-    def component_nodes(self) -> list[int]:
-        return [i for i, x in enumerate(self.nodes) if x.kind == KIND_C]
 
 
 def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
@@ -99,82 +114,98 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     disconnected graph raises GraphError naming `op`.
     """
     aps, brs, comps, _ = blocks(g, op)
-    comps = [c for c in comps if len(c) >= 3]  # sorted by vertices already
-    brs = sorted(brs)
-    pend = sorted(v for v in g.vertices if g.degree(v) <= 1)
-
-    nodes = [AbcNode.articulation(v) for v in sorted(aps)]
-    nodes += [AbcNode.bridge(u, v) for u, v in brs]
-    nodes += [AbcNode.component(c) for c in comps]
-    nodes += [AbcNode.pendant(v) for v in pend]
+    arts = sorted(aps)
+    bridges = sorted(brs)
+    members = [tuple(sorted(c)) for c in comps if len(c) >= 3]  # sorted by vertices already
+    adj = g._adj
+    pend = [v for v in g.vertices if len(adj[v]) <= 1]
+    kinds = [KIND_A] * len(arts) + [KIND_B] * len(bridges) + [KIND_C] * len(members) + [KIND_P] * len(pend)
+    vertices = [(v,) for v in arts] + bridges + members + [(v,) for v in pend]
+    first_c = len(arts) + len(bridges)
     # a bridge endpoint is an articulation point or a pendant, never both
-    single = {x.vertices[0]: i for i, x in enumerate(nodes) if x.kind in (KIND_A, KIND_P)}
+    single = {v: i for i, v in enumerate(arts)}
+    single.update({v: i for i, v in enumerate(pend, first_c + len(members))})
 
-    tree_edges: list[tuple[int, int]] = []
-    for i, c in enumerate(comps, len(aps) + len(brs)):
-        tree_edges += [(single[v], i) for v in sorted(c & aps)]
-    for i, (u, v) in enumerate(brs, len(aps)):
-        tree_edges += [(i, single[u]), (i, single[v])]
-    return AbcTree(g, nodes, tree_edges)
+    # bridges, then components, each in id order: every neighbour list comes
+    # out sorted, as B-nodes sort before C-nodes and A-nodes before P-nodes
+    adjacency: list[list[int]] = [[] for _ in kinds]
+    for i, (u, v) in enumerate(bridges, len(arts)):
+        a, b = single[u], single[v]
+        adjacency[i] = [a, b] if a < b else [b, a]
+        adjacency[a].append(i)
+        adjacency[b].append(i)
+    for i, c in enumerate(members, first_c):
+        for v in c:
+            if v in aps:
+                a = single[v]
+                adjacency[i].append(a)
+                adjacency[a].append(i)
+    return AbcTree(g, kinds, vertices, adjacency)
 
 
-class RootedAbcTree:
-    """ABC tree oriented toward a chosen component node, by node id."""
+class RootedAbcTree(_TreeNodes):
+    """ABC tree oriented toward a chosen component node, by node id.
+
+    Rooting fills, per id, the parent (None at the root), the children in
+    increasing id order, and the attachment point: the vertex through which
+    the subtree at the node meets the rest of the graph (None at the root).
+    `order` is the breadth-first order from the root, parents first. The
+    rooted tree shares the unrooted tree's node lists, not its adjacency.
+    """
 
     def __init__(self, tree: AbcTree, root: int):
-        if not 0 <= root < len(tree.nodes):
+        kinds = tree.kinds
+        if not 0 <= root < len(kinds):
             raise GraphError(f"{root} is not a node id of the tree")
-        if tree.nodes[root].kind != KIND_C:
+        if kinds[root] != KIND_C:
             raise GraphError(f"root must be a component node, got {tree.nodes[root]}")
-        nodes = self.nodes = tree.nodes
-        self.graph = tree.graph
+        super().__init__(tree.graph, kinds, tree.vertices)
         self.root = root
-        # a tree: every neighbour but the parent is a child
-        parent: list[int | None] = [None] * len(nodes)
-        children: list[tuple[int, ...]] = [()] * len(nodes)
-        # the vertex through which the subtree at a node meets the rest of
-        # the graph: its own for A/P nodes, the parent's for B/C nodes (whose
-        # parent is an A-node); the root has none
-        attachment: list[int | None] = [None] * len(nodes)
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
+        vertices, adjacency = self.vertices, tree._adj
+        size = len(kinds)
+        parent: list[int | None] = [None] * size
+        children: list[tuple[int, ...]] = [()] * size
+        # an A-node's subtrees meet the rest at its vertex; a B- or C-node's
+        # children are A- or P-nodes, each attached at its own vertex
+        attachment: list[int | None] = [None] * size
+        order = [root]
+        for x in order:  # grows as the walk goes
             up = parent[x]
-            children[x] = kids = tuple([y for y in tree.neighbors(x) if y != up])
-            if nodes[x].kind == KIND_A:
-                vertex = nodes[x].vertices[0]
+            children[x] = kids = tuple([y for y in adjacency[x] if y != up])
+            if kinds[x] == KIND_A:
+                vertex = vertices[x][0]
                 for y in kids:
                     parent[y] = x
                     attachment[y] = vertex
             else:
                 for y in kids:
                     parent[y] = x
-                    attachment[y] = nodes[y].vertices[0]
-            queue.extend(kids)
-        self.parent, self.children, self.attachment = parent, children, attachment
+                    attachment[y] = vertices[y][0]
+            order += kids
+        self.parent, self.children, self.attachment, self.order = parent, children, attachment, order
 
     def subtree_nodes(self, x: int) -> list[int]:
         """Nodes of the subtree rooted at `x`, parents before children."""
         out = [x]
-        i = 0
-        while i < len(out):
-            out.extend(self.children[out[i]])
-            i += 1
+        for y in out:
+            out += self.children[y]
         return out
 
     def postorder(self, x: int | None = None) -> list[int]:
         """Subtree nodes with every child preceding its parent."""
-        return list(reversed(self.subtree_nodes(x if x is not None else self.root)))
+        if x is None or x == self.root:
+            return self.order[::-1]
+        return self.subtree_nodes(x)[::-1]
 
 
 def default_root(t: AbcTree) -> int:
     """Deterministic root choice: the component whose sorted vertex tuple is
     smallest, which is the first component id.
     """
-    cnodes = t.component_nodes()
-    if not cnodes:
-        raise GraphError("tree has no component node; the graph is acyclic")
-    return cnodes[0]
+    try:
+        return t.kinds.index(KIND_C)
+    except ValueError:
+        raise GraphError("tree has no component node; the graph is acyclic") from None
 
 
 def root_at(t: AbcTree, r: int) -> RootedAbcTree:

@@ -15,14 +15,17 @@ the rest of the graph):
   E   (end)               root-only: a robust MIS of the whole graph.
 
 The labels live in flat lists indexed by node id, filled in one postorder
-loop. Each node's tags are one int mask of the bits `PI`..`E`; the A-, B-
-and P-node rules are arithmetic on the children's masks. Only component
-nodes store vertex sets: their members in the PI (or E) witness and in the
-PO or PE one. Every other node's own set follows from the node: an A- or
-P-node owns its vertex under PI, a B-node owns its attachment point under
-PI and its child's vertex under PO, and nothing else owns anything. One
-rule (`LabelingRun.witness_parts`) gives each child's tag, and witnesses are
-assembled from it on demand.
+loop that reads the rooted tree's own flat lists (kinds, vertices,
+children, attachment points) and the graph's adjacency, so a search
+builds no `AbcNode`. Each node's tags are one int mask of the bits
+`PI`..`E`; the A-, B- and P-node rules are arithmetic on the children's
+masks. Only component nodes store vertex sets: their members in the PI
+(or E) witness and in the PO or PE one. Every other node's own set follows
+from the node: an A- or P-node owns its vertex under PI, a B-node owns its
+attachment point under PI and its child's vertex under PO, and nothing
+else owns anything. One rule (`LabelingRun.witness_parts`) gives each
+child's tag; `decide` applies it in place on its walk down the tree, and
+every other witness is assembled from it on demand.
 
 Component nodes settle their constraints through 2-SAT: once edges whose
 two ends may both stay out are dropped, membership 2-colors each piece.
@@ -92,7 +95,7 @@ class LabelingRun:
     def own(self, x: int, tag: int) -> frozenset[int]:
         """Node x's own vertices under the single tag bit `tag`."""
         rt = self.rooted
-        kind = rt.nodes[x].kind
+        kind = rt.kinds[x]
         if kind == KIND_C:
             if tag & (PI | E):
                 return self.own_in[x]
@@ -118,7 +121,7 @@ class LabelingRun:
             m = self.mask[child]
             pick = PI if rt.attachment[child] in own else PO if m & PO else PE
             if not m & pick:
-                raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
+                raise _missing_tag(rt, child)
             picks.append((child, pick))
         return own, picks
 
@@ -145,28 +148,56 @@ def find_rmis(g: Graph) -> frozenset[int] | None:
 def run_labeling(g: Graph) -> LabelingRun:
     """Run the full search, returning labels and outcome for inspection."""
     tree = build_abc_tree(g, "find_rmis")
-    if not tree.component_nodes():
+    if KIND_C not in tree.kinds:
         # acyclic: every MIS is robust; return one color class of a
         # 2-coloring (the class holding the smallest vertex is never empty)
         v1, _ = is_bipartite(g)  # type: ignore[misc]
         return LabelingRun(None, [], [], [], frozenset(v1))
-    run = label_tree(root_at(tree, default_root(tree)))
+    rooted = root_at(tree, default_root(tree))
+    del tree  # only rooting needs the unrooted adjacency
+    run = label_tree(rooted)
     run.result = decide(run)
     return run
 
 
 def decide(run: LabelingRun) -> frozenset[int] | None:
-    """The root's E witness, assembled in one walk down the tree; None on N."""
-    root = run.rooted.root
-    if not run.mask[root] & E:
+    """The root's E witness, assembled in one walk down the tree; None on N.
+
+    The walk applies the rule of `LabelingRun.witness_parts` in place: a
+    node's own vertices join, and each child takes PI if its attachment
+    point is among them, else PO if it has it, else PE.
+    """
+    rt = run.rooted
+    mask = run.mask
+    if not mask[rt.root] & E:
         return None
+    kinds, children, attachment = rt.kinds, rt.children, rt.attachment
+    own_in, own_out = run.own_in, run.own_out
     witness: set[int] = set()
-    stack = [(root, E)]
+    stack = [(rt.root, E)]
     while stack:
-        own, picks = run.witness_parts(*stack.pop())
-        witness |= own
-        stack += picks
+        x, tag = stack.pop()
+        kids = children[x]
+        if kinds[x] == KIND_C:
+            own = own_in[x] if tag & (PI | E) else own_out[x]
+        elif tag == PI:
+            own = (attachment[x],)
+        elif tag == PO and kinds[x] == KIND_B:
+            own = (attachment[kids[0]],)
+        else:
+            own = ()
+        witness.update(own)
+        for child in kids:
+            m = mask[child]
+            pick = PI if attachment[child] in own else PO if m & PO else PE
+            if not m & pick:
+                raise _missing_tag(rt, child)
+            stack.append((child, pick))
     return frozenset(witness)
+
+
+def _missing_tag(rt: RootedAbcTree, child: int) -> InternalLabelingError:
+    return InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
 
 
 def all_witnesses(run: LabelingRun) -> dict[int, dict[str, frozenset[int]]]:
@@ -191,7 +222,9 @@ def articulation_mask(kids: Iterable[int]) -> int:
     """Articulation point, from its children's masks: its subtrees all share
     the vertex, so a tag holds only when every child supports it. PO
     additionally needs one child that truly covers the vertex from below,
-    not just tolerance (PE). An N child makes it N.
+    not just tolerance (PE). An N child makes it N, and so do children that
+    share no tag (one offers only PI, another only PO or PE): the vertex can
+    then be neither in nor out.
     """
     every = PI | PE  # of these, the tags every child has
     out = PO  # kept while every child has PO or PE
@@ -200,7 +233,7 @@ def articulation_mask(kids: Iterable[int]) -> int:
         every &= m
         out &= m | m >> 1
         some |= m
-    return N if some & N else every | (out & some)
+    return N if some & N else every | (out & some) or N
 
 
 def bridge_mask(m: int) -> int:
@@ -231,13 +264,13 @@ def label_tree(rt: RootedAbcTree) -> LabelingRun:
     core. The root has no attachment point; one free probe makes it E. A
     component with an N child, or that no probe satisfies, is N.
     """
-    size = len(rt.nodes)
+    size = len(rt.kinds)
     mask = [0] * size
     own_in: list[frozenset[int] | None] = [None] * size
     own_out: list[frozenset[int] | None] = [None] * size
-    nodes, children = rt.nodes, rt.children
+    kinds, children, attachment = rt.kinds, rt.children, rt.attachment
     for x in rt.postorder():
-        kind = nodes[x].kind
+        kind = kinds[x]
         kids = children[x]
         if kind == KIND_A:
             mask[x] = articulation_mask([mask[c] for c in kids])
@@ -249,7 +282,7 @@ def label_tree(rt: RootedAbcTree) -> LabelingRun:
             mask[x] = N
         else:
             core = component_core(rt, x, mask)
-            ap = rt.attachment[x]
+            ap = attachment[x]
             if ap is None:
                 own_in[x] = witness = test_rmis(core)
                 mask[x] = N if witness is None else E
@@ -282,10 +315,6 @@ class ComponentCore(NamedTuple):
     literal: dict[int, Literal]
     base: TwoSatFormula
 
-    def lit(self, v: int, value: bool) -> Literal:
-        var, pol = self.literal[v]
-        return (var, pol if value else not pol)
-
 
 def component_core(
     rt: RootedAbcTree, x: int, mask: list[int], covered: int | None = None
@@ -301,18 +330,19 @@ def component_core(
     cycle gives None): one boolean per piece, plus unit clauses from
     single-tag articulation points.
     """
-    comp = rt.nodes[x].vertices
+    comp = rt.vertices[x]
     # the children are the component's articulation points bar the parent,
     # which postorder has not labeled yet
     tags = dict.fromkeys(comp, 0)
+    attachment = rt.attachment
     for child in rt.children[x]:
-        tags[rt.attachment[child]] = mask[child]
+        tags[attachment[child]] = mask[child]
     if covered is not None:
         tags[covered] = PO
 
     # one variable per connected piece of the core, numbered by smallest
     # vertex; the side holding that vertex is the positive side
-    neighbors = rt.graph.neighbors
+    adj = rt.graph._adj
     removed: list[tuple[int, int]] = []
     literal: dict[int, Literal] = {}
     pieces = 0
@@ -325,10 +355,11 @@ def component_core(
             v = stack.pop()
             tag = tags[v]
             side = not literal[v][1]
-            for w in neighbors(v):
-                if w not in tags:
+            for w in adj[v]:
+                other = tags.get(w)
+                if other is None:
                     continue
-                if tag & tags[w] & PO:
+                if tag & other & PO:
                     if v < w:
                         removed.append((v, w))
                     continue
@@ -341,16 +372,18 @@ def component_core(
         pieces += 1
     removed.sort()  # clause order feeds the solver's model
 
-    core = ComponentCore(comp, literal, TwoSatFormula(pieces))
+    base = TwoSatFormula(pieces)
     for v in comp:
         tag = tags[v]
         if tag == PI:
-            core.base.add_unit(literal[v])
+            base.add_unit(literal[v])
         elif tag == PO or tag == PE:
-            core.base.add_unit(core.lit(v, False))
+            var, pol = literal[v]
+            base.add_unit((var, not pol))
     for u, v in removed:
-        core.base.add_clause(core.lit(u, False), core.lit(v, False))
-    return core
+        (a, pa), (b, pb) = literal[u], literal[v]
+        base.add_clause((a, not pa), (b, not pb))
+    return ComponentCore(comp, literal, base)
 
 
 def test_rmis(
@@ -364,7 +397,12 @@ def test_rmis(
     """
     if core is None:
         return None
-    assignment = solve(core.base, tuple([core.lit(v, value) for v, value in forced]))
+    literal = core.literal
+    assume = []
+    for v, value in forced:
+        var, pol = literal[v]
+        assume.append((var, pol == value))  # `pol` means in, `not pol` out
+    assignment = solve(core.base, tuple(assume))
     if assignment is None:
         return None
-    return frozenset(v for v, (var, pol) in core.literal.items() if assignment[var] == pol)
+    return frozenset([v for v, (var, pol) in literal.items() if assignment[var] == pol])

@@ -61,8 +61,13 @@ class Graph:
         self._freeze(adj)
 
     def _freeze(self, adj: dict[int, set[int]]) -> None:
-        """Take a validated, non-empty, symmetric adjacency as this graph's own."""
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        """Take a validated, non-empty, symmetric adjacency as this graph's
+        own, replacing each neighbour set by its frozenset in the same dict,
+        so that each set is freed as its frozen copy is made.
+        """
+        for v, ns in adj.items():
+            adj[v] = frozenset(ns)  # type: ignore[assignment]
+        self._adj = adj
         self._vertices = tuple(sorted(adj))
 
     @property

@@ -442,7 +442,8 @@ def reference_labeling(g: Graph) -> ReferenceRun:
 
 def reference_label_a(kids: list[dict[str, frozenset[int]]], vertex: int) -> dict[str, frozenset[int]]:
     """Articulation point `vertex` from its children's labels: a tag holds
-    when every child supports it; PO also needs one child with PO."""
+    when every child supports it; PO also needs one child with PO. Children
+    that leave no tag standing make it N."""
     out = {}
     if all(TAG_PI in kl for kl in kids):
         out[TAG_PI] = frozenset({vertex})
@@ -450,7 +451,7 @@ def reference_label_a(kids: list[dict[str, frozenset[int]]], vertex: int) -> dic
         out[TAG_PE] = frozenset()
     if all(TAG_PO in kl or TAG_PE in kl for kl in kids) and any(TAG_PO in kl for kl in kids):
         out[TAG_PO] = frozenset()
-    return out
+    return out or {TAG_N: frozenset()}
 
 
 def reference_label_b(kl: dict[str, frozenset[int]], ap: int, child_vertex: int) -> dict[str, frozenset[int]]:

@@ -24,15 +24,7 @@ def tree_is_actually_a_tree(t) -> bool:
     edges = t.edges()
     if len(edges) != len(nodes) - 1:
         return False
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in t.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(nodes)
+    return is_connected(Graph(range(len(nodes)), edges))
 
 
 class TestBuild:
@@ -50,16 +42,17 @@ class TestBuild:
         # ids follow sorted node order
         assert list(t.nodes) == sorted(t.nodes)
         # the tree is the path P(0)-B(0,1)-A(1)-C(1,2,3)-A(2)-B(2,4)-P(4)
-        idx = t.nodes.index
-        assert t.neighbors(idx(AbcNode.component({1, 2, 3}))) == (
-            idx(AbcNode.articulation(1)),
-            idx(AbcNode.articulation(2)),
-        )
-        assert t.neighbors(idx(AbcNode.pendant(0))) == (idx(AbcNode.bridge(0, 1)),)
-        assert t.neighbors(idx(AbcNode.bridge(0, 1))) == (
-            idx(AbcNode.articulation(1)),
-            idx(AbcNode.pendant(0)),
-        )
+        path = [
+            AbcNode.pendant(0),
+            AbcNode.bridge(0, 1),
+            AbcNode.articulation(1),
+            AbcNode.component({1, 2, 3}),
+            AbcNode.articulation(2),
+            AbcNode.bridge(2, 4),
+            AbcNode.pendant(4),
+        ]
+        ids = list(map(t.nodes.index, path))
+        assert t.edges() == sorted(tuple(sorted(e)) for e in zip(ids, ids[1:]))
 
     def test_path_is_all_bridges(self):
         t = build_abc_tree(gen_path(3))
@@ -114,6 +107,9 @@ class TestBuild:
                     if x.kind in "BC" and u in x.vertices and v in x.vertices
                 ]
                 assert len(holders) == 1
+            # rooted at any component, children follow in increasing id order
+            for root in t.component_nodes():
+                assert all(list(kids) == sorted(kids) for kids in root_at(t, root).children)
 
 
 class TestRooting:

@@ -11,7 +11,7 @@ import rmis
 from rmis import findrmis
 from rmis.cli import main
 from rmis.graph import from_edge_list
-from rmis.generators import gen_bull, gen_complete_bipartite, gen_gk, gen_square, gen_triangle
+from rmis.generators import gen_bull, gen_complete_bipartite, gen_gk, gen_random_connected, gen_square, gen_triangle
 from rmis.graph import to_edge_list
 
 
@@ -49,6 +49,14 @@ class TestFind:
         assert main(["find", bull_file, "--trace"]) == 0
         out = capsys.readouterr().out
         assert "C(1,2,3)" in out and "E[0, 3, 4]" in out
+
+    def test_articulation_point_without_a_common_tag_is_no_rmis(self, tmp_path, capsys):
+        # a valid input once reported as an internal failure
+        path = tmp_path / "a-node.edges"
+        path.write_text(to_edge_list(gen_random_connected(22, 0.0955996241482135, 5688)))
+        assert main(["find", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "NO-RMIS\n" and captured.err == ""
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0 1\n1 2\n")))

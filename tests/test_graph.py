@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -64,6 +66,29 @@ class TestParsing:
     def test_serializer_sorted(self):
         g = Graph(range(4), [(2, 3), (0, 2), (0, 1)])
         assert to_edge_list(g) == "0 1\n0 2\n2 3\n"
+
+
+class TestParseMemory:
+    def test_parse_peak_stays_near_the_graph_it_keeps(self):
+        # the parse peaks while its neighbour sets and the line list are
+        # alive: 1.3 times the frozen graph it keeps on gk(1600). Freezing
+        # into a second dict held every set and every frozenset at once,
+        # and peaked at 2.05 times
+        text = to_edge_list(gen_gk(1600).graph)
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = from_edge_list(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        ratio = (peak - before) / (kept - before)
+        assert g.n == 6 * 1601 and ratio <= 1.6, f"parse peak {ratio:.2f} times the kept graph"
 
 
 class TestGraphInvariants:
