@@ -84,9 +84,6 @@ class _TreeNodes:
     def nodes(self) -> tuple[AbcNode, ...]:
         return tuple(map(AbcNode, self.kinds, self.vertices))
 
-    def component_nodes(self) -> list[int]:
-        return [i for i, kind in enumerate(self.kinds) if kind == KIND_C]
-
 
 class AbcTree(_TreeNodes):
     """Unrooted decomposition tree over a connected graph.
@@ -101,6 +98,9 @@ class AbcTree(_TreeNodes):
     ):
         super().__init__(graph, kinds, vertices)
         self._adj = adjacency
+
+    def component_nodes(self) -> list[int]:
+        return [i for i, kind in enumerate(self.kinds) if kind == KIND_C]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(x, y) for x, ys in enumerate(self._adj) for y in ys if x < y]
@@ -191,11 +191,9 @@ class RootedAbcTree(_TreeNodes):
             out += self.children[y]
         return out
 
-    def postorder(self, x: int | None = None) -> list[int]:
-        """Subtree nodes with every child preceding its parent."""
-        if x is None or x == self.root:
-            return self.order[::-1]
-        return self.subtree_nodes(x)[::-1]
+    def postorder(self) -> list[int]:
+        """All nodes with every child preceding its parent."""
+        return self.order[::-1]
 
 
 def default_root(t: AbcTree) -> int:

@@ -24,8 +24,8 @@ masks. Only component nodes store vertex sets: their members in the PI
 from the node: an A- or P-node owns its vertex under PI, a B-node owns its
 attachment point under PI and its child's vertex under PO, and nothing
 else owns anything. One rule (`LabelingRun.witness_parts`) gives each
-child's tag; `decide` applies it in place on its walk down the tree, and
-every other witness is assembled from it on demand.
+child's tag; `decide` follows it down the tree for the answer, and every
+other witness is assembled from it on demand.
 
 Component nodes settle their constraints through 2-SAT: once edges whose
 two ends may both stay out are dropped, membership 2-colors each piece.
@@ -121,7 +121,7 @@ class LabelingRun:
             m = self.mask[child]
             pick = PI if rt.attachment[child] in own else PO if m & PO else PE
             if not m & pick:
-                raise _missing_tag(rt, child)
+                raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
             picks.append((child, pick))
         return own, picks
 
@@ -161,43 +161,17 @@ def run_labeling(g: Graph) -> LabelingRun:
 
 
 def decide(run: LabelingRun) -> frozenset[int] | None:
-    """The root's E witness, assembled in one walk down the tree; None on N.
-
-    The walk applies the rule of `LabelingRun.witness_parts` in place: a
-    node's own vertices join, and each child takes PI if its attachment
-    point is among them, else PO if it has it, else PE.
-    """
-    rt = run.rooted
-    mask = run.mask
-    if not mask[rt.root] & E:
+    """The root's E witness, assembled in one walk down the tree; None on N."""
+    root = run.rooted.root
+    if not run.mask[root] & E:
         return None
-    kinds, children, attachment = rt.kinds, rt.children, rt.attachment
-    own_in, own_out = run.own_in, run.own_out
     witness: set[int] = set()
-    stack = [(rt.root, E)]
+    stack = [(root, E)]
     while stack:
-        x, tag = stack.pop()
-        kids = children[x]
-        if kinds[x] == KIND_C:
-            own = own_in[x] if tag & (PI | E) else own_out[x]
-        elif tag == PI:
-            own = (attachment[x],)
-        elif tag == PO and kinds[x] == KIND_B:
-            own = (attachment[kids[0]],)
-        else:
-            own = ()
-        witness.update(own)
-        for child in kids:
-            m = mask[child]
-            pick = PI if attachment[child] in own else PO if m & PO else PE
-            if not m & pick:
-                raise _missing_tag(rt, child)
-            stack.append((child, pick))
+        own, picks = run.witness_parts(*stack.pop())
+        witness |= own
+        stack += picks
     return frozenset(witness)
-
-
-def _missing_tag(rt: RootedAbcTree, child: int) -> InternalLabelingError:
-    return InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
 
 
 def all_witnesses(run: LabelingRun) -> dict[int, dict[str, frozenset[int]]]:

@@ -9,9 +9,7 @@ A formula made only of unit clauses, which is what most component probes
 pose, skips the graph: it is unsatisfiable exactly when two units disagree,
 and otherwise the strongly connected components give each unit's variable
 its forced value and every other variable False, so that model is returned
-directly. The formula keeps that model as its clauses are added, so a
-unit-only solve costs time in its assumptions and variables, not in its
-clauses.
+directly.
 """
 
 from __future__ import annotations
@@ -28,10 +26,7 @@ class TwoSatError(ValueError):
 class TwoSatFormula:
     """Conjunction of two-literal clauses over variables 0..num_vars-1.
 
-    A unit clause is stored as the pair (lit, lit). Clauses are added only
-    through `add_clause` and `add_unit`, which also keep the running unit
-    model: the value each unit clause forces, by variable, whether two
-    units disagree, and whether any clause has two distinct literals.
+    A unit clause is stored as the pair (lit, lit).
     """
 
     def __init__(self, num_vars: int):
@@ -39,9 +34,6 @@ class TwoSatFormula:
             raise TwoSatError("variable count must be non-negative")
         self.num_vars = num_vars
         self.clauses: list[tuple[Literal, Literal]] = []
-        self._units: dict[int, bool] = {}
-        self._conflict = False
-        self._binary = False
 
     def _check(self, lit: Literal) -> None:
         var, pol = lit
@@ -54,20 +46,10 @@ class TwoSatFormula:
         self._check(l1)
         self._check(l2)
         self.clauses.append((l1, l2))
-        if l1 == l2:
-            self._note_unit(l1)
-        else:
-            self._binary = True
 
     def add_unit(self, lit: Literal) -> None:
         self._check(lit)
         self.clauses.append((lit, lit))
-        self._note_unit(lit)
-
-    def _note_unit(self, lit: Literal) -> None:
-        var, pol = lit
-        if self._units.setdefault(var, pol) != pol:
-            self._conflict = True
 
 
 def _node(lit: Literal) -> int:
@@ -89,8 +71,10 @@ def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | No
     """
     for lit in assume:
         f._check(lit)
-    if not f._binary:
-        return _solve_units(f, assume)
+    units = [l1 for l1, l2 in f.clauses if l1 == l2]
+    if len(units) == len(f.clauses):
+        units += assume
+        return _solve_units(f.num_vars, units)
     size = 2 * f.num_vars
     succ: list[list[int]] = [[] for _ in range(size)]
     for l1, l2 in chain(f.clauses, zip(assume, assume)):
@@ -110,18 +94,13 @@ def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | No
     return assignment
 
 
-def _solve_units(f: TwoSatFormula, assume: tuple[Literal, ...]) -> list[bool] | None:
+def _solve_units(num_vars: int, units: list[Literal]) -> list[bool] | None:
     # the model the implication graph gives when every clause is a unit:
     # each unit's value, every other variable False
-    if f._conflict:
-        return None
-    units = f._units
-    model = [False] * f.num_vars
-    for var, pol in units.items():
-        model[var] = pol
-    assumed: dict[int, bool] = {}
-    for var, pol in assume:
-        if units.get(var, pol) != pol or assumed.setdefault(var, pol) != pol:
+    model = [False] * num_vars
+    forced: dict[int, bool] = {}
+    for var, pol in units:
+        if forced.setdefault(var, pol) != pol:
             return None
         model[var] = pol
     return model

@@ -64,6 +64,12 @@ class TestFormula:
             f.add_clause((2, True), (0, True))
         with pytest.raises(TwoSatError):
             solve(f, ((2, True),))
+        # an assumed literal is checked on the unit-only path too
+        f.add_unit((0, True))
+        for bad in ((2, True), (-1, False), (0, 1)):
+            with pytest.raises(TwoSatError):
+                solve(f, ((1, False), bad))
+        assert f.clauses == [((0, True), (0, True))]
 
 
 class TestSolve:
@@ -77,7 +83,8 @@ class TestSolve:
         f = TwoSatFormula(1)
         f.add_unit((0, True))
         f.add_unit((0, False))
-        assert solve(f) is None
+        for assume in ((), ((0, True),), ((0, False),)):
+            assert solve(f, assume) is None
 
     def test_unconstrained_variables_default_false(self):
         f = TwoSatFormula(4)
@@ -101,15 +108,19 @@ class TestSolve:
                 assert evaluate(f, got)
 
     def test_unit_only_formulas_match_the_implication_graph(self):
-        # every unit-only formula over up to 3 variables with up to 4 units
+        # every unit-only formula over up to 3 variables with up to 4 units,
+        # every other unit written as a clause of one literal twice
         checked = 0
         for k in range(4):
             literals = [(v, pol) for v in range(k) for pol in (False, True)]
             for count in range(5):
                 for units in product(literals, repeat=count):
                     f = TwoSatFormula(k)
-                    for lit in units:
-                        f.add_unit(lit)
+                    for i, lit in enumerate(units):
+                        if i % 2:
+                            f.add_clause(lit, lit)
+                        else:
+                            f.add_unit(lit)
                     assert solve(f) == implication_graph_model(f), units
                     checked += 1
         assert checked == 1 + 31 + 341 + 1555
@@ -129,7 +140,11 @@ class TestSolve:
                 if units_only:
                     f = TwoSatFormula(rng.randint(1, 6))
                     for _ in range(rng.randint(0, 4)):
-                        f.add_unit((rng.randrange(f.num_vars), rng.random() < 0.5))
+                        lit = (rng.randrange(f.num_vars), rng.random() < 0.5)
+                        if rng.random() < 0.5:
+                            f.add_clause(lit, lit)
+                        else:
+                            f.add_unit(lit)
                 else:
                     f = random_formula(rng, max_vars=8)
                 assume = tuple((rng.randrange(f.num_vars), rng.random() < 0.5) for _ in range(rng.randint(0, 3)))
@@ -141,80 +156,3 @@ class TestSolve:
                 before = list(f.clauses)
                 assert solve(f, assume) == solve(appended) == implication_graph_model(appended)
                 assert f.clauses == before
-
-
-def with_units(f: TwoSatFormula, lits) -> TwoSatFormula:
-    """A copy of `f` with each literal of `lits` appended as a unit clause."""
-    out = TwoSatFormula(f.num_vars)
-    for l1, l2 in f.clauses:
-        out.add_clause(l1, l2)
-    for lit in lits:
-        out.add_unit(lit)
-    return out
-
-
-class TestRunningUnitModel:
-    """`solve` answers a formula with no two-literal clause from the unit
-    model the formula keeps as clauses are added; it must give the model of
-    the implication graph, whichever way each unit was written."""
-
-    def test_units_written_either_way_under_assumptions(self):
-        # every sequence of up to 3 units over 2 variables, each unit added
-        # as `add_unit(l)` or as `add_clause(l, l)`, solved under every
-        # sequence of up to 3 assumed literals, contradictory ones included
-        literals = [(v, pol) for v in range(2) for pol in (False, True)]
-        assumptions = [a for count in range(4) for a in product(literals, repeat=count)]
-        formulas = 0
-        for count in range(4):
-            for units in product(literals, repeat=count):
-                for spelled in product((False, True), repeat=count):
-                    f = TwoSatFormula(2)
-                    for lit, as_clause in zip(units, spelled):
-                        if as_clause:
-                            f.add_clause(lit, lit)
-                        else:
-                            f.add_unit(lit)
-                    before = list(f.clauses)
-                    for assume in assumptions:
-                        assert solve(f, assume) == implication_graph_model(with_units(f, assume)), (units, assume)
-                    assert f.clauses == before
-                    formulas += 1
-        assert formulas == 1 + 8 + 64 + 512 and len(assumptions) == 1 + 4 + 16 + 64
-
-    def test_conflicting_units(self):
-        f = TwoSatFormula(3)
-        f.add_unit((1, True))
-        f.add_clause((1, False), (1, False))
-        for assume in ((), ((0, True),), ((1, True),), ((2, False), (2, True))):
-            assert solve(f, assume) is None
-        assert f.clauses == [((1, True), (1, True)), ((1, False), (1, False))]
-
-    def test_two_literal_clause_after_units(self):
-        # a later two-literal clause sends the formula to the implication
-        # graph, units and assumptions included
-        rng = random.Random(6)
-        for _ in range(1000):
-            k = rng.randint(1, 6)
-            f = TwoSatFormula(k)
-            for _ in range(rng.randint(0, 4)):
-                lit = (rng.randrange(k), rng.random() < 0.5)
-                if rng.random() < 0.5:
-                    f.add_unit(lit)
-                else:
-                    f.add_clause(lit, lit)
-            for _ in range(rng.randint(1, 3)):
-                a = rng.randrange(k)
-                b = (a + rng.randrange(1, k)) % k if k > 1 else a
-                f.add_clause((a, rng.random() < 0.5), (b, rng.random() < 0.5))
-            assume = tuple((rng.randrange(k), rng.random() < 0.5) for _ in range(rng.randint(0, 3)))
-            before = list(f.clauses)
-            assert solve(f, assume) == implication_graph_model(with_units(f, assume))
-            assert f.clauses == before
-
-    def test_bad_assumption_rejected_on_a_unit_only_formula(self):
-        f = TwoSatFormula(2)
-        f.add_unit((0, True))
-        for bad in ((2, True), (-1, False), (0, 1)):
-            with pytest.raises(TwoSatError):
-                solve(f, ((1, False), bad))
-        assert f.clauses == [((0, True), (0, True))]
