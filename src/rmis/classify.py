@@ -20,12 +20,16 @@ class ClassVerdict:
 
 def complete_bipartite_sides(adj: Mapping[int, Set[int]]) -> tuple[set[int], set[int]] | None:
     """The sides (V1, V2) of a complete bipartite adjacency map, or None.
-    V2 is the neighborhood of the smallest vertex and V1 every other vertex;
-    every neighbor must be a key. Linear in the map's size, with no search.
+    V2 is the neighborhood of the smallest vertex and V1 every other vertex.
+    A map that is not closed (some neighbor is not a key) gives None, never
+    a KeyError: sides are returned only when every neighborhood is V1 or V2,
+    both inside the keys. Linear in the map's size, with no search.
     """
     v2 = set(adj[min(adj)])
+    if not v2 or not v2 <= adj.keys():
+        return None
     v1 = adj.keys() - v2
-    if v2 and all(adj[v] == v2 for v in v1) and all(adj[v] == v1 for v in v2):
+    if all(adj[v] == v2 for v in v1) and all(adj[v] == v1 for v in v2):
         return v1, v2
     return None
 

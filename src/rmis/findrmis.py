@@ -329,7 +329,10 @@ def component_core(
             v = stack.pop()
             tag = tags[v]
             side = not literal[v][1]
-            for w in adj[v]:
+            nbrs = adj[v]
+            if len(nbrs) > len(comp):  # an articulation point: scan the block
+                nbrs = [w for w in comp if w in nbrs]
+            for w in nbrs:
                 other = tags.get(w)
                 if other is None:
                     continue

@@ -7,7 +7,9 @@ work through `NodeProgram.idle`; by default no node is idle, so every node
 sends and steps in every round. Message size is unbounded. Nodes are
 addressed by ports (neighbor slots ordered by the neighbors' assigned
 identifiers), so a node initially knows nothing beyond its own identifier
-and degree.
+and degree. The engine delivers through two per-port tables: `port_to[v][p]`
+is the neighbor behind port p of v, and `port_back[v][p]` is the port of
+that neighbor that leads back to v.
 
 Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
@@ -44,6 +46,7 @@ class SimResult:
     rounds_total: int
     termination_round: dict[int, int]
     node_steps: int  # `step` calls the engine made
+    messages_per_round: list[int]  # messages sent in rounds 1, 2, ...
 
 
 class NodeProgram(ABC):
@@ -108,13 +111,17 @@ def run_sync(
         raise GraphError("run_sync requires a connected graph")
     limit = max_rounds if max_rounds is not None else 4 * g.n + 8
 
-    # port p of v leads to its p-th neighbor in order of assigned id
+    # port p of v leads to its p-th neighbor in order of assigned id, and
+    # port_back[v][p] is that neighbor's port leading back to v
     port_to: dict[int, list[int]] = {
-        v: sorted(g.neighbors(v), key=lambda u: ids[u]) for v in g.vertices
+        v: sorted(g.neighbors(v), key=ids.__getitem__) for v in g.vertices
     }
-    port_from: dict[int, dict[int, int]] = {
-        v: {u: p for p, u in enumerate(port_to[v])} for v in g.vertices
-    }
+    # visiting the senders in id order fills each port_back list in the
+    # order of its owner's ports
+    port_back: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for v in sorted(g.vertices, key=ids.__getitem__):
+        for p, u in enumerate(port_to[v]):
+            port_back[u].append(p)
 
     states = {v: program.init(ids[v], g.degree(v)) for v in g.vertices}
     termination: dict[int, int] = {}
@@ -125,16 +132,25 @@ def run_sync(
     # would if every node sent
     active = [v for v in g.vertices if not program.idle(states[v])]
     rounds = node_steps = 0
+    messages_per_round: list[int] = []
     while len(termination) < g.n:
         rounds += 1
         if rounds > limit:
             undecided = [v for v in g.vertices if v not in termination]
             raise SimulationTimeout(limit, undecided)
         inboxes: dict[int, dict[int, Any]] = {v: {} for v in active}
+        sent = 0
         for v in active:
-            for port, msg in program.send(states[v]).items():
-                u = port_to[v][port]
-                inboxes.setdefault(u, {})[port_from[u][v]] = msg
+            msgs = program.send(states[v])
+            sent += len(msgs)
+            to, back = port_to[v], port_back[v]
+            for port, msg in msgs.items():
+                u = to[port]
+                inbox = inboxes.get(u)
+                if inbox is None:
+                    inbox = inboxes[u] = {}
+                inbox[back[port]] = msg
+        messages_per_round.append(sent)
         for v, inbox in inboxes.items():
             states[v] = program.step(states[v], inbox)
             if v not in termination and program.output(states[v]) is not None:
@@ -143,7 +159,7 @@ def run_sync(
         active = sorted(v for v in inboxes if not program.idle(states[v]))
     outputs = {v: program.output(states[v]) for v in g.vertices}
     rounds_total = max(termination.values()) if termination else 0
-    return SimResult(outputs, rounds_total, termination, node_steps)
+    return SimResult(outputs, rounds_total, termination, node_steps, messages_per_round)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +196,12 @@ class RmisForallProgram(NodeProgram):
     adjacency out to two hops, and knows which collected vertices may have
     further unseen edges. If that knowledge is closed (nothing unseen) and
     forms a complete bipartite graph, the side holding the lowest identifier
-    joins. Otherwise, on the graphs this program is meant for, every cycle
-    vertex has a pendant neighbor: pendants join, their neighbors leave, and
-    what remains induces a forest handled by the id-priority rule, ignoring
-    edges into the already-decided part. A forest node announces its status
+    joins; the bipartite check establishes closure itself, since it accepts
+    only maps whose every neighborhood is one of the two sides. Otherwise,
+    on the graphs this program is meant for, every cycle vertex has a
+    pendant neighbor: pendants join, their neighbors leave, and what remains
+    induces a forest handled by the id-priority rule, ignoring edges into
+    the already-decided part. A forest node announces its status
     once, in the round after it decides; neighbors keep the last one heard.
 
     The forest stage is a plain greedy; it can take a number of rounds
@@ -197,9 +215,9 @@ class RmisForallProgram(NodeProgram):
 
     def send(self, state: _GatherState) -> dict[int, Any]:
         if state.round == 0:
-            return {p: ("id", state.ident) for p in range(state.degree)}
+            return dict.fromkeys(range(state.degree), ("id", state.ident))
         if state.round in (1, 2):
-            return {p: ("adj", state.adj) for p in range(state.degree)}
+            return dict.fromkeys(range(state.degree), ("adj", state.adj))
         return state.outbox
 
     def step(self, state: _GatherState, inbox: dict[int, Any]) -> _GatherState:
@@ -221,17 +239,17 @@ class RmisForallProgram(NodeProgram):
                 state.residual[port] = (ident, status)
             state.decision = _greedy_decision(state.ident, state.residual)
             if state.decision is not None:
-                state.outbox = {p: ("status", state.ident, state.decision) for p in state.residual}
+                msg = ("status", state.ident, state.decision)
+                state.outbox = dict.fromkeys(state.residual, msg)
         elif state.outbox:  # announced this round; nothing more to say
             state.outbox = {}
         return state
 
     def _gather_decision(self, state: _GatherState) -> None:
-        if frozenset().union(*state.adj.values()) <= state.adj.keys():
-            parts = complete_bipartite_sides(state.adj)
-            if parts is not None:
-                state.decision = IN if state.ident in parts[0] else OUT
-                return
+        parts = complete_bipartite_sides(state.adj)
+        if parts is not None:
+            state.decision = IN if state.ident in parts[0] else OUT
+            return
         if state.degree == 1:
             state.decision = IN
             return

@@ -228,7 +228,7 @@ def run_sync_every_node(
 ) -> SimResult:
     """Reference LOCAL engine: every node sends, receives an inbox and
     steps in every round, whatever `program.idle` says. `run_sync` must
-    give the same outputs, rounds and timeouts.
+    give the same outputs, rounds, per-round message counts and timeouts.
     """
     if set(ids) != set(g.vertices):
         raise GraphError("id assignment must cover exactly the vertex set")
@@ -254,12 +254,14 @@ def run_sync_every_node(
         if program.output(states[v]) is not None:
             termination[v] = 0
     rounds = 0
+    messages_per_round: list[int] = []
     while len(termination) < g.n:
         rounds += 1
         if rounds > limit:
             undecided = [v for v in g.vertices if v not in termination]
             raise SimulationTimeout(limit, undecided)
         outboxes = {v: program.send(states[v]) for v in g.vertices}
+        messages_per_round.append(sum(len(msgs) for msgs in outboxes.values()))
         inboxes: dict[int, dict[int, Any]] = {v: {} for v in g.vertices}
         for v, msgs in outboxes.items():
             for port, msg in msgs.items():
@@ -272,7 +274,7 @@ def run_sync_every_node(
                 termination[v] = rounds
     outputs = {v: program.output(states[v]) for v in g.vertices}
     rounds_total = max(termination.values()) if termination else 0
-    return SimResult(outputs, rounds_total, termination, rounds * g.n)
+    return SimResult(outputs, rounds_total, termination, rounds * g.n, messages_per_round)
 
 
 def reference_from_edge_list(text: str) -> Graph:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -90,6 +91,64 @@ class TestCompleteBipartiteSides:
         adj = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
         assert complete_bipartite_sides(adj) is None
         assert reference_sides(adj) is None
+
+
+def closed_sides_reference(adj):
+    """The flooding decision's earlier two-step rule: the map must be closed
+    (every neighbor a key), then V2 is the smallest vertex's neighborhood
+    and V1 every other vertex, each fully joined to the other.
+    """
+    if not frozenset().union(*adj.values()) <= adj.keys():
+        return None
+    v2 = set(adj[min(adj)])
+    v1 = adj.keys() - v2
+    if v2 and all(adj[v] == v2 for v in v1) and all(adj[v] == v1 for v in v2):
+        return v1, v2
+    return None
+
+
+def radius_two_views(g):
+    """Each vertex's view after the flooding: full neighborhoods of every
+    vertex within two hops, naming vertices up to three hops away.
+    """
+    for v in g.vertices:
+        near = {v}.union(g.neighbors(v), *map(g.neighbors, g.neighbors(v)))
+        yield {u: g.neighbors(u) for u in near}
+
+
+class TestOpenMaps:
+    """`complete_bipartite_sides` doubles as the closure test of the LOCAL
+    program, so maps naming vertices that are not keys must give None.
+    """
+
+    def test_open_maps_give_none(self):
+        closed = k_map(2, 2)
+        assert complete_bipartite_sides(closed) is not None
+        unseen = {**closed, 4: {0, 9}}
+        open_maps = [
+            {0: {1, 5}, 1: {0}},
+            {0: {5}},
+            {0: {1}, 1: {0, 7}},
+            {0: set(), 1: {2}},
+            unseen,
+            {**closed, 3: {0, 1, 8}},
+        ]
+        for adj in open_maps:
+            assert complete_bipartite_sides(adj) is None, adj
+            assert closed_sides_reference(adj) is None, adj
+
+    def test_radius_two_views_match_the_closed_rule(self, small_corpus):
+        graphs = list(small_corpus)
+        graphs += [gen_complete_bipartite(a, b) for a in range(1, 8) for b in range(1, 8)]
+        rng = random.Random(13)
+        graphs += [gen_random_sputnik(900 + i, rng.randint(3, 40)) for i in range(30)]
+        answers = Counter()
+        for g in graphs:
+            for view in radius_two_views(g):
+                got = complete_bipartite_sides(view)
+                assert got == closed_sides_reference(view), (g.edges(), view)
+                answers[got is not None] += 1
+        assert answers[True] > 0 and answers[False] > 0
 
 
 class TestCompleteBipartite:

@@ -510,6 +510,22 @@ class TestScaling:
         small, large = map(per_vertex, sputniks)
         assert large / small <= 2.5, f"{small * 1e6:.1f} -> {large * 1e6:.1f} us per vertex"
 
+    def test_friendship_find_time_per_vertex_stays_flat(self):
+        # k triangles sharing vertex 0: the hub lies in k components, so a
+        # core that scanned the hub's whole neighborhood per component would
+        # be quadratic in k
+        def friendship(k):
+            edges = []
+            for i in range(1, 2 * k, 2):
+                edges += [(0, i), (0, i + 1), (i, i + 1)]
+            return Graph(range(2 * k + 1), edges)
+
+        def per_vertex(g):
+            return min(timeit.repeat(lambda: find_rmis(g), repeat=3, number=1)) / g.n
+
+        small, large = map(per_vertex, map(friendship, (1000, 4000)))
+        assert large / small <= 2.5, f"{small * 1e6:.1f} -> {large * 1e6:.1f} us per vertex"
+
     def test_sputnik_verify_time_per_vertex_stays_flat(self, sputniks):
         def per_vertex(g):
             s = find_rmis(g)

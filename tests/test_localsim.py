@@ -1,5 +1,7 @@
 import copy
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -151,6 +153,13 @@ class TestEngine:
         result = run_sync(g, ConstantIn(), identity_ids(g))
         assert result.rounds_total == 0
         assert set(result.termination_round.values()) == {0}
+        assert result.messages_per_round == []
+
+    def test_messages_per_round_count_every_send(self):
+        # ForestMisProgram sends its status on every port in every round
+        g = gen_path(6)
+        result = run_sync(g, forest_mis_program(), identity_ids(g))
+        assert result.messages_per_round == [2 * g.num_edges] * result.rounds_total
 
     def test_round_cap(self):
         g = gen_path(3)
@@ -234,6 +243,14 @@ class TestRmisForallProgram:
             lowest_vertex = min(g.vertices, key=lambda v: ids[v])
             side = parts[0] if lowest_vertex in parts[0] else parts[1]
             assert chosen == side
+
+    def test_complete_bipartite_floods_every_port_three_times(self):
+        for a, b in ((1, 1), (1, 6), (2, 3), (5, 5), (12, 20)):
+            g = gen_complete_bipartite(a, b)
+            ids = random_ids(g, seed=a * 100 + b)
+            for engine in (run_sync, run_sync_every_node):
+                result = engine(g, rmis_forall_program(), ids)
+                assert result.messages_per_round == [2 * a * b] * 3
 
     def test_single_edge_splits(self):
         g = Graph(edges=[(0, 1)])
@@ -358,7 +375,7 @@ def outcome(engine, g, program, ids, max_rounds=None):
         result = engine(g, program, ids, max_rounds)
     except SimulationTimeout as err:
         return "timeout", str(err), err.undecided
-    return result.outputs, result.rounds_total, result.termination_round
+    return result.outputs, result.rounds_total, result.termination_round, result.messages_per_round
 
 
 def differential_graphs():
@@ -447,6 +464,34 @@ class TestActiveEngine:
         g = gen_path(6)
         result = run_sync(g, forest_mis_program(), identity_ids(g))
         assert result.node_steps == result.rounds_total * g.n
+
+
+class TestSimulatorMemory:
+    def test_peak_bytes_per_edge(self):
+        # the tracemalloc peak of one K_{100,100} run, per edge. Delivering
+        # through `port_to` plus a per-node `port_from` dict peaked at 871 B
+        # per edge, and per-port `port_back` lists alone at 685 B; keeping
+        # two delivery tables alive beside each other shows up here
+        g = gen_complete_bipartite(100, 100)
+        ids = identity_ids(g)
+        gc.collect()
+        collecting = gc.isenabled()
+        gc.disable()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_sync(g, rmis_forall_program(), ids)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        per_edge = peak / g.num_edges
+        assert per_edge <= 780, f"{per_edge:.0f} B per edge"
 
 
 class TestIndistinguishability:
