@@ -112,11 +112,15 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     An isolated single vertex registers as a (degenerate) pendant node so
     that every vertex of the graph appears somewhere in the tree. A
     disconnected graph raises GraphError naming `op`.
+
+    The block pass's sets are freed as soon as their sorted lists exist, so
+    the tree's lists are built without them alive.
     """
-    aps, brs, comps, _ = blocks(g, op)
-    arts = sorted(aps)
-    bridges = sorted(brs)
-    members = [tuple(sorted(c)) for c in comps if len(c) >= 3]  # sorted by vertices already
+    found = blocks(g, op)
+    arts = sorted(found.articulation_points)
+    bridges = sorted(found.bridges)
+    members = [tuple(sorted(c)) for c in found.components if len(c) >= 3]  # sorted by vertices already
+    del found
     adj = g._adj
     pend = [v for v in g.vertices if len(adj[v]) <= 1]
     kinds = [KIND_A] * len(arts) + [KIND_B] * len(bridges) + [KIND_C] * len(members) + [KIND_P] * len(pend)
@@ -134,10 +138,12 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
         adjacency[i] = [a, b] if a < b else [b, a]
         adjacency[a].append(i)
         adjacency[b].append(i)
+    # a component vertex in `single` is an articulation point: a pendant
+    # has degree 1 and lies in no component
     for i, c in enumerate(members, first_c):
         for v in c:
-            if v in aps:
-                a = single[v]
+            a = single.get(v)
+            if a is not None:
                 adjacency[i].append(a)
                 adjacency[a].append(i)
     return AbcTree(g, kinds, vertices, adjacency)

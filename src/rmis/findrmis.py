@@ -19,13 +19,15 @@ loop that reads the rooted tree's own flat lists (kinds, vertices,
 children, attachment points) and the graph's adjacency, so a search
 builds no `AbcNode`. Each node's tags are one int mask of the bits
 `PI`..`E`; the A-, B- and P-node rules are arithmetic on the children's
-masks. Only component nodes store vertex sets: their members in the PI
-(or E) witness and in the PO or PE one. Every other node's own set follows
-from the node: an A- or P-node owns its vertex under PI, a B-node owns its
-attachment point under PI and its child's vertex under PO, and nothing
-else owns anything. One rule (`LabelingRun.witness_parts`) gives each
-child's tag; `decide` follows it down the tree for the answer, and every
-other witness is assembled from it on demand.
+masks. Only component nodes store vertices, as sorted tuples: their
+members in the PI (or E) witness and in the PO or PE one. Every other
+node's own set follows from the node: an A- or P-node owns its vertex
+under PI, a B-node owns its attachment point under PI and its child's
+vertex under PO, and nothing else owns anything. A search therefore keeps
+no set alive; sets are built only while a witness is read. One rule
+(`LabelingRun.witness_parts`) gives each child's tag; `decide` follows it
+down the tree for the answer, and every other witness is assembled from it
+on demand.
 
 Component nodes settle their constraints through 2-SAT: once edges whose
 two ends may both stay out are dropped, membership 2-colors each piece.
@@ -38,9 +40,10 @@ its edges and change the pieces.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -80,26 +83,28 @@ class InternalLabelingError(RuntimeError):
 class LabelingRun:
     """Everything one search produced, kept for inspection and tracing.
 
-    `mask[x]` holds node x's tags. A component node's own members are
-    `own_in[x]` under PI or E and `own_out[x]` under PO or PE; both lists
-    hold None for every other node. An acyclic graph has no tree and no
-    labels.
+    `mask[x]` holds node x's tags. A component node's own members are the
+    sorted vertex tuples `own_in[x]` under PI or E and `own_out[x]` under
+    PO or PE; both lists hold None for every other node, and for a tag the
+    component lacks. An acyclic graph has no tree and no labels.
     """
 
     rooted: RootedAbcTree | None
     mask: list[int]
-    own_in: list[frozenset[int] | None]
-    own_out: list[frozenset[int] | None]
+    own_in: list[tuple[int, ...] | None]
+    own_out: list[tuple[int, ...] | None]
     result: frozenset[int] | None = None
 
     def own(self, x: int, tag: int) -> frozenset[int]:
-        """Node x's own vertices under the single tag bit `tag`."""
+        """Node x's own vertices under the single tag bit `tag`, as a set
+        built for the caller.
+        """
         rt = self.rooted
         kind = rt.kinds[x]
         if kind == KIND_C:
             if tag & (PI | E):
-                return self.own_in[x]
-            return self.own_out[x] if tag & (PO | PE) else _EMPTY
+                return frozenset(self.own_in[x])
+            return frozenset(self.own_out[x]) if tag & (PO | PE) else _EMPTY
         if tag == PI:
             return frozenset({rt.attachment[x]})
         if tag == PO and kind == KIND_B:
@@ -161,17 +166,21 @@ def run_labeling(g: Graph) -> LabelingRun:
 
 
 def decide(run: LabelingRun) -> frozenset[int] | None:
-    """The root's E witness, assembled in one walk down the tree; None on N."""
+    """The root's E witness, assembled in one walk down the tree; None on N.
+    The walk feeds the frozenset as it goes, so no second copy is made.
+    """
     root = run.rooted.root
     if not run.mask[root] & E:
         return None
-    witness: set[int] = set()
-    stack = [(root, E)]
-    while stack:
-        own, picks = run.witness_parts(*stack.pop())
-        witness |= own
-        stack += picks
-    return frozenset(witness)
+
+    def walk() -> Iterator[frozenset[int]]:
+        stack = [(root, E)]
+        while stack:
+            own, picks = run.witness_parts(*stack.pop())
+            yield own
+            stack += picks
+
+    return frozenset(chain.from_iterable(walk()))
 
 
 def all_witnesses(run: LabelingRun) -> dict[int, dict[str, frozenset[int]]]:
@@ -240,8 +249,8 @@ def label_tree(rt: RootedAbcTree) -> LabelingRun:
     """
     size = len(rt.kinds)
     mask = [0] * size
-    own_in: list[frozenset[int] | None] = [None] * size
-    own_out: list[frozenset[int] | None] = [None] * size
+    own_in: list[tuple[int, ...] | None] = [None] * size
+    own_out: list[tuple[int, ...] | None] = [None] * size
     kinds, children, attachment = rt.kinds, rt.children, rt.attachment
     for x in rt.postorder():
         kind = kinds[x]
@@ -365,12 +374,13 @@ def component_core(
 
 def test_rmis(
     core: ComponentCore | None, forced: Iterable[tuple[int, bool]] = ()
-) -> frozenset[int] | None:
+) -> tuple[int, ...] | None:
     """Probe a component's core: whether the subtree at the component admits
     a robust MIS in which each `(vertex, value)` of `forced` is in (True) or
-    out (False), and if so the component's members in one. The probe solves
-    the core's base formula under one assumed literal per forced vertex, in
-    the order given; no core (an odd cycle) admits nothing.
+    out (False), and if so the component's members in one, as a sorted
+    tuple. The probe solves the core's base formula under one assumed
+    literal per forced vertex, in the order given; no core (an odd cycle)
+    admits nothing.
     """
     if core is None:
         return None
@@ -382,4 +392,9 @@ def test_rmis(
     assignment = solve(core.base, tuple(assume))
     if assignment is None:
         return None
-    return frozenset([v for v, (var, pol) in literal.items() if assignment[var] == pol])
+    members = []
+    for v in core.vertices:
+        var, pol = literal[v]
+        if assignment[var] == pol:
+            members.append(v)
+    return tuple(members)

@@ -4,14 +4,16 @@ A set is a *robust* MIS when it stays maximal in every connected spanning
 subgraph of the original graph. Two checkers live here: a linear-time one
 based on a cut criterion, and an exponential one that enumerates connected
 spanning subgraphs directly. The second exists to validate the first at
-desk scale, so the two must stay independent.
+desk scale, so the two must stay independent: it finds its removable edges
+with its own spanning-tree pass (`cycle_edges`), not the block pass that
+the first checker and the search share.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graph import Graph, GraphError, blocks, bridges, is_connected, remove_edges
+from .graph import Edge, Graph, GraphError, blocks, edge, is_connected, remove_edges
 
 DEFAULT_VERTEX_CAP = 16
 DEFAULT_REMOVABLE_CAP = 20
@@ -114,7 +116,7 @@ def is_robust_mis_bruteforce(
     members = _as_member_set(g, s)
     if not is_mis(g, members):
         return False
-    removable = sorted(set(g.edges()) - bridges(g))
+    removable = cycle_edges(g)
     if len(removable) > max_removable:
         raise GraphError(
             f"{len(removable)} removable edges exceeds cap {max_removable}; "
@@ -137,6 +139,53 @@ def is_robust_mis_bruteforce(
                 return False
             stack.append((smaller, j + 1))
     return True
+
+
+def cycle_edges(g: Graph) -> list[Edge]:
+    """The edges of a connected graph that lie on a cycle, which are the
+    edges whose removal keeps it connected, sorted. Near-linear time and
+    independent of the block pass.
+
+    A breadth-first spanning tree is taken; each non-tree edge closes a
+    cycle with the tree path between its endpoints and marks that path.
+    Union-find skips the marked stretches: `up[v]` is v while v's tree edge
+    to its parent is unmarked, so each tree edge is marked once. The tree
+    edges left unmarked are the bridges.
+    """
+    root = g.vertices[0]
+    parent = {root: root}
+    depth = {root: 0}
+    order = [root]
+    for v in order:  # grows as the walk goes
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+    up = {v: v for v in order}
+
+    def find(v: int) -> int:
+        top = v
+        while up[top] != top:
+            top = up[top]
+        while up[v] != top:  # compress the path walked
+            up[v], v = top, up[v]
+        return top
+
+    out: list[Edge] = []
+    for u, w in g.edges():
+        if parent[w] == u or parent[u] == w:
+            continue
+        out.append((u, w))
+        a, b = find(u), find(w)
+        while a != b:  # the deeper one lies below the endpoints' meeting point
+            if depth[a] < depth[b]:
+                a, b = b, a
+            up[a] = parent[a]
+            a = find(a)
+    out += [edge(v, parent[v]) for v in order[1:] if up[v] != v]
+    out.sort()
+    return out
 
 
 def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[frozenset[int]]:

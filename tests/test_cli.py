@@ -288,3 +288,30 @@ class TestOneParserPerProcess:
                 fresh.stdout,
                 fresh.stderr,
             ), argv
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_rmis_matches_main(self, bull_file, monkeypatch):
+        # `python -m rmis` from a checkout, with only `src` on the path, gives
+        # the bytes and exit codes of `cli.main`: 0 and 1 answer, 2 is an error
+        monkeypatch.setenv("PYTHONPATH", str(Path(rmis.__file__).resolve().parents[1]))
+        runs = [
+            ["gen", "bull"],
+            ["verify", bull_file, "--set", "0,3,4"],
+            ["verify", bull_file, "--set", "0,2"],
+            ["verify", bull_file, "--set", "0,9"],  # unknown vertex
+        ]
+        codes = []
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            fresh = subprocess.run([sys.executable, "-m", "rmis", *argv], capture_output=True, text=True, timeout=60)
+            assert (fresh.returncode, fresh.stdout, fresh.stderr) == (rc, out.getvalue(), err.getvalue()), argv
+            codes.append((rc, fresh.stdout))
+        assert codes == [
+            (0, to_edge_list(gen_bull())),
+            (0, "ROBUST\n"),
+            (1, "NOT-ROBUST\n"),
+            (2, ""),
+        ]

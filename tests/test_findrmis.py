@@ -373,7 +373,7 @@ class TestLabeling:
         sq = gen_cycle(4)
         rt = rooted_at(sq, {0, 1, 2, 3})
         got = component_probe(component_core(rt, rt.root, []), ())
-        assert got == frozenset({1, 3})  # ties resolve away from the lowest vertex
+        assert got == (1, 3)  # ties resolve away from the lowest vertex
 
 
 class TestWellLabeled:
@@ -470,28 +470,59 @@ class TestSharedCore:
 
 
 class TestRetainedMemory:
-    def test_labelled_tree_bytes_per_node(self):
-        # what one search keeps alive per ABC tree node on a built graph: the
-        # rooted tree and its labels. A label dict of frozensets per node
-        # retained 926 B per node on gk(1600), and tag masks in flat lists
-        # with sets only on component nodes 512 B with an `AbcNode` per node.
-        # Flat per-node kinds and vertices retain 464 B; keeping the unrooted
-        # tree's adjacency alive as well reads 561 B
-        g = gen_gk(1600).graph
+    @staticmethod
+    def traced(fn):
+        """`fn()`, and the bytes it left allocated and its peak above the
+        start, after one full collection."""
         gc.collect()
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
+            tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            run = run_labeling(g)
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1]
             gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
+            retained = tracemalloc.get_traced_memory()[0]
         finally:
             if started:
                 tracemalloc.stop()
+        return out, retained - before, peak - before
+
+    def test_labelled_tree_bytes_per_node(self):
+        # what one search keeps alive per ABC tree node on a built graph: the
+        # rooted tree and its labels. A label dict of frozensets per node
+        # retained 926 B per node on gk(1600), and tag masks in flat lists
+        # with sets only on component nodes 512 B with an `AbcNode` per node.
+        # Flat per-node kinds and vertices retain 464 B with a frozenset of
+        # each component's members per tag, and 284 B with a vertex tuple
+        g = gen_gk(1600).graph
+        run, retained, _ = self.traced(lambda: run_labeling(g))
         per_node = retained / len(run.rooted.nodes)
-        assert per_node <= 540, f"{per_node:.0f} B per tree node"
+        assert per_node <= 360, f"{per_node:.0f} B per tree node"
+
+    def test_search_peak_bytes_per_vertex(self):
+        # the most a search holds at once above the built graph: 337 B per
+        # vertex on gk(1600) while the tree was built beside the whole
+        # block-pass result and components kept frozensets, and 251 B, the
+        # peak of the block pass itself, without
+        g = gen_gk(1600).graph
+        _, _, peak = self.traced(lambda: run_labeling(g))
+        per_vertex = peak / g.n
+        assert per_vertex <= 260, f"{per_vertex:.0f} B per vertex"
+
+    def test_search_keeps_no_collector_tracked_objects(self):
+        # a frozenset per component and tag stays tracked by the cyclic
+        # collector (one object per tree node on gk(1600)); tuples of ints
+        # are untracked by the first collection that sees them
+        g = gen_gk(1600).graph
+        gc.collect()
+        before = len(gc.get_objects())
+        run = run_labeling(g)
+        gc.collect()
+        per_node = (len(gc.get_objects()) - before) / len(run.rooted.nodes)
+        assert per_node <= 0.05, f"{per_node:.2f} tracked objects per tree node"
 
 
 class TestScaling:

@@ -14,7 +14,9 @@ from rmis.generators import (
     gen_random_connected,
     gen_random_sputnik,
 )
+from rmis import graph, oracle
 from rmis.oracle import (
+    cycle_edges,
     enumerate_mis,
     enumerate_robust_mis,
     format_vertex_set,
@@ -25,7 +27,7 @@ from rmis.oracle import (
     parse_vertex_set,
 )
 
-from conftest import connected_graphs, reference_is_robust_mis
+from conftest import brute_bridges, connected_graphs, reference_is_robust_mis
 
 BULL = gen_bull()
 TRIANGLE = gen_cycle(3)
@@ -146,6 +148,26 @@ class TestBruteforce:
         with pytest.raises(GraphError, match="is_robust_mis"):
             is_robust_mis_bruteforce(big, {0, 2, 4, 6, 8}, max_removable=5)
 
+    def test_cap_fails_fast_on_a_large_graph(self):
+        # gk(1600) has 9,606 vertices and 12,806 removable edges; reaching
+        # the cap costs a few linear passes, not a search
+        inst = gen_gk(1600)
+        with pytest.raises(GraphError, match="12806 removable edges exceeds cap 20; use is_robust_mis instead"):
+            is_robust_mis_bruteforce(inst.graph, inst.m1)
+
+    def test_does_not_use_the_block_pass(self, monkeypatch):
+        # the definitional checker must not trust the decomposition it
+        # judges: a wrong bridge there would fool every checker at once
+        def refuse(*args, **kwargs):
+            raise AssertionError("the brute-force checker called the block pass")
+
+        for module in (graph, oracle):
+            monkeypatch.setattr(module, "blocks", refuse)
+            monkeypatch.setattr(module, "bridges", refuse, raising=False)
+        inst = gen_gk(1)
+        assert is_robust_mis_bruteforce(inst.graph, inst.m1)
+        assert not is_robust_mis_bruteforce(BULL, {1, 4})
+
     def test_deep_search_is_not_bounded_by_the_recursion_limit(self):
         # a 20x20 grid plus a vertex joined to the last two grid vertices,
         # with the even checkerboard class as the set: the search removes
@@ -161,6 +183,35 @@ class TestBruteforce:
             assert not is_robust_mis_bruteforce(g, even, max_removable=1000)
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestCycleEdges:
+    """The brute-force checker's removable edges, against the definition
+    (delete the edge, test connectivity) and against networkx."""
+
+    def test_small_shapes(self):
+        assert cycle_edges(Graph([5])) == []
+        assert cycle_edges(gen_path(4)) == []
+        assert cycle_edges(BULL) == [(1, 2), (1, 3), (2, 3)]
+        assert cycle_edges(gen_cycle(5)) == list(gen_cycle(5).edges())
+
+    def test_small_corpus_against_delete_and_test(self, small_corpus):
+        for g in small_corpus:
+            assert cycle_edges(g) == sorted(set(g.edges()) - brute_bridges(g)), g.edges()
+
+    def test_random_sparse_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(52)
+        for n, extra in ((30, 3), (200, 20), (2_000, 150), (5_000, 2_500)):
+            edges = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
+            while len(edges) < n - 1 + extra:
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.append((u, v))
+            g = Graph(range(n), edges)
+            ng = nx.Graph(g.edges())
+            expect = set(g.edges()) - {(min(e), max(e)) for e in nx.bridges(ng)}
+            assert cycle_edges(g) == sorted(expect)
 
 
 class TestEnumeration:
