@@ -57,6 +57,7 @@ from .generators import (
     gen_path,
     gen_random_connected,
     gen_random_sputnik,
+    gen_sparse_connected,
     gen_square,
     gen_triangle,
 )

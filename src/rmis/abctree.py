@@ -119,7 +119,7 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     found = blocks(g, op)
     arts = sorted(found.articulation_points)
     bridges = sorted(found.bridges)
-    members = [tuple(sorted(c)) for c in found.components if len(c) >= 3]  # sorted by vertices already
+    members = [c for c in found.components if len(c) >= 3]  # sorted tuples, in sorted order
     del found
     adj = g._adj
     pend = [v for v in g.vertices if len(adj[v]) <= 1]

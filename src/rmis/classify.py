@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, blocks, is_connected, pendant_vertices
+from .graph import Graph, GraphError, blocks, is_connected
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,28 @@ def is_sputnik(g: Graph) -> bool:
 
     Trees qualify vacuously, including the single-vertex graph.
     """
-    pendants = pendant_vertices(g)
-    return all(g.neighbors(v) & pendants for v in cycle_vertices(g, "is_sputnik"))
+    return _sputnik_rule(g._adj, blocks(g, "is_sputnik").components)
+
+
+def _sputnik_rule(adj: Mapping[int, Set[int]], components: list[tuple[int, ...]]) -> bool:
+    """The sputnik rule on the block pass's components: each vertex of a
+    component with three or more vertices, which is each vertex on a cycle,
+    is next to a degree-1 vertex. One scan of the adjacency finds those.
+    """
+    hosts = {w for ns in adj.values() if len(ns) == 1 for w in ns}
+    return all(hosts.issuperset(c) for c in components if len(c) >= 3)
 
 
 def in_rmis_forall(g: Graph) -> ClassVerdict:
     """Does every MIS of `g` stay maximal under connectivity-preserving edge
     removal? Holds exactly when `g` is complete bipartite or a sputnik.
+
+    One block pass serves as the connectivity check of both tests and
+    gives the sputnik test its cycle vertices.
     """
-    parts = is_complete_bipartite(g)
-    sputnik = is_sputnik(g)
+    components = blocks(g, "is_complete_bipartite").components
+    parts = complete_bipartite_sides(g._adj)
+    sputnik = _sputnik_rule(g._adj, components)
     return ClassVerdict(
         complete_bipartite=parts is not None,
         sputnik=sputnik,

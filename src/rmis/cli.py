@@ -238,6 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--edge-prob", type=float, required=True)
     q.add_argument("--seed", type=int, required=True)
     q.set_defaults(make=lambda a: generators.gen_random_connected(a.n, a.edge_prob, a.seed))
+    q = gsub.add_parser("sparse-connected")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--extra", type=int, required=True, help="random chords on top of the spanning tree")
+    q.add_argument("--seed", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_sparse_connected(a.n, a.extra, a.seed))
     q = gsub.add_parser("random-sputnik")
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--seed", type=int, required=True)

@@ -114,6 +114,28 @@ def gen_random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     return g
 
 
+def gen_sparse_connected(n: int, extra: int, seed: int) -> Graph:
+    """Seeded random spanning tree plus `extra` random chords, in time
+    linear in n + extra: vertex v > 0 joins a random earlier vertex, then
+    each chord joins two distinct random vertices (a chord that repeats an
+    edge collapses into it).
+    """
+    if n < 1:
+        raise GraphError("need at least one vertex")
+    if extra < 0:
+        raise GraphError("extra must be non-negative")
+    if extra and n < 2:
+        raise GraphError("chords need at least two vertices")
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    while extra:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((u, v))
+            extra -= 1
+    return Graph(range(n), edges)
+
+
 def gen_random_sputnik(seed: int, size: int) -> Graph:
     """Random connected graph with a fresh pendant hung on every cycle
     vertex that lacks one; at most doubles the vertex count.

@@ -7,7 +7,7 @@ function, so shared instances are safe to use from multiple threads.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import NamedTuple
 
 Edge = tuple[int, int]
@@ -146,8 +146,16 @@ def from_edge_list(text: str) -> Graph:
                 raise _line_error(lines, lineno, "negative vertex id in")
             if u == v:
                 raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            ns = adj.get(u)  # a set is built only for a new vertex
+            if ns is None:
+                adj[u] = {v}
+            else:
+                ns.add(v)
+            ns = adj.get(v)
+            if ns is None:
+                adj[v] = {u}
+            else:
+                ns.add(u)
         elif parts:
             try:
                 nums = list(map(int, parts))
@@ -159,7 +167,8 @@ def from_edge_list(text: str) -> Graph:
                 raise _line_error(lines, lineno, "negative vertex id in")
             if len(nums) != 1:
                 raise EdgeListParseError(lineno, f"expected 1 or 2 integers, got {len(nums)}")
-            adj.setdefault(nums[0], set())
+            if nums[0] not in adj:
+                adj[nums[0]] = set()
     if not adj:
         raise EdgeListParseError(0, "empty edge list")
     g = Graph.__new__(Graph)
@@ -242,70 +251,100 @@ def pendant_vertices(g: Graph) -> set[int]:
 class Blocks(NamedTuple):
     articulation_points: set[int]
     bridges: set[Edge]
-    components: list[frozenset[int]]  # edge-based, sorted by vertex content
-    # the component each vertex was popped into (the root: its last one); an
-    # edge lies in block_of[x] for its endpoint x found later in the search
-    block_of: dict[int, frozenset[int]]
+    components: list[tuple[int, ...]]  # edge-based, sorted tuples, in sorted order
+    number: dict[int, int]  # the order in which the search reached each vertex
+    # per number, the index in `components` of the block holding the tree edge
+    # into that vertex (-1 for the root, number 0). An edge lies in the block
+    # of its endpoint numbered later
+    block_of: list[int]
 
 
 def blocks(g: Graph, op: str = "blocks") -> Blocks:
     """One iterative depth-first pass computing articulation points, bridges,
-    and biconnected components (as vertex sets), after Hopcroft and Tarjan.
+    and biconnected components (as sorted vertex tuples), after Hopcroft and
+    Tarjan.
 
-    Visited vertices wait on a stack. When a child `v` of `p` finishes with
-    no back edge from its subtree above `p`, the vertices down to `v`, plus
-    `p`, form one component. Every edge lies in exactly one component;
-    size-2 components are exactly the bridges. Only `block_of` depends on
-    the order in which neighbours are visited; the rest does not.
+    The state lives in flat lists indexed by DFS number: `low`, the vertex
+    of each number, and the block of each vertex's tree edge. The path is two
+    parallel lists, numbers and neighbour iterators; reached numbers wait on
+    a stack. When a child `x` of `p` finishes with no edge from its subtree
+    above `p`, the numbers down to `x`, plus `p`, form one component. The
+    edge to the parent may count toward `low`: that only ever equals `p`,
+    which still closes the component. Every edge lies in exactly one
+    component; size-2 components are exactly the bridges. Only `number`, and
+    so the order of `block_of`, depends on the order in which neighbours are
+    visited.
 
     Raises GraphError naming `op` when the pass does not reach every vertex.
     """
+    adj = g._adj
+    n = g.n
     root = g.vertices[0]
-    disc = {root: 0}
-    low = {root: 0}
+    number = dict.fromkeys(adj)  # sized once; None until reached
+    number[root] = 0
+    vertex = [root]
+    low = [0] * n
+    block_of = [-1] * n
+    path = [0]
+    path_iters = [iter(adj[root])]
+    reached = [0]
     aps: set[int] = set()
     brs: set[Edge] = set()
-    comps: list[frozenset[int]] = []
-    block_of: dict[int, frozenset[int]] = {}
-    visited = [root]
+    comps: list[tuple[int, ...]] = []
     root_blocks = 0
-    stack: list[tuple[int, int | None, Iterator[int]]] = [(root, None, iter(g.neighbors(root)))]
-    while stack:
-        v, p, it = stack[-1]
-        for w in it:
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                visited.append(w)
-                stack.append((w, v, iter(g.neighbors(w))))
+    while path:
+        x = path[-1]
+        lx = low[x]
+        for w in path_iters[-1]:
+            k = number[w]
+            if k is None:
+                low[x] = lx
+                number[w] = k = len(vertex)
+                vertex.append(w)
+                low[k] = k
+                reached.append(k)
+                path.append(k)
+                path_iters.append(iter(adj[w]))
                 break
-            if w != p and disc[w] < low[v]:
-                low[v] = disc[w]
+            if k < lx:
+                lx = k
         else:
-            stack.pop()
-            if p is None:
+            path.pop()
+            path_iters.pop()
+            if not path:
+                break
+            p = path[-1]
+            if lx < p:
+                if lx < low[p]:
+                    low[p] = lx
                 continue
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] >= disc[p]:
-                members = {p, v}
-                while (u := visited.pop()) != v:
-                    members.add(u)
-                comp = frozenset(members)
-                comps.append(comp)
-                for u in comp:  # p is popped later, and set again then
-                    block_of[u] = comp
-                if len(members) == 2:
-                    brs.add(edge(p, v))
-                if p != root:
-                    aps.add(p)
-                else:
-                    root_blocks += 1
-    if len(disc) != g.n:
+            b = len(comps)
+            block_of[x] = b
+            members = [vertex[p], vertex[x]]
+            while (k := reached.pop()) != x:
+                block_of[k] = b
+                members.append(vertex[k])
+            members.sort()
+            comps.append(tuple(members))
+            if len(members) == 2:
+                brs.add(comps[-1])
+            if p:
+                aps.add(vertex[p])
+            else:
+                root_blocks += 1
+    if len(vertex) != n:
         raise GraphError(f"{op} requires a connected graph")
     if root_blocks > 1:
         aps.add(root)
-    comps.sort(key=lambda c: tuple(sorted(c)))
-    return Blocks(aps, brs, comps, block_of)
+    del low, vertex, reached  # so that the renumbering does not set the peak
+    # renumber the blocks in sorted order; rank[-1] is -1, so the root keeps it
+    order = sorted(range(len(comps)), key=comps.__getitem__)
+    comps = [comps[b] for b in order]
+    rank = [-1] * (len(order) + 1)
+    for i, b in enumerate(order):
+        rank[b] = i
+    del order
+    return Blocks(aps, brs, comps, number, list(map(rank.__getitem__, block_of)))
 
 
 def articulation_points(g: Graph) -> set[int]:
@@ -320,7 +359,7 @@ def bridges(g: Graph) -> set[Edge]:
 
 def biconnected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal 2-vertex-connected subgraphs as vertex sets (see `blocks`)."""
-    return blocks(g, "biconnected_components").components
+    return [frozenset(c) for c in blocks(g, "biconnected_components").components]
 
 
 # ---------------------------------------------------------------------------

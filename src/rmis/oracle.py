@@ -72,17 +72,16 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     u = suspects[0]
     if _reaches_all(g, u, g.neighbors(u) - members):
         return False
-    aps, _, _, block_of = blocks(g, "is_robust_mis")
+    aps, _, _, number, block_of = blocks(g, "is_robust_mis")
     for u in suspects[1:]:
         if u not in aps:
             return False  # u's one block keeps u's edge to a non-member
-        own = block_of[u]
-        every: set[frozenset[int]] = set()
-        kept: set[frozenset[int]] = set()
+        k = number[u]
+        every: set[int] = set()
+        kept: set[int] = set()
         for w in g.neighbors(u):
-            b = block_of[w]
-            if u not in b:
-                b = own  # u is the endpoint found later in the search
+            j = number[w]
+            b = block_of[j if j > k else k]  # the endpoint numbered later
             every.add(b)
             if w not in members:
                 kept.add(b)

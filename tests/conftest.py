@@ -14,6 +14,8 @@ their results.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import deque
 from collections.abc import Iterator
 from itertools import combinations
@@ -204,6 +206,27 @@ def _connected_edges(n: int, edges: list[tuple[int, int]]) -> bool:
             parent[ru] = rv
             comps -= 1
     return comps == 1
+
+
+def traced(fn):
+    """`fn()`, and the bytes it left allocated and its peak above the start,
+    after one full collection.
+    """
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, retained - before, peak - before
 
 
 @pytest.fixture(scope="session")

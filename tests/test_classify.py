@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from rmis import classify, graph
 from rmis.classify import complete_bipartite_sides, in_rmis_forall, is_complete_bipartite, is_sputnik
 from rmis.graph import Graph, GraphError
 from rmis.generators import (
@@ -15,7 +16,7 @@ from rmis.generators import (
 )
 from rmis.oracle import enumerate_mis, is_robust_mis
 
-from conftest import connected_graphs
+from conftest import connected_graphs, traced
 
 
 def reference_sides(adj):
@@ -226,3 +227,36 @@ class TestRmisForall:
             assert in_rmis_forall(sp).rmis_forall
         for k in range(4):
             assert not in_rmis_forall(gen_gk(k).graph).rmis_forall
+
+
+class TestOnePass:
+    def test_one_block_pass_and_no_search(self, monkeypatch):
+        # the block pass is the connectivity check too: no BFS runs
+        calls = []
+        real = classify.blocks
+
+        def counted(g, op="blocks"):
+            calls.append(op)
+            return real(g, op)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("in_rmis_forall ran a connectivity search")
+
+        shapes = [Graph([0]), gen_bull(), gen_cycle(4), gen_complete_bipartite(3, 4), gen_gk(3).graph, gen_random_sputnik(2, 60)]
+        monkeypatch.setattr(classify, "blocks", counted)
+        monkeypatch.setattr(graph, "bfs_distances", refuse)
+        for g in shapes:
+            calls.clear()
+            in_rmis_forall(g)
+            assert calls == ["is_complete_bipartite"], g
+        with pytest.raises(GraphError, match="^is_complete_bipartite requires a connected graph$"):
+            in_rmis_forall(Graph(edges=[(0, 1), (2, 3)]))
+
+    def test_peak_bytes_per_vertex(self):
+        # 251 B per vertex on gk(1600) with a separate search, the block
+        # pass's dicts and frozensets, and a union set of the cycle vertices
+        g = gen_gk(1600).graph
+        verdict, _, peak = traced(lambda: in_rmis_forall(g))
+        assert not verdict.rmis_forall
+        per_vertex = peak / g.n
+        assert per_vertex <= 160, f"{per_vertex:.0f} B per vertex"

@@ -81,6 +81,16 @@ class TestClassify:
         assert main(["classify", bull_file]) == 1
         assert json.loads(capsys.readouterr().out)["rmis_forall"] is False
 
+    def test_disconnected_is_an_input_error(self, tmp_path, capsys):
+        # the block pass doubles as the connectivity check and keeps the
+        # message the separate search gave
+        path = tmp_path / "two-edges.edges"
+        path.write_text("0 1\n2 3\n")
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: is_complete_bipartite requires a connected graph\n"
+
 
 class TestVerify:
     def test_robust(self, bull_file, capsys):
@@ -123,6 +133,7 @@ class TestGen:
             ["gen", "lollipop", "--path-len", "3", "--clique-size", "3"],
             ["gen", "random-connected", "--n", "9", "--edge-prob", "0.3", "--seed", "4"],
             ["gen", "random-sputnik", "--size", "9", "--seed", "4"],
+            ["gen", "sparse-connected", "--n", "9", "--extra", "3", "--seed", "4"],
         ]
         for argv in calls:
             assert main(argv) == 0

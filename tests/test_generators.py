@@ -13,6 +13,7 @@ from rmis.generators import (
     gen_path,
     gen_random_connected,
     gen_random_sputnik,
+    gen_sparse_connected,
     gen_square,
     gen_triangle,
 )
@@ -133,6 +134,34 @@ class TestRandomFamilies:
     def test_reproducible(self):
         assert gen_random_connected(12, 0.3, 9) == gen_random_connected(12, 0.3, 9)
         assert gen_random_sputnik(9, 17) == gen_random_sputnik(9, 17)
+
+    def test_sparse_connected_shape(self):
+        rng = random.Random(3)
+        for i in range(40):
+            n, extra = rng.randint(2, 60), rng.randint(0, 30)
+            g = gen_sparse_connected(n, extra, i)
+            assert g.vertices == tuple(range(n)) and is_connected(g)
+            assert n - 1 <= g.num_edges <= n - 1 + extra
+        assert gen_sparse_connected(1, 0, 5).n == 1
+        assert gen_sparse_connected(40, 25, 9) == gen_sparse_connected(40, 25, 9)
+
+    def test_sparse_connected_draws_tree_then_chords(self):
+        # vertex v > 0 joins a random earlier vertex, then each chord joins
+        # two distinct random vertices, in that order of draws
+        rng = random.Random(7)
+        edges = {tuple(sorted((rng.randrange(v), v))) for v in range(1, 30)}
+        chords = 0
+        while chords < 12:
+            u, v = rng.randrange(30), rng.randrange(30)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+                chords += 1
+        assert set(gen_sparse_connected(30, 12, 7).edges()) == edges
+
+    def test_sparse_connected_guards(self):
+        for n, extra in ((0, 0), (3, -1), (1, 1)):
+            with pytest.raises(GraphError):
+                gen_sparse_connected(n, extra, 0)
 
     def test_sputnik_by_construction(self):
         rng = random.Random(1)

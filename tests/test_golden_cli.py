@@ -66,6 +66,7 @@ FAMILY_CALLS = [
     ["lollipop", "--path-len", "3", "--clique-size", "3"],
     ["random-connected", "--n", "9", "--edge-prob", "0.3", "--seed", "4"],
     ["random-sputnik", "--size", "9", "--seed", "4"],
+    ["sparse-connected", "--n", "12", "--extra", "4", "--seed", "4"],
 ]
 
 GEN_CALLS = [

@@ -11,6 +11,7 @@ from rmis.graph import (
     articulation_points,
     ball,
     biconnected_components,
+    blocks,
     bridges,
     from_edge_list,
     is_bipartite,
@@ -27,6 +28,7 @@ from conftest import (
     brute_bridges,
     connected_graphs,
     diameter,
+    traced,
 )
 
 
@@ -215,6 +217,18 @@ class TestLowlinkDecompositions:
                 assert len(holders) == 1
                 if len(holders[0]) >= 3:
                     assert (u, v) not in brs
+
+
+class TestBlockPassMemory:
+    def test_peak_bytes_per_vertex(self):
+        # disc and low dicts, a (vertex, parent, iterator) tuple per path
+        # frame, a frozenset per block and a vertex-to-block dict peaked at
+        # 251 B per vertex on gk(1600); flat lists by DFS number and a sorted
+        # tuple per block stay well below
+        g = gen_gk(1600).graph
+        _, _, peak = traced(lambda: blocks(g))
+        per_vertex = peak / g.n
+        assert per_vertex <= 160, f"{per_vertex:.0f} B per vertex"
 
 
 class TestBipartite:
