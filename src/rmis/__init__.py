@@ -58,6 +58,7 @@ from .generators import (
     gen_random_connected,
     gen_random_sputnik,
     gen_sparse_connected,
+    gen_sparse_sputnik,
     gen_square,
     gen_triangle,
 )

@@ -23,13 +23,26 @@ def complete_bipartite_sides(adj: Mapping[int, Set[int]]) -> tuple[set[int], set
     V2 is the neighborhood of the smallest vertex and V1 every other vertex.
     A map that is not closed (some neighbor is not a key) gives None, never
     a KeyError: sides are returned only when every neighborhood is V1 or V2,
-    both inside the keys. Linear in the map's size, with no search.
+    both inside the keys.
+
+    Each V1 neighborhood is compared with the smallest vertex's, and each V2
+    neighborhood with that of one V2 vertex, which is checked once against
+    V1; a comparison tries identity before content. So the cost is linear
+    in the map's size, with no search, and linear in the number of keys
+    when equal neighborhoods are one shared object, as in the LOCAL
+    simulator's gathered maps.
     """
-    v2 = set(adj[min(adj)])
+    nbhd1 = adj[min(adj)]
+    v2 = set(nbhd1)
     if not v2 or not v2 <= adj.keys():
         return None
     v1 = adj.keys() - v2
-    if all(adj[v] == v2 for v in v1) and all(adj[v] == v1 for v in v2):
+    nbhd2 = adj[next(iter(v2))]
+    if nbhd2 != v1:
+        return None
+    if all(adj[v] is nbhd1 or adj[v] == nbhd1 for v in v1) and all(
+        adj[v] is nbhd2 or adj[v] == nbhd2 for v in v2
+    ):
         return v1, v2
     return None
 

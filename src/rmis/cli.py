@@ -247,6 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--seed", type=int, required=True)
     q.set_defaults(make=lambda a: generators.gen_random_sputnik(a.seed, a.size))
+    q = gsub.add_parser("sparse-sputnik")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--extra", type=int, required=True, help="random chords on top of the spanning tree")
+    q.add_argument("--seed", type=int, required=True)
+    q.set_defaults(make=lambda a: generators.gen_sparse_sputnik(a.n, a.extra, a.seed))
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("simulate", help="run the distributed program in lock-step rounds")

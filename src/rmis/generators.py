@@ -144,7 +144,21 @@ def gen_random_sputnik(seed: int, size: int) -> Graph:
         raise GraphError("need at least one vertex")
     rng = random.Random(seed)
     edge_prob = min(1.0, rng.uniform(1.2, 3.0) / max(size, 2))
-    base = gen_random_connected(size, edge_prob, rng.randrange(2**32))
+    return _with_pendants(gen_random_connected(size, edge_prob, rng.randrange(2**32)))
+
+
+def gen_sparse_sputnik(n: int, extra: int, seed: int) -> Graph:
+    """`gen_sparse_connected(n, extra, seed)` with a fresh pendant hung on
+    every cycle vertex that lacks one: a sputnik on at most 2n vertices,
+    built in time near linear in n + extra (a block pass and two sorts).
+    """
+    return _with_pendants(gen_sparse_connected(n, extra, seed))
+
+
+def _with_pendants(base: Graph) -> Graph:
+    """`base` plus a new degree-1 vertex on each cycle vertex, in increasing
+    order, that has no degree-1 neighbor; new ids follow the largest one.
+    """
     pend = pendant_vertices(base)
     extra: list[Edge] = []
     next_id = max(base.vertices) + 1

@@ -46,7 +46,8 @@ class Graph:
         for v in vertices:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise GraphError(f"vertex ids must be non-negative integers, got {v!r}")
-            adj.setdefault(v, set())
+            if v not in adj:
+                adj[v] = set()
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -54,8 +55,16 @@ class Graph:
                 raise GraphError(f"vertex ids must be non-negative integers, got {u!r}")
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise GraphError(f"vertex ids must be non-negative integers, got {v!r}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+            ns = adj.get(u)  # a set is built only for a new vertex
+            if ns is None:
+                adj[u] = {v}
+            else:
+                ns.add(v)
+            ns = adj.get(v)
+            if ns is None:
+                adj[v] = {u}
+            else:
+                ns.add(u)
         if not adj:
             raise GraphError("a graph needs at least one vertex")
         self._freeze(adj)

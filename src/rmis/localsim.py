@@ -13,6 +13,12 @@ that neighbor that leads back to v.
 
 Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
+
+An `RmisForallProgram` object gives equal neighborhoods one shared
+frozenset object across the nodes it serves. This is a device of the
+simulator, to save time and memory: the shared value is immutable and equal
+to the one the node built, so no information passes between nodes, and
+programs must not rely on object identity.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .classify import complete_bipartite_sides
@@ -208,7 +215,19 @@ class RmisForallProgram(NodeProgram):
     linear in the forest size rather than the best known bounds, so only
     the outputs, not round counts, are contractual outside the complete
     bipartite case.
+
+    Nodes with equal neighborhoods hold one frozenset object, taken from a
+    table the program object keeps (`_shared`), so one copy of each
+    distinct neighborhood stays alive and the bipartite test compares them
+    by identity. This is a simulator device, not part of the algorithm: the
+    table only swaps a node's immutable neighborhood for an equal one, and
+    nothing may depend on object identity.
     """
+
+    @cached_property
+    def _shared(self) -> dict[frozenset[int], frozenset[int]]:
+        """Neighborhood -> the one object that stands for it."""
+        return {}
 
     def init(self, ident: int, degree: int) -> _GatherState:
         return _GatherState(ident, degree)
@@ -225,7 +244,8 @@ class RmisForallProgram(NodeProgram):
         if state.round == 1:
             for port, (_, ident) in sorted(inbox.items()):
                 state.port_ids[port] = ident
-            state.adj[state.ident] = frozenset(state.port_ids.values())
+            nbhd = frozenset(state.port_ids.values())
+            state.adj[state.ident] = self._shared.setdefault(nbhd, nbhd)
         elif state.round in (2, 3):
             merged: dict[int, frozenset[int]] = {}  # fresh: state.adj was sent
             for _, mapping in inbox.values():

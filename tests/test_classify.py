@@ -51,6 +51,22 @@ def k_map(m, n):
     return {v: set(right if v in left else left) for v in left | right}
 
 
+def k_map_less_one_edge(m, n):
+    """K_{m,n} without the edge between the last vertex of each side."""
+    adj = k_map(m, n)
+    adj[m - 1].discard(m + n - 1)
+    adj[m + n - 1].discard(m - 1)
+    return adj
+
+
+def k_map_plus_inside_edge(m, n):
+    """K_{m,n}, n >= 2, with an edge between two vertices of the second side."""
+    adj = k_map(m, n)
+    adj[m].add(m + 1)
+    adj[m + 1].add(m)
+    return adj
+
+
 class TestCompleteBipartiteSides:
     def test_matches_definition_on_small_corpus(self, small_corpus):
         positives = 0
@@ -73,18 +89,14 @@ class TestCompleteBipartiteSides:
     def test_one_edge_missing(self):
         for m in range(1, 7):
             for n in range(1, 7):
-                adj = k_map(m, n)
-                adj[m - 1].discard(m + n - 1)
-                adj[m + n - 1].discard(m - 1)
+                adj = k_map_less_one_edge(m, n)
                 assert complete_bipartite_sides(adj) is None
                 assert reference_sides(adj) is None
 
     def test_one_edge_inside_a_side(self):
         for m in range(1, 7):
             for n in range(2, 7):
-                adj = k_map(m, n)
-                adj[m].add(m + 1)
-                adj[m + 1].add(m)
+                adj = k_map_plus_inside_edge(m, n)
                 assert complete_bipartite_sides(adj) is None
                 assert reference_sides(adj) is None
 
@@ -117,39 +129,117 @@ def radius_two_views(g):
         yield {u: g.neighbors(u) for u in near}
 
 
+def open_maps():
+    closed = k_map(2, 2)
+    return [
+        {0: {1, 5}, 1: {0}},
+        {0: {5}},
+        {0: {1}, 1: {0, 7}},
+        {0: set(), 1: {2}},
+        {**closed, 4: {0, 9}},
+        {**closed, 3: {0, 1, 8}},
+    ]
+
+
+def view_graphs(small_corpus):
+    """The graphs whose radius-two views the closure tests run on."""
+    graphs = list(small_corpus)
+    graphs += [gen_complete_bipartite(a, b) for a in range(1, 8) for b in range(1, 8)]
+    rng = random.Random(13)
+    graphs += [gen_random_sputnik(900 + i, rng.randint(3, 40)) for i in range(30)]
+    return graphs
+
+
 class TestOpenMaps:
     """`complete_bipartite_sides` doubles as the closure test of the LOCAL
     program, so maps naming vertices that are not keys must give None.
     """
 
     def test_open_maps_give_none(self):
-        closed = k_map(2, 2)
-        assert complete_bipartite_sides(closed) is not None
-        unseen = {**closed, 4: {0, 9}}
-        open_maps = [
-            {0: {1, 5}, 1: {0}},
-            {0: {5}},
-            {0: {1}, 1: {0, 7}},
-            {0: set(), 1: {2}},
-            unseen,
-            {**closed, 3: {0, 1, 8}},
-        ]
-        for adj in open_maps:
+        assert complete_bipartite_sides(k_map(2, 2)) is not None
+        for adj in open_maps():
             assert complete_bipartite_sides(adj) is None, adj
             assert closed_sides_reference(adj) is None, adj
 
     def test_radius_two_views_match_the_closed_rule(self, small_corpus):
-        graphs = list(small_corpus)
-        graphs += [gen_complete_bipartite(a, b) for a in range(1, 8) for b in range(1, 8)]
-        rng = random.Random(13)
-        graphs += [gen_random_sputnik(900 + i, rng.randint(3, 40)) for i in range(30)]
         answers = Counter()
-        for g in graphs:
+        for g in view_graphs(small_corpus):
             for view in radius_two_views(g):
                 got = complete_bipartite_sides(view)
                 assert got == closed_sides_reference(view), (g.edges(), view)
                 answers[got is not None] += 1
         assert answers[True] > 0 and answers[False] > 0
+
+
+def shared(adj):
+    """`adj` with each group of equal neighborhoods as one frozenset object,
+    as the LOCAL program's gathered maps hold them.
+    """
+    table = {}
+    out = {}
+    for v, ns in adj.items():
+        ns = frozenset(ns)
+        out[v] = table.setdefault(ns, ns)
+    return out
+
+
+def copied(adj):
+    """`adj` with every neighborhood a distinct set object."""
+    return {v: set(ns) for v, ns in adj.items()}
+
+
+class CountingNbhd(frozenset):
+    """A neighborhood that counts the `==` calls made on it."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingNbhd.calls += 1
+        return frozenset.__eq__(self, other)
+
+    __hash__ = frozenset.__hash__
+
+
+class TestSharedNeighborhoods:
+    """`complete_bipartite_sides` compares by identity before content; the
+    answer must not depend on whether equal neighborhoods are shared.
+    """
+
+    def maps(self, small_corpus):
+        for g in small_corpus:
+            yield {v: g.neighbors(v) for v in g}
+        for m in range(1, 7):
+            for n in range(1, 7):
+                yield k_map(m, n)
+                yield k_map_less_one_edge(m, n)
+                if n >= 2:
+                    yield k_map_plus_inside_edge(m, n)
+        yield {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+        yield from open_maps()
+        for g in view_graphs(small_corpus):
+            yield from radius_two_views(g)
+
+    def test_shared_and_copied_maps_agree(self, small_corpus):
+        answers = Counter()
+        for adj in self.maps(small_corpus):
+            got = complete_bipartite_sides(shared(adj))
+            assert got == complete_bipartite_sides(copied(adj)) == complete_bipartite_sides(adj), adj
+            answers[got is not None] += 1
+        assert answers[True] > 0 and answers[False] > 0
+
+    def test_shared_maps_compare_by_identity(self):
+        # on a shared K_{m,n} map no neighborhood is compared by content
+        # with another; copies are, once per vertex but the one per side
+        # that the others are compared with
+        for m, n in ((1, 1), (3, 4), (40, 25)):
+            left, right = CountingNbhd(range(m, m + n)), CountingNbhd(range(m))
+            one = {v: left if v < m else right for v in range(m + n)}
+            copies = {v: CountingNbhd(one[v]) for v in one}
+            CountingNbhd.calls = 0
+            assert complete_bipartite_sides(one) == (set(range(m)), set(range(m, m + n)))
+            assert CountingNbhd.calls == 0
+            assert complete_bipartite_sides(copies) == complete_bipartite_sides(one)
+            assert CountingNbhd.calls == m + n - 2
 
 
 class TestCompleteBipartite:

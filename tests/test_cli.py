@@ -134,6 +134,7 @@ class TestGen:
             ["gen", "random-connected", "--n", "9", "--edge-prob", "0.3", "--seed", "4"],
             ["gen", "random-sputnik", "--size", "9", "--seed", "4"],
             ["gen", "sparse-connected", "--n", "9", "--extra", "3", "--seed", "4"],
+            ["gen", "sparse-sputnik", "--n", "9", "--extra", "3", "--seed", "4"],
         ]
         for argv in calls:
             assert main(argv) == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rmis.classify import is_complete_bipartite, is_sputnik
+from rmis.classify import cycle_vertices, is_complete_bipartite, is_sputnik
 from rmis.graph import GraphError, is_connected, pendant_vertices
 from rmis.generators import (
     gen_bull,
@@ -14,6 +14,7 @@ from rmis.generators import (
     gen_random_connected,
     gen_random_sputnik,
     gen_sparse_connected,
+    gen_sparse_sputnik,
     gen_square,
     gen_triangle,
 )
@@ -170,3 +171,30 @@ class TestRandomFamilies:
             g = gen_random_sputnik(i, size)
             assert is_sputnik(g)
             assert size <= g.n <= 2 * size
+
+    def test_sparse_sputnik_shape(self):
+        # the sparse connected graph on ids 0..n-1, plus one fresh pendant,
+        # numbered from n, on each cycle vertex that had no degree-1 neighbor
+        rng = random.Random(4)
+        hung = 0
+        for i in range(40):
+            n, extra = rng.randint(2, 80), rng.randint(0, 40)
+            base = gen_sparse_connected(n, extra, i)
+            g = gen_sparse_sputnik(n, extra, i)
+            assert is_sputnik(g) and is_connected(g)
+            assert n <= g.n <= 2 * n and g.vertices == tuple(range(g.n))
+            new = set(range(n, g.n))
+            assert {e for e in g.edges() if new.isdisjoint(e)} == set(base.edges())
+            hosts = [u for v in sorted(new) for u in g.neighbors(v)]
+            assert all(g.degree(v) == 1 for v in new)
+            assert hosts == sorted(set(hosts))
+            cycle, pend = cycle_vertices(base), pendant_vertices(base)
+            assert set(hosts) == {v for v in cycle if not base.neighbors(v) & pend}
+            hung += len(new)
+        assert hung > 0
+        assert gen_sparse_sputnik(1, 0, 5).n == 1
+        assert gen_sparse_sputnik(300, 90, 9) == gen_sparse_sputnik(300, 90, 9)
+        assert gen_sparse_sputnik(300, 90, 9) != gen_sparse_sputnik(300, 90, 10)
+        for n, extra in ((0, 0), (3, -1), (1, 1)):
+            with pytest.raises(GraphError):
+                gen_sparse_sputnik(n, extra, 0)

@@ -67,6 +67,7 @@ FAMILY_CALLS = [
     ["random-connected", "--n", "9", "--edge-prob", "0.3", "--seed", "4"],
     ["random-sputnik", "--size", "9", "--seed", "4"],
     ["sparse-connected", "--n", "12", "--extra", "4", "--seed", "4"],
+    ["sparse-sputnik", "--n", "12", "--extra", "4", "--seed", "4"],
 ]
 
 GEN_CALLS = [

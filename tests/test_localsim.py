@@ -22,6 +22,7 @@ from rmis.generators import (
     gen_path,
     gen_random_connected,
     gen_random_sputnik,
+    gen_sparse_sputnik,
 )
 from rmis.localsim import (
     IN,
@@ -40,6 +41,7 @@ from rmis.localsim import (
 from rmis.oracle import is_mis
 
 from conftest import diameter, run_sync_every_node
+from test_golden_cli import sim_corpus
 
 
 class ConstantIn(NodeProgram):
@@ -345,6 +347,49 @@ class TestRmisForallProgram:
             assert all(msg == snapshot for msg, snapshot in program.sent)
 
 
+class Unshared(RmisForallProgram):
+    """The program with a fresh neighborhood table on every lookup, so no two
+    nodes hold one neighborhood object.
+    """
+
+    @property
+    def _shared(self):
+        return {}
+
+
+class TestSharedNeighborhoods:
+    """Nodes with equal neighborhoods hold one object; nothing else changes."""
+
+    def test_flooded_maps_hold_one_object_per_side(self):
+        class Gathered(RmisForallProgram):
+            def __init__(self):
+                self.maps = []
+
+            def _gather_decision(self, state):
+                self.maps.append(state.adj)
+                super()._gather_decision(state)
+
+        for m, n in ((3, 4), (20, 30)):
+            g = gen_complete_bipartite(m, n)
+            for ids in (identity_ids(g), random_ids(g, m)):
+                program = Gathered()
+                run_sync(g, program, ids)
+                assert len(program.maps) == g.n
+                assert all(len(adj) == g.n for adj in program.maps)
+                objects = {id(ns) for adj in program.maps for ns in adj.values()}
+                assert len(objects) == 2
+
+    def test_sharing_changes_no_result(self):
+        graphs = list(sim_corpus().values())
+        sparse = ((2000, 200, 1), (2500, 1000, 2), (3000, 300, 3))
+        graphs += [gen_sparse_sputnik(n, extra, seed) for n, extra, seed in sparse]
+        assert max(g.n for g in graphs) >= 3000
+        for i, g in enumerate(graphs):
+            for ids in (identity_ids(g), random_ids(g, i)):
+                # SimResult equality compares every field
+                assert run_sync(g, rmis_forall_program(), ids) == run_sync(g, Unshared(), ids)
+
+
 class TestForestProgram:
     def test_priority_path(self):
         g = Graph([1, 2, 3], [(3, 1), (1, 2)])
@@ -468,10 +513,11 @@ class TestActiveEngine:
 
 class TestSimulatorMemory:
     def test_peak_bytes_per_edge(self):
-        # the tracemalloc peak of one K_{100,100} run, per edge. Delivering
-        # through `port_to` plus a per-node `port_from` dict peaked at 871 B
-        # per edge, and per-port `port_back` lists alone at 685 B; keeping
-        # two delivery tables alive beside each other shows up here
+        # the tracemalloc peak of one K_{100,100} run, per n + m. Delivering
+        # through `port_to` plus a per-node `port_from` dict peaked at 854 B,
+        # per-port `port_back` lists alone at 672 B, and one shared
+        # neighborhood object per side at 508 B; keeping two delivery tables
+        # or a neighborhood copy per node alive shows up here
         g = gen_complete_bipartite(100, 100)
         ids = identity_ids(g)
         gc.collect()
@@ -490,8 +536,8 @@ class TestSimulatorMemory:
                 tracemalloc.stop()
             if collecting:
                 gc.enable()
-        per_edge = peak / g.num_edges
-        assert per_edge <= 780, f"{per_edge:.0f} B per edge"
+        per_elem = peak / (g.n + g.num_edges)
+        assert per_elem <= 580, f"{per_elem:.0f} B per n + m"
 
 
 class TestIndistinguishability:
