@@ -40,7 +40,6 @@ from .classify import ClassVerdict, in_rmis_forall, is_complete_bipartite, is_sp
 from .abctree import (
     AbcNode,
     AbcTree,
-    RootedAbcTree,
     build_abc_tree,
     default_root,
     root_at,

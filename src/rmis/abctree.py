@@ -7,24 +7,28 @@ contains it; a B-node is adjacent to the nodes representing its two
 endpoints. Interior component vertices that are neither articulation
 points nor pendant get no node of their own.
 
-Nodes are numbered 0..N-1 in sorted `AbcNode` order, and the tree, its
-rooting and the labels all work on these ids. The tree is flat per-node
-lists by id: `kinds[i]` and `vertices[i]` (a sorted vertex tuple), plus
-each node's neighbour ids. Rooting fills further lists: each node's
-parent, its children and its attachment point, the vertex its subtree
-shares with the rest of the graph, which the search's tag masks are
-relative to, and keeps the breadth-first order it walked. `AbcNode`
-values serve output and inspection only: `nodes[i]` is built from the
-lists on first read.
+Nodes are numbered 0..N-1 in sorted `AbcNode` order, and the tree and the
+labels work on these ids. There is one tree, and it is rooted: flat
+per-node lists by id hold `kinds[i]`, `vertices[i]` (a sorted vertex
+tuple) and `parent[i]`, and the children, attachment points and order
+follow from the parents. The attachment point is the vertex a node's
+subtree shares with the rest of the graph, which the search's tag masks
+are relative to. The parents come straight from the block pass: a block
+hangs off the node of its top vertex, the member the pass reached first,
+and every other member's node hangs off the block. Re-rooting reverses the
+one parent path from the new root to the old. `AbcNode` values serve
+output and inspection only: `nodes[i]` is built from the lists on first
+read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import groupby, islice
 from typing import NamedTuple
 
-from .graph import Edge, Graph, GraphError, blocks, to_dot
+from .graph import Graph, GraphError, blocks, to_dot
 
 KIND_A = "A"
 KIND_B = "B"
@@ -52,143 +56,60 @@ class AbcNode(NamedTuple):
     def pendant(cls, v: int) -> AbcNode:
         return cls(KIND_P, (v,))
 
-    @property
-    def vertex(self) -> int:
-        """The represented vertex; only for A- and P-nodes."""
-        if self.kind not in (KIND_A, KIND_P):
-            raise GraphError(f"{self} does not represent a single vertex")
-        return self.vertices[0]
-
-    @property
-    def edge(self) -> Edge:
-        if self.kind != KIND_B:
-            raise GraphError(f"{self} is not a bridge node")
-        return self.vertices  # type: ignore[return-value]
-
     def __str__(self) -> str:
         return f"{self.kind}({','.join(map(str, self.vertices))})"
 
 
-class _TreeNodes:
-    """Per-node lists by id, shared by a tree and its rootings: `kinds[i]` and
-    `vertices[i]` are node i's kind and sorted vertex tuple. The `AbcNode`
-    of each id is built on first read of `nodes`, for output and inspection.
+class AbcTree:
+    """Rooted decomposition tree over a connected graph, by node id.
+
+    Ids follow the sorted node order (A-, then B-, C- and P-nodes, each
+    sorted by vertices), so sorting ids sorts nodes. `parent[i]` is None
+    only at `root`. The other lists follow from it: `children[i]` in
+    increasing id order; `attachment[i]`, the parent's vertex under an A-
+    or P-node and the node's own vertex otherwise (None at the root); and
+    `order`, breadth first from the root, parents first. The constructor's
+    `ids[i]` is the int object for id i, and every list holds these
+    objects, so each id is one object.
     """
 
-    def __init__(self, graph: Graph, kinds: list[str], vertices: list[tuple[int, ...]]):
-        self.graph = graph
-        self.kinds = kinds
-        self.vertices = vertices
+    def __init__(
+        self, graph: Graph, kinds: list[str], vertices: list[tuple[int, ...]], parent: list[int | None], ids: list[int]
+    ):
+        self.graph, self.kinds, self.vertices, self.parent = graph, kinds, vertices, parent
+        self.root = root = ids[parent.index(None)]
+        size = len(kinds)
+        children: list[tuple[int, ...]] = [()] * size
+        attachment: list[int | None] = [None] * size
+        # a stable sort of the other ids by parent groups each node's
+        # children in increasing id order
+        below = ids.copy()
+        del below[root]
+        below.sort(key=parent.__getitem__)
+        for p, group in groupby(below, parent.__getitem__):
+            children[p] = kids = tuple(group)
+            if kinds[p] in (KIND_A, KIND_P):
+                vertex = vertices[p][0]
+                for x in kids:
+                    attachment[x] = vertex
+            else:  # a block's children are A- and P-nodes
+                for x in kids:
+                    attachment[x] = vertices[x][0]
+        order = [root]
+        for x in order:  # grows as the walk goes
+            order += children[x]
+        self.children, self.attachment, self.order = children, attachment, order
 
     @cached_property
     def nodes(self) -> tuple[AbcNode, ...]:
         return tuple(map(AbcNode, self.kinds, self.vertices))
 
-
-class AbcTree(_TreeNodes):
-    """Unrooted decomposition tree over a connected graph.
-
-    Ids follow the sorted node order (A-, then B-, C- and P-nodes, each
-    sorted by vertices), so sorting ids sorts nodes. Each node's neighbours
-    are listed in increasing id order.
-    """
-
-    def __init__(
-        self, graph: Graph, kinds: list[str], vertices: list[tuple[int, ...]], adjacency: list[list[int]]
-    ):
-        super().__init__(graph, kinds, vertices)
-        self._adj = adjacency
-
     def component_nodes(self) -> list[int]:
         return [i for i, kind in enumerate(self.kinds) if kind == KIND_C]
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(x, y) for x, ys in enumerate(self._adj) for y in ys if x < y]
-
-
-def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
-    """Decompose a connected graph into its ABC tree.
-
-    An isolated single vertex registers as a (degenerate) pendant node so
-    that every vertex of the graph appears somewhere in the tree. A
-    disconnected graph raises GraphError naming `op`.
-
-    The block pass's sets are freed as soon as their sorted lists exist, so
-    the tree's lists are built without them alive.
-    """
-    found = blocks(g, op)
-    arts = sorted(found.articulation_points)
-    bridges = sorted(found.bridges)
-    members = [c for c in found.components if len(c) >= 3]  # sorted tuples, in sorted order
-    del found
-    adj = g._adj
-    pend = [v for v in g.vertices if len(adj[v]) <= 1]
-    kinds = [KIND_A] * len(arts) + [KIND_B] * len(bridges) + [KIND_C] * len(members) + [KIND_P] * len(pend)
-    vertices = [(v,) for v in arts] + bridges + members + [(v,) for v in pend]
-    first_c = len(arts) + len(bridges)
-    # a bridge endpoint is an articulation point or a pendant, never both
-    single = {v: i for i, v in enumerate(arts)}
-    single.update({v: i for i, v in enumerate(pend, first_c + len(members))})
-
-    # bridges, then components, each in id order: every neighbour list comes
-    # out sorted, as B-nodes sort before C-nodes and A-nodes before P-nodes
-    adjacency: list[list[int]] = [[] for _ in kinds]
-    for i, (u, v) in enumerate(bridges, len(arts)):
-        a, b = single[u], single[v]
-        adjacency[i] = [a, b] if a < b else [b, a]
-        adjacency[a].append(i)
-        adjacency[b].append(i)
-    # a component vertex in `single` is an articulation point: a pendant
-    # has degree 1 and lies in no component
-    for i, c in enumerate(members, first_c):
-        for v in c:
-            a = single.get(v)
-            if a is not None:
-                adjacency[i].append(a)
-                adjacency[a].append(i)
-    return AbcTree(g, kinds, vertices, adjacency)
-
-
-class RootedAbcTree(_TreeNodes):
-    """ABC tree oriented toward a chosen component node, by node id.
-
-    Rooting fills, per id, the parent (None at the root), the children in
-    increasing id order, and the attachment point: the vertex through which
-    the subtree at the node meets the rest of the graph (None at the root).
-    `order` is the breadth-first order from the root, parents first. The
-    rooted tree shares the unrooted tree's node lists, not its adjacency.
-    """
-
-    def __init__(self, tree: AbcTree, root: int):
-        kinds = tree.kinds
-        if not 0 <= root < len(kinds):
-            raise GraphError(f"{root} is not a node id of the tree")
-        if kinds[root] != KIND_C:
-            raise GraphError(f"root must be a component node, got {tree.nodes[root]}")
-        super().__init__(tree.graph, kinds, tree.vertices)
-        self.root = root
-        vertices, adjacency = self.vertices, tree._adj
-        size = len(kinds)
-        parent: list[int | None] = [None] * size
-        children: list[tuple[int, ...]] = [()] * size
-        # an A-node's subtrees meet the rest at its vertex; a B- or C-node's
-        # children are A- or P-nodes, each attached at its own vertex
-        attachment: list[int | None] = [None] * size
-        order = [root]
-        for x in order:  # grows as the walk goes
-            up = parent[x]
-            children[x] = kids = tuple([y for y in adjacency[x] if y != up])
-            if kinds[x] == KIND_A:
-                vertex = vertices[x][0]
-                for y in kids:
-                    parent[y] = x
-                    attachment[y] = vertex
-            else:
-                for y in kids:
-                    parent[y] = x
-                    attachment[y] = vertices[y][0]
-            order += kids
-        self.parent, self.children, self.attachment, self.order = parent, children, attachment, order
+        """Every tree edge as a sorted id pair, in sorted order."""
+        return sorted((x, y) if x < y else (y, x) for x, y in enumerate(self.parent) if y is not None)
 
     def subtree_nodes(self, x: int) -> list[int]:
         """Nodes of the subtree rooted at `x`, parents before children."""
@@ -202,6 +123,62 @@ class RootedAbcTree(_TreeNodes):
         return self.order[::-1]
 
 
+def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
+    """Decompose a connected graph into its ABC tree, rooted at
+    `default_root`, or where the block pass started if the graph is acyclic.
+
+    The block pass roots the tree at its start vertex: each block hangs off
+    the node of its top vertex (the block whose top has no node is the
+    root), and every other member's A- or P-node hangs off the block.
+    Reversing the one parent path to the default root then re-roots it.
+
+    An isolated single vertex registers as a (degenerate) pendant node so
+    that every vertex of the graph appears somewhere in the tree. A
+    disconnected graph raises GraphError naming `op`. The block-pass result
+    is dropped once its components and tops are taken, so the tree's lists
+    are built without its per-vertex state alive.
+    """
+    found = blocks(g, op)
+    arts = sorted(found.articulation_points)
+    comps, tops = found.components, found.top  # sorted tuples, in sorted order
+    del found
+    bridges = [c for c in comps if len(c) == 2]
+    members = [c for c in comps if len(c) >= 3]
+    adj = g._adj
+    pend = [v for v in g.vertices if len(adj[v]) <= 1]
+    kinds = [KIND_A] * len(arts) + [KIND_B] * len(bridges) + [KIND_C] * len(members) + [KIND_P] * len(pend)
+    vertices = [(v,) for v in arts] + bridges + members + [(v,) for v in pend]
+    ids = list(range(len(kinds)))
+    first_c = len(arts) + len(bridges)
+    bridge_ids, component_ids = islice(ids, len(arts), first_c), islice(ids, first_c, None)
+    # a block member with a node is an articulation point or a pendant,
+    # never both: a pendant lies in one bridge only
+    single = dict(zip(arts, ids))
+    single.update(zip(pend, islice(ids, first_c + len(members), None)))
+    parent: list[int | None] = [None] * len(kinds)
+    for comp, top in zip(comps, tops):
+        i = next(bridge_ids if len(comp) == 2 else component_ids)
+        parent[i] = single.get(top)
+        for v in comp:
+            if v != top:
+                x = single.get(v)
+                if x is not None:
+                    parent[x] = i
+    del comps, tops, single
+    if members:
+        _reroot(parent, ids[first_c])
+    return AbcTree(g, kinds, vertices, parent, ids)
+
+
+def _reroot(parent: list[int | None], r: int) -> None:
+    """Make `r` the root by reversing the parent path from `r` to the root."""
+    below = None
+    while r is not None:
+        up = parent[r]
+        parent[r] = below
+        below, r = r, up
+
+
 def default_root(t: AbcTree) -> int:
     """Deterministic root choice: the component whose sorted vertex tuple is
     smallest, which is the first component id.
@@ -212,8 +189,22 @@ def default_root(t: AbcTree) -> int:
         raise GraphError("tree has no component node; the graph is acyclic") from None
 
 
-def root_at(t: AbcTree, r: int) -> RootedAbcTree:
-    return RootedAbcTree(t, r)
+def root_at(t: AbcTree, r: int) -> AbcTree:
+    """The tree rooted at component node `r`: `t` itself if `r` is its root,
+    else a tree sharing `t`'s node lists whose parents are a copy of `t`'s
+    with the path from `r` to the old root reversed.
+    """
+    kinds = t.kinds
+    if not 0 <= r < len(kinds):
+        raise GraphError(f"{r} is not a node id of the tree")
+    if kinds[r] != KIND_C:
+        raise GraphError(f"root must be a component node, got {t.nodes[r]}")
+    if r == t.root:
+        return t
+    parent = t.parent.copy()
+    ids = sorted(t.order)
+    _reroot(parent, ids[r])
+    return AbcTree(t.graph, kinds, t.vertices, parent, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +214,7 @@ _DOT_SHAPES = {KIND_P: "circle", KIND_A: "diamond", KIND_B: "box", KIND_C: "doub
 _ROLE_COLORS = {KIND_A: "orange", KIND_P: "lightblue", KIND_C: "palegreen"}
 
 
-def render_text(rt: RootedAbcTree, annotate=None) -> str:
+def render_text(rt: AbcTree, annotate=None) -> str:
     """Indented textual rendering of a rooted tree; `annotate(id)` may add
     a suffix per line.
     """
@@ -258,5 +249,5 @@ def decomposition_dot(t: AbcTree) -> str:
             for v in x.vertices:
                 roles.setdefault(v, x.kind)
     colors = {v: f'style=filled fillcolor={_ROLE_COLORS[r]} xlabel="{r}"' for v, r in roles.items()}
-    dashed = {x.edge: "style=dashed" for x in t.nodes if x.kind == KIND_B}
+    dashed = {x.vertices: "style=dashed" for x in t.nodes if x.kind == KIND_B}
     return to_dot(t.graph, name="decomposition", vertex_attrs=colors, edge_attrs=dashed)

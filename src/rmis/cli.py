@@ -66,9 +66,8 @@ def _cmd_abc(args) -> int:
     if args.dot_graph:
         print(abctree.decomposition_dot(t), end="")
         return 0
-    if t.component_nodes():
-        rt = abctree.root_at(t, abctree.default_root(t))
-        print(abctree.render_text(rt), end="")
+    if t.component_nodes():  # built rooted at the default root
+        print(abctree.render_text(t), end="")
     else:
         for node in t.nodes:
             print(node)

@@ -51,7 +51,7 @@ from .abctree import (
     KIND_A,
     KIND_B,
     KIND_C,
-    RootedAbcTree,
+    AbcTree,
     build_abc_tree,
     default_root,
     root_at,
@@ -89,7 +89,7 @@ class LabelingRun:
     component lacks. An acyclic graph has no tree and no labels.
     """
 
-    rooted: RootedAbcTree | None
+    rooted: AbcTree | None
     mask: list[int]
     own_in: list[tuple[int, ...] | None]
     own_out: list[tuple[int, ...] | None]
@@ -158,9 +158,7 @@ def run_labeling(g: Graph) -> LabelingRun:
         # 2-coloring (the class holding the smallest vertex is never empty)
         v1, _ = is_bipartite(g)  # type: ignore[misc]
         return LabelingRun(None, [], [], [], frozenset(v1))
-    rooted = root_at(tree, default_root(tree))
-    del tree  # only rooting needs the unrooted adjacency
-    run = label_tree(rooted)
+    run = label_tree(root_at(tree, default_root(tree)))
     run.result = decide(run)
     return run
 
@@ -236,7 +234,7 @@ def bridge_mask(m: int) -> int:
     return out
 
 
-def label_tree(rt: RootedAbcTree) -> LabelingRun:
+def label_tree(rt: AbcTree) -> LabelingRun:
     """Label every node, children before parents; `result` is left unset.
 
     A pendant leaf can join, or stay out if its unique neighbor joins
@@ -300,7 +298,7 @@ class ComponentCore(NamedTuple):
 
 
 def component_core(
-    rt: RootedAbcTree, x: int, mask: list[int], covered: int | None = None
+    rt: AbcTree, x: int, mask: list[int], covered: int | None = None
 ) -> ComponentCore | None:
     """The constraints of component `x` given its children's masks, or None
     if no membership satisfies them. `covered` names a vertex with a neighbor

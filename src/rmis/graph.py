@@ -258,9 +258,15 @@ def pendant_vertices(g: Graph) -> set[int]:
 # lowlink decomposition: articulation points, bridges, biconnected components
 
 class Blocks(NamedTuple):
+    """One block pass's result. Each component's `top` is its member the
+    pass reached first; every other member lies below it in the search
+    tree, so the tops root the block-cut tree at the pass's start vertex.
+    """
+
     articulation_points: set[int]
     bridges: set[Edge]
     components: list[tuple[int, ...]]  # edge-based, sorted tuples, in sorted order
+    top: list[int]  # per component, the member with the smallest `number`
     number: dict[int, int]  # the order in which the search reached each vertex
     # per number, the index in `components` of the block holding the tree edge
     # into that vertex (-1 for the root, number 0). An edge lies in the block
@@ -277,12 +283,12 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     of each number, and the block of each vertex's tree edge. The path is two
     parallel lists, numbers and neighbour iterators; reached numbers wait on
     a stack. When a child `x` of `p` finishes with no edge from its subtree
-    above `p`, the numbers down to `x`, plus `p`, form one component. The
-    edge to the parent may count toward `low`: that only ever equals `p`,
-    which still closes the component. Every edge lies in exactly one
-    component; size-2 components are exactly the bridges. Only `number`, and
-    so the order of `block_of`, depends on the order in which neighbours are
-    visited.
+    above `p`, the numbers down to `x`, plus `p`, form one component, whose
+    top is `p`. The edge to the parent may count toward `low`: that only
+    ever equals `p`, which still closes the component. Every edge lies in
+    exactly one component; size-2 components are exactly the bridges. Only
+    `number`, `top` and the order of `block_of` depend on the order in which
+    neighbours are visited.
 
     Raises GraphError naming `op` when the pass does not reach every vertex.
     """
@@ -300,6 +306,7 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     aps: set[int] = set()
     brs: set[Edge] = set()
     comps: list[tuple[int, ...]] = []
+    tops: list[int] = []
     root_blocks = 0
     while path:
         x = path[-1]
@@ -335,6 +342,7 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
                 members.append(vertex[k])
             members.sort()
             comps.append(tuple(members))
+            tops.append(vertex[p])
             if len(members) == 2:
                 brs.add(comps[-1])
             if p:
@@ -349,11 +357,12 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     # renumber the blocks in sorted order; rank[-1] is -1, so the root keeps it
     order = sorted(range(len(comps)), key=comps.__getitem__)
     comps = [comps[b] for b in order]
+    tops = [tops[b] for b in order]
     rank = [-1] * (len(order) + 1)
     for i, b in enumerate(order):
         rank[b] = i
     del order
-    return Blocks(aps, brs, comps, number, list(map(rank.__getitem__, block_of)))
+    return Blocks(aps, brs, comps, tops, number, list(map(rank.__getitem__, block_of)))
 
 
 def articulation_points(g: Graph) -> set[int]:

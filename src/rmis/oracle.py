@@ -72,7 +72,7 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     u = suspects[0]
     if _reaches_all(g, u, g.neighbors(u) - members):
         return False
-    aps, _, _, number, block_of = blocks(g, "is_robust_mis")
+    aps, _, _, _, number, block_of = blocks(g, "is_robust_mis")
     for u in suspects[1:]:
         if u not in aps:
             return False  # u's one block keeps u's edge to a non-member

@@ -6,10 +6,10 @@ assignments) so that agreement is meaningful.
 
 The reference implementations at the end are different: they are simpler,
 slower versions of library code (the every-node LOCAL engine, the
-line-stripping parser, the name-lookup gadget builder, the dict-of-frozensets
-per-probe labelling, the implication-graph 2-SAT model and the
-one-search-per-vertex robustness check), and the library must give exactly
-their results.
+line-stripping parser, the name-lookup gadget builder, the breadth-first
+rooting of an ABC tree, the dict-of-frozensets per-probe labelling, the
+implication-graph 2-SAT model and the one-search-per-vertex robustness
+check), and the library must give exactly their results.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from rmis.abctree import (
     KIND_C,
     KIND_P,
     AbcNode,
-    RootedAbcTree,
+    AbcTree,
     build_abc_tree,
     default_root,
-    root_at,
 )
 from rmis.findrmis import TAG_E, TAG_N, TAG_PE, TAG_PI, TAG_PO, InternalLabelingError
 from rmis.generators import GkInstance
@@ -133,15 +132,15 @@ def brute_biconnected_components(g: Graph) -> list[frozenset[int]]:
 
 def _node_contribution(g: Graph, x: AbcNode) -> tuple[set[int], list[Edge]]:
     if x.kind in (KIND_A, KIND_P):
-        return {x.vertex}, []
+        return set(x.vertices), []
     if x.kind == KIND_B:
-        u, v = x.edge
+        u, v = x.vertices
         return {u, v}, [(u, v)]
     comp = set(x.vertices)
     return comp, [(u, v) for u, v in g.edges() if u in comp and v in comp]
 
 
-def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> Graph:
+def induced_subgraph_of_subtree(g: Graph, rt: AbcTree | ReferenceRooting, x: int) -> Graph:
     """Union of the vertex/edge contributions of every node in the subtree
     at node id `x`: A/P contribute a vertex, B its edge, C its component. The
     labelling-soundness checks judge each label against this graph.
@@ -155,21 +154,21 @@ def induced_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> Graph:
     return Graph(vs, es)
 
 
-def attachment_point(rt: RootedAbcTree, x: int) -> int:
+def attachment_point(rt: AbcTree | ReferenceRooting, x: int) -> int:
     """The vertex through which the subtree at node id `x` meets the rest of
     the graph: the node's own vertex for A/P nodes, the parent's for B/C
     nodes. Read off the node kinds, not `rt.attachment`.
     """
     node = rt.nodes[x]
     if node.kind in (KIND_A, KIND_P):
-        return node.vertex
+        return node.vertices[0]
     p = rt.parent[x]
     if p is None:
         raise GraphError("the root has no attachment point")
-    return rt.nodes[p].vertex
+    return rt.nodes[p].vertices[0]
 
 
-def aerial_subgraph_of_subtree(g: Graph, rt: RootedAbcTree, x: int) -> tuple[Graph, int]:
+def aerial_subgraph_of_subtree(g: Graph, rt: AbcTree | ReferenceRooting, x: int) -> tuple[Graph, int]:
     """Subtree subgraph plus a fresh pendant attached at the attachment
     point. The fresh vertex id is max(g) + 1, so it never collides.
     """
@@ -430,8 +429,57 @@ def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:
 LabelMap = dict[int, dict[str, frozenset[int]]]
 
 
+class ReferenceRooting(NamedTuple):
+    """A rooted ABC tree by node id, as `reference_rooting` builds it."""
+
+    graph: Graph
+    nodes: tuple[AbcNode, ...]
+    root: int
+    parent: list[int | None]
+    children: list[tuple[int, ...]]
+    attachment: list[int | None]
+    order: list[int]  # breadth first from the root
+
+    def subtree_nodes(self, x: int) -> list[int]:
+        out = [x]
+        for y in out:
+            out += self.children[y]
+        return out
+
+    def postorder(self) -> list[int]:
+        return self.order[::-1]
+
+
+def reference_rooting(t: AbcTree, r: int) -> ReferenceRooting:
+    """Reference rooting: a breadth-first search from node id `r` over the
+    tree's edges, with the children of each node sorted and the attachment
+    points read off the node kinds, as `attachment_point` does. It takes
+    nothing from the tree but its nodes and `t.edges()`, and accepts any
+    root; `abctree.root_at` must give the same parents, children and
+    attachment points.
+    """
+    nodes = t.nodes
+    nbrs: list[list[int]] = [[] for _ in nodes]
+    for x, y in t.edges():
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    parent: list[int | None] = [None] * len(nodes)
+    order = [r]
+    for x in order:
+        for y in sorted(nbrs[x]):
+            if y != r and parent[y] is None:
+                parent[y] = x
+                order.append(y)
+    children = [tuple(sorted(y for y in nbrs[x] if y != parent[x])) for x in range(len(nodes))]
+    attachment: list[int | None] = [None] * len(nodes)
+    for x in order[1:]:
+        owner = x if nodes[x].kind in (KIND_A, KIND_P) else parent[x]
+        attachment[x] = nodes[owner].vertices[0]
+    return ReferenceRooting(t.graph, nodes, r, parent, children, attachment, order)
+
+
 class ReferenceRun(NamedTuple):
-    rooted: RootedAbcTree | None
+    rooted: ReferenceRooting | None
     labels: LabelMap
     result: frozenset[int] | None
 
@@ -447,21 +495,21 @@ def reference_labeling(g: Graph) -> ReferenceRun:
     if not tree.component_nodes():
         v1, _ = is_bipartite(g)  # type: ignore[misc]
         return ReferenceRun(None, {}, frozenset(v1))
-    rt = root_at(tree, default_root(tree))
+    rt = reference_rooting(tree, default_root(tree))
     labels: LabelMap = {}
     for node in rt.postorder():
         kind = rt.nodes[node].kind
         if any(TAG_N in labels[c] for c in rt.children[node]):
             labels[node] = {TAG_N: frozenset()}
         elif kind == KIND_A:
-            labels[node] = reference_label_a([labels[c] for c in rt.children[node]], rt.nodes[node].vertex)
+            labels[node] = reference_label_a([labels[c] for c in rt.children[node]], rt.nodes[node].vertices[0])
         elif kind == KIND_B:
             (child,) = rt.children[node]
-            labels[node] = reference_label_b(labels[child], attachment_point(rt, node), rt.nodes[child].vertex)
+            labels[node] = reference_label_b(labels[child], attachment_point(rt, node), rt.nodes[child].vertices[0])
         elif kind == KIND_C:
             _reference_label_node_c(rt, node, labels)
         else:
-            labels[node] = {TAG_PI: frozenset({rt.nodes[node].vertex}), TAG_PE: frozenset()}
+            labels[node] = {TAG_PI: frozenset({rt.nodes[node].vertices[0]}), TAG_PE: frozenset()}
     return ReferenceRun(rt, labels, _reference_decide(rt, labels))
 
 
@@ -493,7 +541,7 @@ def reference_label_b(kl: dict[str, frozenset[int]], ap: int, child_vertex: int)
     return out
 
 
-def _reference_picks(rt: RootedAbcTree, labels: LabelMap, x: int, tag: str) -> Iterator[tuple[int, str]]:
+def _reference_picks(rt: ReferenceRooting, labels: LabelMap, x: int, tag: str) -> Iterator[tuple[int, str]]:
     for child in rt.children[x] if tag != TAG_N else ():
         kl = labels[child]
         if attachment_point(rt, child) in labels[x][tag]:
@@ -505,7 +553,7 @@ def _reference_picks(rt: RootedAbcTree, labels: LabelMap, x: int, tag: str) -> I
         yield child, pick
 
 
-def _reference_decide(rt: RootedAbcTree, labels: LabelMap) -> frozenset[int] | None:
+def _reference_decide(rt: ReferenceRooting, labels: LabelMap) -> frozenset[int] | None:
     if TAG_E not in labels[rt.root]:
         return None
     witness: set[int] = set()
@@ -517,7 +565,7 @@ def _reference_decide(rt: RootedAbcTree, labels: LabelMap) -> frozenset[int] | N
     return frozenset(witness)
 
 
-def _reference_label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None:
+def _reference_label_node_c(rt: ReferenceRooting, x: int, labels: LabelMap) -> None:
     out = labels.setdefault(x, {})
     parent = rt.parent[x]
     if parent is None:
@@ -525,7 +573,7 @@ def _reference_label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None
         if witness is not None:
             out[TAG_E] = witness
     else:
-        ap = rt.nodes[parent].vertex
+        ap = rt.nodes[parent].vertices[0]
         witness = _reference_probe(rt, x, frozenset({ap}), frozenset(), labels)
         if witness is not None:
             out[TAG_PI] = witness
@@ -541,7 +589,7 @@ def _reference_label_node_c(rt: RootedAbcTree, x: int, labels: LabelMap) -> None
 
 
 def _reference_probe(
-    rt: RootedAbcTree,
+    rt: ReferenceRooting,
     x: int,
     in_vertices: frozenset[int],
     out_vertices: frozenset[int],
@@ -551,7 +599,7 @@ def _reference_probe(
     comp = rt.nodes[x].vertices
     tags: dict[int, dict] = dict.fromkeys(comp, {})
     for child in rt.children[x]:
-        tags[rt.nodes[child].vertex] = labels[child]
+        tags[rt.nodes[child].vertices[0]] = labels[child]
     if covered is not None:
         tags[covered] = {TAG_PO: frozenset()}
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rmis.abctree import (
+    KIND_C,
     AbcNode,
     build_abc_tree,
     decomposition_dot,
@@ -11,10 +12,19 @@ from rmis.abctree import (
     root_at,
     tree_to_dot,
 )
-from rmis.graph import Graph, GraphError, is_connected
-from rmis.generators import gen_bull, gen_cycle, gen_gk, gen_path, gen_random_connected
+from rmis.cli import main
+from rmis.findrmis import run_labeling
+from rmis.graph import Graph, GraphError, blocks, is_connected, to_edge_list
+from rmis.generators import gen_bull, gen_cycle, gen_gk, gen_lollipop, gen_path, gen_random_connected
+from rmis.oracle import is_robust_mis
 
-from conftest import aerial_subgraph_of_subtree, connected_graphs, induced_subgraph_of_subtree
+from conftest import (
+    aerial_subgraph_of_subtree,
+    connected_graphs,
+    induced_subgraph_of_subtree,
+    reference_rooting,
+    traced,
+)
 
 
 def tree_is_actually_a_tree(t) -> bool:
@@ -151,6 +161,110 @@ class TestRooting:
             for c in rt.children[x]:
                 assert pos[c] < pos[x]
         assert order[-1] == rt.root
+
+
+class TestRootingJudge:
+    """`root_at` against `reference_rooting`, a breadth-first search over the
+    tree's edges, at every component root; and the block pass's tops, from
+    which the built tree takes its parents.
+    """
+
+    @staticmethod
+    def assert_rooted_as_judged(g):
+        t = build_abc_tree(g)
+        found = blocks(g)
+        assert found.top == [min(c, key=found.number.__getitem__) for c in found.components]
+        # by definition, an A- or P-node is adjacent to each block holding its vertex
+        nodes = t.nodes
+        single = [x for x, node in enumerate(nodes) if node.kind in "AP"]
+        block_nodes = [y for y, node in enumerate(nodes) if node.kind in "BC"]
+        assert t.edges() == sorted(
+            (min(x, y), max(x, y)) for x in single for y in block_nodes if nodes[x].vertices[0] in nodes[y].vertices
+        )
+        if KIND_C not in t.kinds:
+            # acyclic: the tree keeps the block pass's root, one node that
+            # has no parent, and reaches every node from it
+            assert t.parent.count(None) == 1 and t.parent[t.root] is None
+            assert sorted(t.order) == list(range(len(t.nodes)))
+            ref = reference_rooting(t, t.root)
+            assert (t.parent, t.children, t.attachment) == (ref.parent, ref.children, ref.attachment)
+            return
+        assert t.root == default_root(t)
+        for r in t.component_nodes():
+            rt = root_at(t, r)
+            ref = reference_rooting(t, r)
+            assert rt.root == r
+            assert rt.parent == ref.parent
+            assert rt.children == ref.children
+            assert rt.attachment == ref.attachment
+            position = {x: i for i, x in enumerate(rt.order)}
+            assert len(position) == len(rt.nodes) and rt.order[0] == r
+            assert all(position[rt.parent[x]] < position[x] for x in rt.order[1:])
+
+    def test_small_corpus(self, small_corpus):
+        for g in small_corpus:
+            self.assert_rooted_as_judged(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(18)
+        for i in range(200):
+            self.assert_rooted_as_judged(gen_random_connected(rng.randint(2, 30), rng.uniform(0.05, 0.4), 1800 + i))
+
+    def test_lollipops(self):
+        # pendant 0 starts the block pass at the far end of the path, so the
+        # default root, the clique, lies a whole path away from where the
+        # pass roots the tree
+        for path_len in (1, 2, 5, 40):
+            for clique_size in (3, 4, 6):
+                self.assert_rooted_as_judged(gen_lollipop(path_len, clique_size))
+
+    def test_root_at_own_root_is_the_tree(self):
+        t = build_abc_tree(gen_gk(3).graph)
+        assert root_at(t, t.root) is t
+
+
+class TestTreeMemory:
+    def test_tree_stage_peak_bytes_per_vertex(self):
+        # building the tree and rooting it at its default root, above the
+        # built graph, on gk(1600): 186 B per vertex while rooting walked
+        # unrooted neighbour lists, 141 B with parents from the block pass
+        g = gen_gk(1600).graph
+
+        def stage():
+            t = build_abc_tree(g)
+            return root_at(t, default_root(t))
+
+        _, _, peak = traced(stage)
+        per_vertex = peak / g.n
+        assert per_vertex <= 160, f"{per_vertex:.0f} B per vertex"
+
+
+def sputnik_at_the_end_of_a_path(length):
+    """A path 0..length-1 from pendant 0 into a 4-cycle with a pendant on
+    each cycle vertex. Every cycle vertex has a pendant, so the graph is a
+    sputnik and every MIS of it is robust.
+    """
+    cycle = range(length, length + 4)
+    edges = [(i, i + 1) for i in range(length - 1)]
+    edges += [(c, length + (c - length + 1) % 4) for c in cycle]
+    edges += [(c, c + 4) for c in cycle]
+    edges.append((length - 1, length))
+    return Graph(range(length + 8), edges), tuple(cycle)
+
+
+class TestDeepRerooting:
+    def test_path_into_a_sputnik_cycle(self, tmp_path, capsys):
+        # the block pass starts at pendant 0 and roots the tree 10^5 nodes
+        # away from the cycle; rooting at the cycle reverses that whole path
+        g, cycle = sputnik_at_the_end_of_a_path(10**5)
+        run = run_labeling(g)
+        t = run.rooted
+        assert t.nodes[t.root] == AbcNode.component(cycle)
+        assert run.result is not None and is_robust_mis(g, run.result)
+        path = tmp_path / "deep.edges"
+        path.write_text(to_edge_list(g))
+        assert main(["abc", "--dot", str(path)]) == 0
+        assert capsys.readouterr().out.count(" -- ") == len(t.nodes) - 1
 
 
 def bull_rooted(g):

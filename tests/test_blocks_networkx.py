@@ -51,6 +51,8 @@ def assert_matches_networkx(g: Graph) -> None:
     assert len(block_of) == g.n and block_of[0] == -1
     members = [frozenset(c) for c in got.components]
     assert all(v in members[block_of[number[v]]] for v in g.vertices[1:])
+    # each block's top is its member the search reached first
+    assert got.top == [min(c, key=number.__getitem__) for c in got.components]
     index = {c: i for i, c in enumerate(got.components)}
     for comp_edges in nx.biconnected_component_edges(ng):
         comp = index[tuple(sorted({x for e in comp_edges for x in e}))]
