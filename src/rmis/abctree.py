@@ -229,12 +229,14 @@ def render_text(rt: AbcTree, annotate=None) -> str:
 
 
 def tree_to_dot(t: AbcTree) -> str:
-    """Graphviz rendering of the decomposition tree itself."""
+    """Graphviz rendering of the decomposition tree itself, labelled as
+    `AbcNode` prints, straight from the kind and vertex lists.
+    """
     out = ["graph abctree {"]
-    for i, x in enumerate(t.nodes):
-        out.append(f'  n{i} [label="{x}" shape={_DOT_SHAPES[x.kind]}];')
-    for a, b in t.edges():
-        out.append(f"  n{a} -- n{b};")
+    for i, (kind, vs) in enumerate(zip(t.kinds, t.vertices)):
+        label = ",".join(map(str, vs))
+        out.append(f'  n{i} [label="{kind}({label})" shape={_DOT_SHAPES[kind]}];')
+    out += [f"  n{a} -- n{b};" for a, b in t.edges()]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -244,10 +246,13 @@ def decomposition_dot(t: AbcTree) -> str:
     (articulation, pendant, large-component member) and bridges dashed.
     """
     roles: dict[int, str] = {}
-    for x in t.nodes:  # A-nodes sort first, so an articulation point keeps A
-        if x.kind in _ROLE_COLORS:
-            for v in x.vertices:
-                roles.setdefault(v, x.kind)
+    dashed: dict[tuple[int, ...], str] = {}
+    # A-nodes sort first, so an articulation point keeps A
+    for kind, vs in zip(t.kinds, t.vertices):
+        if kind in _ROLE_COLORS:
+            for v in vs:
+                roles.setdefault(v, kind)
+        elif kind == KIND_B:
+            dashed[vs] = "style=dashed"
     colors = {v: f'style=filled fillcolor={_ROLE_COLORS[r]} xlabel="{r}"' for v, r in roles.items()}
-    dashed = {x.vertices: "style=dashed" for x in t.nodes if x.kind == KIND_B}
     return to_dot(t.graph, name="decomposition", vertex_attrs=colors, edge_attrs=dashed)

@@ -15,10 +15,12 @@ Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
 
 An `RmisForallProgram` object gives equal neighborhoods one shared
-frozenset object across the nodes it serves. This is a device of the
-simulator, to save time and memory: the shared value is immutable and equal
-to the one the node built, so no information passes between nodes, and
-programs must not rely on object identity.
+frozenset object across the nodes it serves, and nodes with equal
+neighborhoods one shared round-3 gathered map and bipartite test result.
+These are devices of the simulator, to save time and memory: no shared
+value is changed once built, and each equals the one the node would build
+from its own inbox, so no information passes between nodes, and programs
+must not rely on object identity.
 """
 
 from __future__ import annotations
@@ -191,8 +193,20 @@ class _GatherState:
     decision: str | None = None
     port_ids: dict[int, int] = field(default_factory=dict)  # port -> neighbor id
     adj: dict[int, frozenset[int]] = field(default_factory=dict)  # id -> full nbhd
+    sides: tuple[set[int], set[int]] | None = None  # complete_bipartite_sides(adj)
     residual: dict[int, tuple[int, str | None]] = field(default_factory=dict)
     outbox: dict[int, Any] = field(default_factory=dict)  # next round's messages
+
+
+def _merged(inbox: dict[int, Any], own: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+    """A fresh map of the received adjacency maps and the node's own, which
+    was sent and so is not changed in place.
+    """
+    merged: dict[int, frozenset[int]] = {}
+    for _, mapping in inbox.values():
+        merged.update(mapping)
+    merged.update(own)
+    return merged
 
 
 class RmisForallProgram(NodeProgram):
@@ -219,14 +233,29 @@ class RmisForallProgram(NodeProgram):
     Nodes with equal neighborhoods hold one frozenset object, taken from a
     table the program object keeps (`_shared`), so one copy of each
     distinct neighborhood stays alive and the bipartite test compares them
-    by identity. This is a simulator device, not part of the algorithm: the
-    table only swaps a node's immutable neighborhood for an equal one, and
-    nothing may depend on object identity.
+    by identity. A second table (`_gathered`) does the same for the round-3
+    gathered map and its bipartite sides, which are built once per
+    distinct neighborhood, not once per node. Nodes with equal neighbor-id
+    sets have the same senders behind the same ports, since ports follow
+    ids, so they receive the same message objects in the same order; their
+    own round-2 keys are already in the senders' maps, so the merged maps
+    are equal, even in insertion order. An entry serves a node only when
+    the node's first message is the very object the entry was built from,
+    which ties it to one round of one run: a program object reused for
+    another run rebuilds, and a node with no mail builds its own map.
+    These are simulator devices, not part of the algorithm: the tables
+    only swap a node's values, never changed once built, for equal ones,
+    and nothing may depend on object identity.
     """
 
     @cached_property
     def _shared(self) -> dict[frozenset[int], frozenset[int]]:
         """Neighborhood -> the one object that stands for it."""
+        return {}
+
+    @cached_property
+    def _gathered(self) -> dict[frozenset[int], tuple[Any, dict[int, frozenset[int]], Any]]:
+        """Neighborhood -> (first round-3 message, gathered map, its sides)."""
         return {}
 
     def init(self, ident: int, degree: int) -> _GatherState:
@@ -246,14 +275,11 @@ class RmisForallProgram(NodeProgram):
                 state.port_ids[port] = ident
             nbhd = frozenset(state.port_ids.values())
             state.adj[state.ident] = self._shared.setdefault(nbhd, nbhd)
-        elif state.round in (2, 3):
-            merged: dict[int, frozenset[int]] = {}  # fresh: state.adj was sent
-            for _, mapping in inbox.values():
-                merged.update(mapping)
-            merged.update(state.adj)
-            state.adj = merged
-            if state.round == 3:
-                self._gather_decision(state)
+        elif state.round == 2:
+            state.adj = _merged(inbox, state.adj)
+        elif state.round == 3:
+            self._gather(state, inbox)
+            self._gather_decision(state)
         elif state.decision is None:
             for port, (_, ident, status) in inbox.items():
                 state.residual[port] = (ident, status)
@@ -265,8 +291,22 @@ class RmisForallProgram(NodeProgram):
             state.outbox = {}
         return state
 
+    def _gather(self, state: _GatherState, inbox: dict[int, Any]) -> None:
+        """Set the node's gathered map and its sides, from the `_gathered`
+        entry of its neighborhood when that was built from this inbox.
+        """
+        nbhd = state.adj[state.ident]
+        first = next(iter(inbox.values()), None)
+        entry = self._gathered.get(nbhd)
+        if entry is None or entry[0] is not first:
+            adj = _merged(inbox, state.adj)
+            entry = (first, adj, complete_bipartite_sides(adj))
+            if first is not None:
+                self._gathered[nbhd] = entry
+        _, state.adj, state.sides = entry
+
     def _gather_decision(self, state: _GatherState) -> None:
-        parts = complete_bipartite_sides(state.adj)
+        parts = state.sides
         if parts is not None:
             state.decision = IN if state.ident in parts[0] else OUT
             return

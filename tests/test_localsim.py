@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import timeit
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
@@ -348,25 +349,49 @@ class TestRmisForallProgram:
 
 
 class Unshared(RmisForallProgram):
-    """The program with a fresh neighborhood table on every lookup, so no two
-    nodes hold one neighborhood object.
+    """The program with fresh neighborhood and gathered-map tables on every
+    lookup, so no two nodes hold one neighborhood object and every node
+    merges its own inbox.
     """
 
     @property
     def _shared(self):
         return {}
 
+    @property
+    def _gathered(self):
+        return {}
+
+
+def own_merge(inbox, round2_adj):
+    """A node's round-3 map built from nothing but its own inbox and its
+    own round-2 map."""
+    merged = {}
+    for _, mapping in inbox.values():
+        merged.update(mapping)
+    merged.update(round2_adj)
+    return merged
+
 
 class TestSharedNeighborhoods:
-    """Nodes with equal neighborhoods hold one object; nothing else changes."""
+    """Nodes with equal neighborhoods hold one neighborhood object and one
+    gathered map; nothing else changes."""
 
     def test_flooded_maps_hold_one_object_per_side(self):
         class Gathered(RmisForallProgram):
             def __init__(self):
                 self.maps = []
+                self.merges = {}
+
+            def step(self, state, inbox):
+                if state.round == 2:  # this step gathers
+                    self.merges[state.ident] = own_merge(inbox, state.adj)
+                return super().step(state, inbox)
 
             def _gather_decision(self, state):
                 self.maps.append(state.adj)
+                assert state.adj == self.merges[state.ident]
+                assert list(state.adj) == list(self.merges[state.ident])
                 super()._gather_decision(state)
 
         for m, n in ((3, 4), (20, 30)):
@@ -378,6 +403,33 @@ class TestSharedNeighborhoods:
                 assert all(len(adj) == g.n for adj in program.maps)
                 objects = {id(ns) for adj in program.maps for ns in adj.values()}
                 assert len(objects) == 2
+                assert len({id(adj) for adj in program.maps}) == 2
+
+    def test_one_vertex_gathers_alone(self):
+        # the lone node receives no mail, so it builds its map outside the table
+        g = Graph([5])
+        for program in (rmis_forall_program(), Unshared()):
+            result = run_sync(g, program, identity_ids(g))
+            assert result.outputs == {5: IN}
+            assert result.termination_round == {5: 4}
+
+    def test_reused_program_matches_fresh_runs(self):
+        # node 2 has neighbors {1, 3} in both graphs. On the path, 1 has a
+        # pendant neighbor, so 2 ignores it and joins at once; on the
+        # sputnik, 1 hangs between 2 and the cycle with no pendant, so 2
+        # waits for it. A gathered map carried from one run into the next
+        # would hand 2 the other graph's surroundings.
+        path = gen_path(5)
+        sputnik = Graph(
+            edges=[(1, 2), (2, 3), (3, 4), (1, 10), (10, 11), (11, 12), (12, 13), (13, 10)]
+            + [(10, 20), (11, 21), (12, 22), (13, 23)]
+        )
+        assert in_rmis_forall(sputnik).sputnik
+        for first, second in ((path, sputnik), (sputnik, path)):
+            program = rmis_forall_program()
+            for g in (first, second):
+                ids = identity_ids(g)
+                assert run_sync(g, program, ids) == run_sync(g, rmis_forall_program(), ids)
 
     def test_sharing_changes_no_result(self):
         graphs = list(sim_corpus().values())
@@ -515,9 +567,10 @@ class TestSimulatorMemory:
     def test_peak_bytes_per_edge(self):
         # the tracemalloc peak of one K_{100,100} run, per n + m. Delivering
         # through `port_to` plus a per-node `port_from` dict peaked at 854 B,
-        # per-port `port_back` lists alone at 672 B, and one shared
-        # neighborhood object per side at 508 B; keeping two delivery tables
-        # or a neighborhood copy per node alive shows up here
+        # per-port `port_back` lists alone at 672 B, one shared
+        # neighborhood object per side at 508 B, and one gathered map per
+        # side at 331 B; keeping two delivery tables, a neighborhood copy
+        # or a gathered map per node alive shows up here
         g = gen_complete_bipartite(100, 100)
         ids = identity_ids(g)
         gc.collect()
@@ -537,7 +590,25 @@ class TestSimulatorMemory:
             if collecting:
                 gc.enable()
         per_elem = peak / (g.n + g.num_edges)
-        assert per_elem <= 580, f"{per_elem:.0f} B per n + m"
+        assert per_elem <= 350, f"{per_elem:.0f} B per n + m"
+
+
+class TestScaling:
+    # timeit holds the cyclic collector off, whose full passes scale with
+    # everything the rest of the suite keeps alive, not with the code timed
+    def test_complete_bipartite_time_per_element_stays_flat(self):
+        # every node merging its neighbors' round-2 maps itself is
+        # Theta(a * b * (a + b)) on K_{a,b}, against a + b + a * b elements.
+        # The sizes alternate, so a slow spell of the machine hits both
+        graphs = [gen_complete_bipartite(m, m) for m in (50, 300)]
+        best = [float("inf")] * len(graphs)
+        for _ in range(5):
+            for i, g in enumerate(graphs):
+                ids = identity_ids(g)
+                t = timeit.timeit(lambda: run_sync(g, rmis_forall_program(), ids), number=1)
+                best[i] = min(best[i], t / (g.n + g.num_edges))
+        small, large = best
+        assert large / small <= 1.6, f"{small * 1e6:.2f} -> {large * 1e6:.2f} us per n + m"
 
 
 class TestIndistinguishability:
