@@ -4,7 +4,7 @@ class of graphs in which every MIS is robust (exactly the union of the two).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 
 from .graph import Graph, GraphError, blocks, is_connected
@@ -18,19 +18,23 @@ class ClassVerdict:
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None
 
 
-def complete_bipartite_sides(adj: Mapping[int, Set[int]]) -> tuple[set[int], set[int]] | None:
+def complete_bipartite_sides(
+    adj: Mapping[int, Collection[int]],
+) -> tuple[set[int], set[int]] | None:
     """The sides (V1, V2) of a complete bipartite adjacency map, or None.
     V2 is the neighborhood of the smallest vertex and V1 every other vertex.
     A map that is not closed (some neighbor is not a key) gives None, never
     a KeyError: sides are returned only when every neighborhood is V1 or V2,
     both inside the keys.
 
-    Each V1 neighborhood is compared with the smallest vertex's, and each V2
+    The neighborhoods are duplicate-free collections of one type per map:
+    a graph's sorted tuples or the LOCAL simulator's frozensets. Each V1
+    neighborhood is compared with the smallest vertex's, and each V2
     neighborhood with that of one V2 vertex, which is checked once against
-    V1; a comparison tries identity before content. So the cost is linear
-    in the map's size, with no search, and linear in the number of keys
-    when equal neighborhoods are one shared object, as in the LOCAL
-    simulator's gathered maps.
+    V1 by size and containment; a comparison tries identity before content.
+    So the cost is linear in the map's size, with no search, and linear in
+    the number of keys when equal neighborhoods are one shared object, as
+    in the simulator's gathered maps.
     """
     nbhd1 = adj[min(adj)]
     v2 = set(nbhd1)
@@ -38,7 +42,7 @@ def complete_bipartite_sides(adj: Mapping[int, Set[int]]) -> tuple[set[int], set
         return None
     v1 = adj.keys() - v2
     nbhd2 = adj[next(iter(v2))]
-    if nbhd2 != v1:
+    if len(nbhd2) != len(v1) or not v1.issuperset(nbhd2):
         return None
     if all(adj[v] is nbhd1 or adj[v] == nbhd1 for v in v1) and all(
         adj[v] is nbhd2 or adj[v] == nbhd2 for v in v2
@@ -72,7 +76,7 @@ def is_sputnik(g: Graph) -> bool:
     return _sputnik_rule(g._adj, blocks(g, "is_sputnik").components)
 
 
-def _sputnik_rule(adj: Mapping[int, Set[int]], components: list[tuple[int, ...]]) -> bool:
+def _sputnik_rule(adj: Mapping[int, Collection[int]], components: list[tuple[int, ...]]) -> bool:
     """The sputnik rule on the block pass's components: each vertex of a
     component with three or more vertices, which is each vertex on a cycle,
     is next to a degree-1 vertex. One scan of the adjacency finds those.

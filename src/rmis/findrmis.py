@@ -56,7 +56,7 @@ from .abctree import (
     default_root,
     root_at,
 )
-from .graph import Graph, is_bipartite
+from .graph import Graph, in_sorted, is_bipartite
 from .twosat import Literal, TwoSatFormula, solve
 
 TAG_PI = "PI"
@@ -338,7 +338,7 @@ def component_core(
             side = not literal[v][1]
             nbrs = adj[v]
             if len(nbrs) > len(comp):  # an articulation point: scan the block
-                nbrs = [w for w in comp if w in nbrs]
+                nbrs = [w for w in comp if in_sorted(nbrs, w)]
             for w in nbrs:
                 other = tags.get(w)
                 if other is None:

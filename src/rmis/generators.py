@@ -160,10 +160,11 @@ def _with_pendants(base: Graph) -> Graph:
     order, that has no degree-1 neighbor; new ids follow the largest one.
     """
     pend = pendant_vertices(base)
+    adj = base._adj
     extra: list[Edge] = []
     next_id = max(base.vertices) + 1
     for v in sorted(cycle_vertices(base)):
-        if not (base.neighbors(v) & pend):
+        if pend.isdisjoint(adj[v]):
             extra.append((v, next_id))
             next_id += 1
     if not extra:

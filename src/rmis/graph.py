@@ -2,10 +2,19 @@
 
 Graphs are immutable after construction; every operation here is a pure
 function, so shared instances are safe to use from multiple threads.
+
+A graph keeps each vertex's neighbourhood as a sorted tuple of distinct
+neighbour ids in `Graph._adj`, and each id in those tuples is the very int
+object of its dict key, so a vertex costs one int however many edges
+mention it. Library code reads the tuples directly: membership goes
+through `in_sorted` (bisection) or a set built for the purpose, never a
+scan of a tuple. `Graph.neighbors` builds a frozenset per call for
+callers that want set algebra.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -25,6 +34,12 @@ class EdgeListParseError(GraphError):
         self.line = line
 
 
+def in_sorted(ns: tuple[int, ...], v: int) -> bool:
+    """Whether `v` is in the sorted tuple `ns`, by bisection."""
+    i = bisect_left(ns, v)
+    return i < len(ns) and ns[i] == v
+
+
 def edge(u: int, v: int) -> Edge:
     """Canonical form of an undirected edge: endpoints in increasing order."""
     if u == v:
@@ -42,12 +57,14 @@ class Graph:
     __slots__ = ("_adj", "_vertices")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
-        adj: dict[int, set[int]] = {}
+        # each vertex's list starts with its id object; neighbours are
+        # appended as those objects, so every id is one int (see `_freeze`)
+        adj: dict[int, list[int]] = {}
         for v in vertices:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise GraphError(f"vertex ids must be non-negative integers, got {v!r}")
             if v not in adj:
-                adj[v] = set()
+                adj[v] = [v]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -55,27 +72,38 @@ class Graph:
                 raise GraphError(f"vertex ids must be non-negative integers, got {u!r}")
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise GraphError(f"vertex ids must be non-negative integers, got {v!r}")
-            ns = adj.get(u)  # a set is built only for a new vertex
-            if ns is None:
-                adj[u] = {v}
-            else:
-                ns.add(v)
-            ns = adj.get(v)
-            if ns is None:
-                adj[v] = {u}
-            else:
-                ns.add(u)
+            nu = adj.get(u)
+            if nu is None:
+                nu = adj[u] = [u]
+            nv = adj.get(v)
+            if nv is None:
+                nv = adj[v] = [v]
+            nu.append(nv[0])
+            nv.append(nu[0])
         if not adj:
             raise GraphError("a graph needs at least one vertex")
         self._freeze(adj)
 
-    def _freeze(self, adj: dict[int, set[int]]) -> None:
+    def _freeze(self, adj: dict[int, list[int]]) -> None:
         """Take a validated, non-empty, symmetric adjacency as this graph's
-        own, replacing each neighbour set by its frozenset in the same dict,
-        so that each set is freed as its frozen copy is made.
+        own. Each list holds its vertex's id object, then that of every
+        neighbour, once per edge mention; it becomes the sorted tuple of
+        distinct neighbours, in the same dict, so each list is freed as its
+        tuple is made.
         """
         for v, ns in adj.items():
-            adj[v] = frozenset(ns)  # type: ignore[assignment]
+            del ns[0]
+            k = len(ns)
+            if k == 2:  # the commonest degree, settled without a set
+                if ns[0] is ns[1]:
+                    del ns[1]
+                elif ns[1] < ns[0]:
+                    ns.reverse()
+            elif k > 2:
+                ns.sort()
+                if len(set(ns)) < k:  # a repeated edge
+                    ns = sorted(set(ns))
+            adj[v] = tuple(ns)  # type: ignore[assignment]
         self._adj = adj
         self._vertices = tuple(sorted(adj))
 
@@ -92,22 +120,33 @@ class Graph:
         return sum(len(ns) for ns in self._adj.values()) // 2
 
     def neighbors(self, v: int) -> frozenset[int]:
+        """A new frozenset of `v`'s neighbours (the graph keeps a tuple)."""
         try:
-            return self._adj[v]
+            return frozenset(self._adj[v])
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        try:
+            return len(self._adj[v])
+        except KeyError:
+            raise GraphError(f"unknown vertex {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
+        ns = self._adj.get(u)
+        return ns is not None and in_sorted(ns, v)
 
     def edges(self) -> tuple[Edge, ...]:
-        """All edges in canonical order, sorted lexicographically."""
-        return tuple(
-            sorted((v, w) for v in self._vertices for w in self._adj[v] if v < w)
-        )
+        """All edges in canonical order, sorted lexicographically: the
+        vertices in order, each with its larger neighbours in order.
+        """
+        adj = self._adj
+        out = []
+        for v in self._vertices:
+            for w in adj[v]:
+                if v < w:
+                    out.append((v, w))
+        return tuple(out)
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
@@ -134,15 +173,19 @@ def from_edge_list(text: str) -> Graph:
     """Parse edge-list text: one "u v" pair per line, "#" comment lines,
     and bare integers declaring isolated vertices. Duplicate edges collapse.
 
-    Each line is split once and its ids go straight into the adjacency. A
-    line is a comment when `int` rejects its first token and that token
-    starts with "#" (`int` never accepts "#"). A bad line is reported by its
-    first fault: a non-integer, then a negative id, then the count or a
-    self-loop.
+    Each line is split once and its ids go straight into the adjacency as
+    the id objects of its keys, so the graph holds one int per vertex. The
+    lines are popped from a reversed list, so each is freed once read and
+    the line list is mostly gone by the time the adjacency is full. A line
+    is a comment when `int` rejects its first token and that token starts
+    with "#" (`int` never accepts "#"). A bad line is reported by its first
+    fault: a non-integer, then a negative id, then the count or a self-loop.
     """
-    lines = text.splitlines()
-    adj: dict[int, set[int]] = {}
-    for lineno, parts in enumerate(map(str.split, lines), start=1):
+    lines: list[str | None] = text.splitlines()
+    lines.append(None)  # the sentinel that ends the popping
+    lines.reverse()
+    adj: dict[int, list[int]] = {}  # laid out as in `Graph.__init__`
+    for lineno, parts in enumerate(map(str.split, iter(lines.pop, None)), start=1):
         if len(parts) == 2:
             try:
                 u = int(parts[0])
@@ -150,34 +193,32 @@ def from_edge_list(text: str) -> Graph:
             except ValueError:
                 if parts[0].startswith("#"):
                     continue
-                raise _line_error(lines, lineno, "expected integers, got") from None
+                raise _line_error(text, lineno, "expected integers, got") from None
             if u < 0 or v < 0:
-                raise _line_error(lines, lineno, "negative vertex id in")
+                raise _line_error(text, lineno, "negative vertex id in")
             if u == v:
                 raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
-            ns = adj.get(u)  # a set is built only for a new vertex
-            if ns is None:
-                adj[u] = {v}
-            else:
-                ns.add(v)
-            ns = adj.get(v)
-            if ns is None:
-                adj[v] = {u}
-            else:
-                ns.add(u)
+            nu = adj.get(u)
+            if nu is None:
+                nu = adj[u] = [u]
+            nv = adj.get(v)
+            if nv is None:
+                nv = adj[v] = [v]
+            nu.append(nv[0])
+            nv.append(nu[0])
         elif parts:
             try:
                 nums = list(map(int, parts))
             except ValueError:
                 if parts[0].startswith("#"):
                     continue
-                raise _line_error(lines, lineno, "expected integers, got") from None
+                raise _line_error(text, lineno, "expected integers, got") from None
             if any(x < 0 for x in nums):
-                raise _line_error(lines, lineno, "negative vertex id in")
+                raise _line_error(text, lineno, "negative vertex id in")
             if len(nums) != 1:
                 raise EdgeListParseError(lineno, f"expected 1 or 2 integers, got {len(nums)}")
             if nums[0] not in adj:
-                adj[nums[0]] = set()
+                adj[nums[0]] = nums  # [id]: the head of a new list
     if not adj:
         raise EdgeListParseError(0, "empty edge list")
     g = Graph.__new__(Graph)
@@ -185,14 +226,14 @@ def from_edge_list(text: str) -> Graph:
     return g
 
 
-def _line_error(lines: list[str], lineno: int, message: str) -> EdgeListParseError:
-    return EdgeListParseError(lineno, f"{message} {lines[lineno - 1].strip()!r}")
+def _line_error(text: str, lineno: int, message: str) -> EdgeListParseError:
+    return EdgeListParseError(lineno, f"{message} {text.splitlines()[lineno - 1].strip()!r}")
 
 
 def to_edge_list(g: Graph) -> str:
     """Serialize to the same format: sorted edges, then isolated vertices."""
     lines = [f"{u} {v}" for u, v in g.edges()]
-    lines += [str(v) for v in g.vertices if g.degree(v) == 0]
+    lines += [str(v) for v in g.vertices if not g._adj[v]]
     return "\n".join(lines) + "\n"
 
 
@@ -221,11 +262,12 @@ def bfs_distances(g: Graph, source: int) -> dict[int, int]:
     """Hop distance from `source` to every reachable vertex."""
     if source not in g:
         raise GraphError(f"unknown vertex {source}")
+    adj = g._adj
     dist = {source: 0}
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -251,7 +293,7 @@ def is_connected(g: Graph) -> bool:
 
 def pendant_vertices(g: Graph) -> set[int]:
     """Vertices of degree exactly 1."""
-    return {v for v in g.vertices if g.degree(v) == 1}
+    return {v for v, ns in g._adj.items() if len(ns) == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +431,7 @@ def is_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
     Returns (V1, V2) where, within each connected component, the part holding
     the component's smallest vertex goes to V1. None if an odd cycle exists.
     """
+    adj = g._adj
     color: dict[int, int] = {}
     for start in g.vertices:
         if start in color:
@@ -397,7 +440,7 @@ def is_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in color:
                     color[w] = 1 - color[v]
                     queue.append(w)
@@ -419,7 +462,7 @@ def ball(g: Graph, v: int, radius: int) -> tuple[Graph, set[int]]:
     boundary = {
         w
         for w in inside
-        if dist[w] == radius and any(x not in inside for x in g.neighbors(w))
+        if dist[w] == radius and any(x not in inside for x in g._adj[w])
     }
     return induced_subgraph(g, inside), boundary
 

@@ -122,9 +122,8 @@ def run_sync(
 
     # port p of v leads to its p-th neighbor in order of assigned id, and
     # port_back[v][p] is that neighbor's port leading back to v
-    port_to: dict[int, list[int]] = {
-        v: sorted(g.neighbors(v), key=ids.__getitem__) for v in g.vertices
-    }
+    adj = g._adj
+    port_to: dict[int, list[int]] = {v: sorted(adj[v], key=ids.__getitem__) for v in g.vertices}
     # visiting the senders in id order fills each port_back list in the
     # order of its owner's ports
     port_back: dict[int, list[int]] = {v: [] for v in g.vertices}
@@ -132,7 +131,7 @@ def run_sync(
         for p, u in enumerate(port_to[v]):
             port_back[u].append(p)
 
-    states = {v: program.init(ids[v], g.degree(v)) for v in g.vertices}
+    states = {v: program.init(ids[v], len(adj[v])) for v in g.vertices}
     termination: dict[int, int] = {}
     for v in g.vertices:
         if program.output(states[v]) is not None:
@@ -242,7 +241,9 @@ class RmisForallProgram(NodeProgram):
     are equal, even in insertion order. An entry serves a node only when
     the node's first message is the very object the entry was built from,
     which ties it to one round of one run: a program object reused for
-    another run rebuilds, and a node with no mail builds its own map.
+    another run rebuilds, and a node with no mail builds its own map. The
+    table is dropped at the first fourth step, so that its entries do not
+    keep the senders' round-2 maps alive for the rest of the run.
     These are simulator devices, not part of the algorithm: the tables
     only swap a node's values, never changed once built, for equal ones,
     and nothing may depend on object identity.
@@ -270,6 +271,10 @@ class RmisForallProgram(NodeProgram):
 
     def step(self, state: _GatherState, inbox: dict[int, Any]) -> _GatherState:
         state.round += 1
+        if state.round == 4:
+            # every node took its third step in the last round, so no entry
+            # is read again; the next run builds a new table
+            vars(self).pop("_gathered", None)
         if state.round == 1:
             for port, (_, ident) in sorted(inbox.items()):
                 state.port_ids[port] = ident

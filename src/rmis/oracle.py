@@ -11,7 +11,7 @@ the first checker and the search share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .graph import Edge, Graph, GraphError, blocks, edge, is_connected, remove_edges
 
@@ -30,7 +30,8 @@ def _as_member_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff no edge of `g` has both endpoints in `s`."""
     members = _as_member_set(g, s)
-    return all(not (g.neighbors(v) & members) for v in members)
+    adj = g._adj
+    return all(members.isdisjoint(adj[v]) for v in members)
 
 
 def is_mis(g: Graph, s: Iterable[int]) -> bool:
@@ -38,7 +39,8 @@ def is_mis(g: Graph, s: Iterable[int]) -> bool:
     members = _as_member_set(g, s)
     if not is_independent(g, members):
         return False
-    return all(g.neighbors(v) & members for v in g.vertices if v not in members)
+    adj = g._adj
+    return all(not members.isdisjoint(adj[v]) for v in g.vertices if v not in members)
 
 
 def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
@@ -53,24 +55,25 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     settles the rest: deleting u's edges into the set disconnects the graph
     iff some block holding u has none of u's edges to vertices outside.
     """
+    adj = g._adj
     first = g.vertices[0]
-    if not _reaches_all(g, first, g.neighbors(first)):
+    if not _reaches_all(g, first, adj[first]):
         raise GraphError("is_robust_mis requires a connected graph")
     members = _as_member_set(g, s)
     suspects = []
     for v in g.vertices:
-        ns = g.neighbors(v)
+        ns = adj[v]
         if v in members:
-            if not ns.isdisjoint(members):
+            if not members.isdisjoint(ns):
                 return False
-        elif ns.isdisjoint(members):
+        elif members.isdisjoint(ns):
             return False
-        elif not ns <= members:
+        elif not members.issuperset(ns):
             suspects.append(v)
     if not suspects:
         return True
     u = suspects[0]
-    if _reaches_all(g, u, g.neighbors(u) - members):
+    if _reaches_all(g, u, [w for w in adj[u] if w not in members]):
         return False
     aps, _, _, _, number, block_of = blocks(g, "is_robust_mis")
     for u in suspects[1:]:
@@ -79,7 +82,7 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
         k = number[u]
         every: set[int] = set()
         kept: set[int] = set()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             j = number[w]
             b = block_of[j if j > k else k]  # the endpoint numbered later
             every.add(b)
@@ -90,14 +93,15 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     return True
 
 
-def _reaches_all(g: Graph, start: int, exits: frozenset[int]) -> bool:
-    """Whether a search that leaves `start` only through `exits` reaches
-    every vertex of g.
+def _reaches_all(g: Graph, start: int, exits: Sequence[int]) -> bool:
+    """Whether a search that leaves `start` only through `exits`, distinct
+    neighbours of it, reaches every vertex of g.
     """
+    adj = g._adj
     seen = {start, *exits}
     todo = list(exits)
     while todo:
-        for w in g.neighbors(todo.pop()):
+        for w in adj[todo.pop()]:
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
@@ -151,12 +155,13 @@ def cycle_edges(g: Graph) -> list[Edge]:
     to its parent is unmarked, so each tree edge is marked once. The tree
     edges left unmarked are the bridges.
     """
+    adj = g._adj
     root = g.vertices[0]
     parent = {root: root}
     depth = {root: 0}
     order = [root]
     for v in order:  # grows as the walk goes
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w not in parent:
                 parent[w] = v
                 depth[w] = depth[v] + 1
@@ -196,6 +201,7 @@ def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[f
     """
     if g.n > max_vertices:
         raise GraphError(f"{g.n} vertices exceeds enumeration cap {max_vertices}")
+    adj = g._adj
     order = g.vertices
     rank = {v: i for i, v in enumerate(order)}
     found: list[frozenset[int]] = []
@@ -210,9 +216,9 @@ def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[f
             continue
         v = order[i]
         # exclude v: only viable if some later neighbor can still dominate it
-        if any(rank[w] > i for w in g.neighbors(v)):
+        if any(rank[w] > i for w in adj[v]):
             stack.append((i + 1, chosen, blocked))
-        stack.append((i + 1, chosen | {v}, blocked | g.neighbors(v)))
+        stack.append((i + 1, chosen | {v}, blocked.union(adj[v])))
     found.sort(key=lambda m: tuple(sorted(m)))
     return found
 

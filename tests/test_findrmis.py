@@ -35,9 +35,11 @@ from rmis.findrmis import (
     run_labeling,
 )
 from rmis.findrmis import test_rmis as component_probe  # alias keeps pytest from collecting it
-from rmis.graph import Graph, GraphError
+from rmis.graph import Graph, GraphError, from_edge_list, to_edge_list
+from rmis.classify import in_rmis_forall
 from rmis.generators import (
     gen_bull,
+    gen_complete_bipartite,
     gen_cycle,
     gen_gk,
     gen_path,
@@ -493,6 +495,16 @@ class TestRetainedMemory:
         per_vertex = peak / g.n
         assert per_vertex <= 230, f"{per_vertex:.0f} B per vertex"
 
+    def test_find_peak_with_its_parsed_graph(self):
+        # what `rmis find` holds at its peak: the parsed graph and the
+        # search above it. A frozenset graph with an int per id mention
+        # peaked at 523 B per vertex on gk(1600); the tuple graph at 324
+        text = to_edge_list(gen_gk(1600).graph)
+        n = 6 * 1601
+        _, _, peak = traced(lambda: find_rmis(from_edge_list(text)))
+        per_vertex = peak / n
+        assert per_vertex <= 360, f"{per_vertex:.0f} B per vertex"
+
     def test_search_keeps_no_collector_tracked_objects(self):
         # a frozenset per component and tag stays tracked by the cyclic
         # collector (one object per tree node on gk(1600)); tuples of ints
@@ -537,6 +549,26 @@ class TestScaling:
 
         small, large = map(per_vertex, map(friendship, (1000, 4000)))
         assert large / small <= 2.5, f"{small * 1e6:.1f} -> {large * 1e6:.1f} us per vertex"
+
+    @pytest.mark.parametrize("op", ["classify", "find", "verify"])
+    def test_complete_bipartite_time_per_element_stays_flat(self, op):
+        # every neighbourhood of K_{m,m} holds m ids, so a membership test
+        # that scanned a neighbour tuple, or compared one with a set item by
+        # item, would be quadratic per vertex here. The sizes alternate, so
+        # a slow spell of the machine hits both
+        run = {
+            "classify": in_rmis_forall,
+            "find": find_rmis,
+            "verify": lambda g: is_robust_mis(g, range(g.n // 2)),
+        }[op]
+        graphs = [gen_complete_bipartite(m, m) for m in (50, 300)]
+        best = [float("inf")] * len(graphs)
+        for _ in range(5):
+            for i, g in enumerate(graphs):
+                t = timeit.timeit(lambda: run(g), number=1)
+                best[i] = min(best[i], t / (g.n + g.num_edges))
+        small, large = best
+        assert large / small <= 1.6, f"{small * 1e6:.2f} -> {large * 1e6:.2f} us per n + m"
 
     def test_sputnik_verify_time_per_vertex_stays_flat(self, sputniks):
         def per_vertex(g):

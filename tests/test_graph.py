@@ -71,11 +71,21 @@ class TestParsing:
 
 
 class TestParseMemory:
+    def test_parsed_graph_bytes_per_vertex(self):
+        # a frozenset per vertex and a new int for every mention of an id
+        # kept 327 B per vertex on gk(1600); sorted neighbour tuples whose
+        # ids are their keys' own int objects keep 127
+        text = to_edge_list(gen_gk(1600).graph)
+        g, kept, _ = traced(lambda: from_edge_list(text))
+        per_vertex = kept / g.n
+        assert per_vertex <= 160, f"{per_vertex:.0f} B per vertex"
+
     def test_parse_peak_stays_near_the_graph_it_keeps(self):
-        # the parse peaks while its neighbour sets and the line list are
-        # alive: 1.3 times the frozen graph it keeps on gk(1600). Freezing
-        # into a second dict held every set and every frozenset at once,
-        # and peaked at 2.05 times
+        # the parse peaks while its neighbour lists and the lines not yet
+        # read are alive: 1.39 times the tuple graph it keeps on gk(1600).
+        # Neighbour sets beside the whole line list peaked at 1.3 times a
+        # frozenset graph 2.6 times as big, and freezing into a second dict
+        # held every set and every frozenset at once, at 2.05 times
         text = to_edge_list(gen_gk(1600).graph)
         gc.collect()
         started = not tracemalloc.is_tracing()

@@ -431,6 +431,27 @@ class TestSharedNeighborhoods:
                 ids = identity_ids(g)
                 assert run_sync(g, program, ids) == run_sync(g, rmis_forall_program(), ids)
 
+    def test_gathered_table_dropped_after_the_third_step(self):
+        # an entry holds a sender's round-2 map; every node takes its third
+        # step in the same round, so none is read after it, and the table
+        # goes at the first fourth step rather than at the end of the run
+        class Watched(RmisForallProgram):
+            def __init__(self):
+                self.kept = []
+
+            def step(self, state, inbox):
+                state = super().step(state, inbox)
+                if state.round >= 4:
+                    self.kept.append("_gathered" in vars(self))
+                return state
+
+        g = gen_path(12)
+        program = Watched()
+        result = run_sync(g, program, identity_ids(g))
+        assert result.rounds_total > 4
+        assert program.kept and not any(program.kept)
+        assert result == run_sync(g, program, identity_ids(g))  # rebuilt on reuse
+
     def test_sharing_changes_no_result(self):
         graphs = list(sim_corpus().values())
         sparse = ((2000, 200, 1), (2500, 1000, 2), (3000, 300, 3))
