@@ -23,7 +23,6 @@ read.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import cached_property
 from itertools import groupby, islice
 from typing import NamedTuple
@@ -39,22 +38,6 @@ KIND_P = "P"
 class AbcNode(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
-
-    @classmethod
-    def articulation(cls, v: int) -> AbcNode:
-        return cls(KIND_A, (v,))
-
-    @classmethod
-    def bridge(cls, u: int, v: int) -> AbcNode:
-        return cls(KIND_B, (u, v) if u < v else (v, u))
-
-    @classmethod
-    def component(cls, vs: Iterable[int]) -> AbcNode:
-        return cls(KIND_C, tuple(sorted(vs)))
-
-    @classmethod
-    def pendant(cls, v: int) -> AbcNode:
-        return cls(KIND_P, (v,))
 
     def __str__(self) -> str:
         return f"{self.kind}({','.join(map(str, self.vertices))})"
@@ -103,9 +86,6 @@ class AbcTree:
     @cached_property
     def nodes(self) -> tuple[AbcNode, ...]:
         return tuple(map(AbcNode, self.kinds, self.vertices))
-
-    def component_nodes(self) -> list[int]:
-        return [i for i, kind in enumerate(self.kinds) if kind == KIND_C]
 
     def edges(self) -> list[tuple[int, int]]:
         """Every tree edge as a sorted id pair, in sorted order."""

@@ -66,7 +66,7 @@ def _cmd_abc(args) -> int:
     if args.dot_graph:
         print(abctree.decomposition_dot(t), end="")
         return 0
-    if t.component_nodes():  # built rooted at the default root
+    if abctree.KIND_C in t.kinds:  # built rooted at the default root
         print(abctree.render_text(t), end="")
     else:
         for node in t.nodes:

@@ -297,16 +297,17 @@ def pendant_vertices(g: Graph) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# lowlink decomposition: articulation points, bridges, biconnected components
+# lowlink decomposition: articulation points and biconnected components,
+# whose size-2 members are the bridges
 
 class Blocks(NamedTuple):
-    """One block pass's result. Each component's `top` is its member the
-    pass reached first; every other member lies below it in the search
-    tree, so the tops root the block-cut tree at the pass's start vertex.
+    """One block pass's result. The components of size 2 are exactly the
+    bridges. Each component's `top` is its member the pass reached first;
+    every other member lies below it in the search tree, so the tops root
+    the block-cut tree at the pass's start vertex.
     """
 
     articulation_points: set[int]
-    bridges: set[Edge]
     components: list[tuple[int, ...]]  # edge-based, sorted tuples, in sorted order
     top: list[int]  # per component, the member with the smallest `number`
     number: dict[int, int]  # the order in which the search reached each vertex
@@ -317,8 +318,8 @@ class Blocks(NamedTuple):
 
 
 def blocks(g: Graph, op: str = "blocks") -> Blocks:
-    """One iterative depth-first pass computing articulation points, bridges,
-    and biconnected components (as sorted vertex tuples), after Hopcroft and
+    """One iterative depth-first pass computing articulation points and
+    biconnected components (as sorted vertex tuples), after Hopcroft and
     Tarjan.
 
     The state lives in flat lists indexed by DFS number: `low`, the vertex
@@ -346,7 +347,6 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     path_iters = [iter(adj[root])]
     reached = [0]
     aps: set[int] = set()
-    brs: set[Edge] = set()
     comps: list[tuple[int, ...]] = []
     tops: list[int] = []
     root_blocks = 0
@@ -385,8 +385,6 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
             members.sort()
             comps.append(tuple(members))
             tops.append(vertex[p])
-            if len(members) == 2:
-                brs.add(comps[-1])
             if p:
                 aps.add(vertex[p])
             else:
@@ -404,7 +402,7 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     for i, b in enumerate(order):
         rank[b] = i
     del order
-    return Blocks(aps, brs, comps, tops, number, list(map(rank.__getitem__, block_of)))
+    return Blocks(aps, comps, tops, number, list(map(rank.__getitem__, block_of)))
 
 
 def articulation_points(g: Graph) -> set[int]:
@@ -414,7 +412,7 @@ def articulation_points(g: Graph) -> set[int]:
 
 def bridges(g: Graph) -> set[Edge]:
     """Edges whose removal disconnects the graph (the non-removable edges)."""
-    return blocks(g, "bridges").bridges
+    return {c for c in blocks(g, "bridges").components if len(c) == 2}
 
 
 def biconnected_components(g: Graph) -> list[frozenset[int]]:

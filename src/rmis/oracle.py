@@ -75,7 +75,8 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     u = suspects[0]
     if _reaches_all(g, u, [w for w in adj[u] if w not in members]):
         return False
-    aps, _, _, _, number, block_of = blocks(g, "is_robust_mis")
+    found = blocks(g, "is_robust_mis")
+    aps, number, block_of = found.articulation_points, found.number, found.block_of
     for u in suspects[1:]:
         if u not in aps:
             return False  # u's one block keeps u's edge to a non-member

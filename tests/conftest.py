@@ -492,7 +492,7 @@ def reference_labeling(g: Graph) -> ReferenceRun:
     the same labels, as its `labels` view, and the same answer.
     """
     tree = build_abc_tree(g, "find_rmis")
-    if not tree.component_nodes():
+    if KIND_C not in tree.kinds:
         v1, _ = is_bipartite(g)  # type: ignore[misc]
         return ReferenceRun(None, {}, frozenset(v1))
     rt = reference_rooting(tree, default_root(tree))

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from rmis.abctree import (
+    KIND_A,
+    KIND_B,
     KIND_C,
+    KIND_P,
     AbcNode,
     build_abc_tree,
     decomposition_dot,
@@ -41,47 +44,47 @@ class TestBuild:
     def test_bull_nodes_and_shape(self):
         t = build_abc_tree(gen_bull())
         assert set(t.nodes) == {
-            AbcNode.pendant(0),
-            AbcNode.pendant(4),
-            AbcNode.articulation(1),
-            AbcNode.articulation(2),
-            AbcNode.bridge(0, 1),
-            AbcNode.bridge(2, 4),
-            AbcNode.component({1, 2, 3}),
+            AbcNode(KIND_P, (0,)),
+            AbcNode(KIND_P, (4,)),
+            AbcNode(KIND_A, (1,)),
+            AbcNode(KIND_A, (2,)),
+            AbcNode(KIND_B, (0, 1)),
+            AbcNode(KIND_B, (2, 4)),
+            AbcNode(KIND_C, (1, 2, 3)),
         }
         # ids follow sorted node order
         assert list(t.nodes) == sorted(t.nodes)
         # the tree is the path P(0)-B(0,1)-A(1)-C(1,2,3)-A(2)-B(2,4)-P(4)
         path = [
-            AbcNode.pendant(0),
-            AbcNode.bridge(0, 1),
-            AbcNode.articulation(1),
-            AbcNode.component({1, 2, 3}),
-            AbcNode.articulation(2),
-            AbcNode.bridge(2, 4),
-            AbcNode.pendant(4),
+            AbcNode(KIND_P, (0,)),
+            AbcNode(KIND_B, (0, 1)),
+            AbcNode(KIND_A, (1,)),
+            AbcNode(KIND_C, (1, 2, 3)),
+            AbcNode(KIND_A, (2,)),
+            AbcNode(KIND_B, (2, 4)),
+            AbcNode(KIND_P, (4,)),
         ]
         ids = list(map(t.nodes.index, path))
         assert t.edges() == sorted(tuple(sorted(e)) for e in zip(ids, ids[1:]))
 
     def test_path_is_all_bridges(self):
         t = build_abc_tree(gen_path(3))
-        assert t.component_nodes() == []
+        assert KIND_C not in t.kinds
         assert set(t.nodes) == {
-            AbcNode.pendant(0),
-            AbcNode.pendant(2),
-            AbcNode.articulation(1),
-            AbcNode.bridge(0, 1),
-            AbcNode.bridge(1, 2),
+            AbcNode(KIND_P, (0,)),
+            AbcNode(KIND_P, (2,)),
+            AbcNode(KIND_A, (1,)),
+            AbcNode(KIND_B, (0, 1)),
+            AbcNode(KIND_B, (1, 2)),
         }
 
     def test_square_is_one_component(self):
         t = build_abc_tree(gen_cycle(4))
-        assert t.nodes == (AbcNode.component({0, 1, 2, 3}),)
+        assert t.nodes == (AbcNode(KIND_C, (0, 1, 2, 3)),)
 
     def test_single_vertex_registers_as_pendant(self):
         t = build_abc_tree(Graph([3]))
-        assert t.nodes == (AbcNode.pendant(3),)
+        assert t.nodes == (AbcNode(KIND_P, (3,)),)
 
     def test_nodes_behave_as_kind_vertices_tuples(self):
         nodes = list(build_abc_tree(gen_gk(3).graph).nodes)
@@ -118,7 +121,7 @@ class TestBuild:
                 ]
                 assert len(holders) == 1
             # rooted at any component, children follow in increasing id order
-            for root in t.component_nodes():
+            for root in [i for i, kind in enumerate(t.kinds) if kind == KIND_C]:
                 assert all(list(kids) == sorted(kids) for kids in root_at(t, root).children)
 
 
@@ -127,14 +130,14 @@ class TestRooting:
         g = gen_bull()
         t = build_abc_tree(g)
         rt = root_at(t, default_root(t))
-        assert rt.nodes[rt.root] == AbcNode.component({1, 2, 3})
+        assert rt.nodes[rt.root] == AbcNode(KIND_C, (1, 2, 3))
         assert {rt.nodes[c] for c in rt.children[rt.root]} == {
-            AbcNode.articulation(1),
-            AbcNode.articulation(2),
+            AbcNode(KIND_A, (1,)),
+            AbcNode(KIND_A, (2,)),
         }
-        assert rt.attachment[rt.nodes.index(AbcNode.bridge(0, 1))] == 1
-        assert rt.attachment[rt.nodes.index(AbcNode.articulation(1))] == 1
-        assert rt.attachment[rt.nodes.index(AbcNode.pendant(0))] == 0
+        assert rt.attachment[rt.nodes.index(AbcNode(KIND_B, (0, 1)))] == 1
+        assert rt.attachment[rt.nodes.index(AbcNode(KIND_A, (1,)))] == 1
+        assert rt.attachment[rt.nodes.index(AbcNode(KIND_P, (0,)))] == 0
         assert rt.attachment[rt.root] is None
 
     def test_square_root_has_no_children(self):
@@ -144,7 +147,7 @@ class TestRooting:
 
     def test_root_must_be_component(self):
         t = build_abc_tree(gen_bull())
-        for bad in (t.nodes.index(AbcNode.articulation(1)), len(t.nodes), -1):
+        for bad in (t.nodes.index(AbcNode(KIND_A, (1,))), len(t.nodes), -1):
             with pytest.raises(GraphError):
                 root_at(t, bad)
 
@@ -190,7 +193,7 @@ class TestRootingJudge:
             assert (t.parent, t.children, t.attachment) == (ref.parent, ref.children, ref.attachment)
             return
         assert t.root == default_root(t)
-        for r in t.component_nodes():
+        for r in [i for i, kind in enumerate(t.kinds) if kind == KIND_C]:
             rt = root_at(t, r)
             ref = reference_rooting(t, r)
             assert rt.root == r
@@ -259,7 +262,7 @@ class TestDeepRerooting:
         g, cycle = sputnik_at_the_end_of_a_path(10**5)
         run = run_labeling(g)
         t = run.rooted
-        assert t.nodes[t.root] == AbcNode.component(cycle)
+        assert t.nodes[t.root] == AbcNode(KIND_C, cycle)
         assert run.result is not None and is_robust_mis(g, run.result)
         path = tmp_path / "deep.edges"
         path.write_text(to_edge_list(g))
@@ -269,14 +272,14 @@ class TestDeepRerooting:
 
 def bull_rooted(g):
     t = build_abc_tree(g)
-    return root_at(t, t.nodes.index(AbcNode.component({1, 2, 3})))
+    return root_at(t, t.nodes.index(AbcNode(KIND_C, (1, 2, 3))))
 
 
 class TestSubtreeGraphs:
     def test_bull_subtree_at_horn_side(self):
         g = gen_bull()
         rt = bull_rooted(g)
-        sub = induced_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.articulation(2)))
+        sub = induced_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode(KIND_A, (2,))))
         assert set(sub.vertices) == {2, 4}
         assert sub.edges() == ((2, 4),)
 
@@ -288,7 +291,7 @@ class TestSubtreeGraphs:
     def test_subtree_at_pendant_is_one_vertex(self):
         g = gen_bull()
         rt = bull_rooted(g)
-        sub = induced_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.pendant(0)))
+        sub = induced_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode(KIND_P, (0,))))
         assert set(sub.vertices) == {0} and sub.num_edges == 0
 
     def test_subtrees_connected_and_reconstruct(self):
@@ -296,7 +299,7 @@ class TestSubtreeGraphs:
         for i in range(40):
             g = gen_random_connected(rng.randint(2, 8), rng.uniform(0.2, 0.6), 50 + i)
             t = build_abc_tree(g)
-            if not t.component_nodes():
+            if KIND_C not in t.kinds:
                 continue
             rt = root_at(t, default_root(t))
             for x in rt.postorder():
@@ -306,7 +309,7 @@ class TestSubtreeGraphs:
     def test_aerial_adds_pendant_at_attachment(self):
         g = gen_bull()
         rt = bull_rooted(g)
-        sub, aerial = aerial_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.articulation(2)))
+        sub, aerial = aerial_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode(KIND_A, (2,))))
         assert aerial == 5
         assert set(sub.vertices) == {2, 4, 5}
         assert sub.edges() == ((2, 4), (2, 5))
@@ -314,7 +317,7 @@ class TestSubtreeGraphs:
     def test_aerial_on_pendant_subtree_is_single_edge(self):
         g = gen_bull()
         rt = bull_rooted(g)
-        sub, aerial = aerial_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode.pendant(0)))
+        sub, aerial = aerial_subgraph_of_subtree(g, rt, rt.nodes.index(AbcNode(KIND_P, (0,))))
         assert sub.edges() == ((0, aerial),)
 
     def test_aerial_never_collides(self):
@@ -322,7 +325,7 @@ class TestSubtreeGraphs:
         for i in range(30):
             g = gen_random_connected(rng.randint(3, 8), rng.uniform(0.25, 0.6), 90 + i)
             t = build_abc_tree(g)
-            if not t.component_nodes():
+            if KIND_C not in t.kinds:
                 continue
             rt = root_at(t, default_root(t))
             for x in rt.postorder():

@@ -7,7 +7,10 @@ import pytest
 
 from rmis import findrmis
 from rmis.abctree import (
+    KIND_A,
+    KIND_B,
     KIND_C,
+    KIND_P,
     AbcNode,
     build_abc_tree,
     root_at,
@@ -60,7 +63,7 @@ from conftest import (
 
 def rooted_at(g, comp):
     t = build_abc_tree(g)
-    return root_at(t, t.nodes.index(AbcNode.component(comp)))
+    return root_at(t, t.nodes.index(AbcNode(KIND_C, tuple(sorted(comp)))))
 
 
 def synthetic_run(rt, masks):
@@ -179,7 +182,7 @@ class TestLabeling:
     def test_pendant_leaf_label(self):
         g = gen_bull()
         rt = rooted_at(g, {1, 2, 3})
-        p0, b01, a1 = map(rt.nodes.index, (AbcNode.pendant(0), AbcNode.bridge(0, 1), AbcNode.articulation(1)))
+        p0, b01, a1 = map(rt.nodes.index, (AbcNode(KIND_P, (0,)), AbcNode(KIND_B, (0, 1)), AbcNode(KIND_A, (1,))))
         run = label_tree(rt)
         assert (run.mask[p0], run.mask[b01], run.mask[a1]) == (PI | PE, PO | PI, PI | PO)
         # only component nodes store sets
@@ -214,19 +217,19 @@ class TestLabeling:
         run = run_labeling(g)
         assert run.result is None
         idx = run.rooted.nodes.index
-        assert run.labels[idx(AbcNode.component({4, 5, 6}))] == {TAG_N: frozenset()}
-        assert run.labels[idx(AbcNode.bridge(0, 4))] == {TAG_N: frozenset()}
+        assert run.labels[idx(AbcNode(KIND_C, (4, 5, 6)))] == {TAG_N: frozenset()}
+        assert run.labels[idx(AbcNode(KIND_B, (0, 4)))] == {TAG_N: frozenset()}
         assert run.labels[run.rooted.root] == {TAG_N: frozenset()}
-        assert run.mask[idx(AbcNode.articulation(4))] == N
+        assert run.mask[idx(AbcNode(KIND_A, (4,)))] == N
         assert run.mask[run.rooted.root] == N
 
     def test_articulation_rules_on_synthetic_children(self):
         # triangle root with a bridge to vertex 0, which carries two pendant legs
         g = Graph(edges=[(4, 5), (5, 6), (6, 4), (4, 0), (0, 1), (0, 2)])
         rt = rooted_at(g, {4, 5, 6})
-        a0 = rt.nodes.index(AbcNode.articulation(0))
+        a0 = rt.nodes.index(AbcNode(KIND_A, (0,)))
         kids = rt.children[a0]
-        assert [rt.nodes[k] for k in kids] == [AbcNode.bridge(0, 1), AbcNode.bridge(0, 2)]
+        assert [rt.nodes[k] for k in kids] == [AbcNode(KIND_B, (0, 1)), AbcNode(KIND_B, (0, 2))]
 
         assert articulation_mask([PI, PI]) == PI
         run = synthetic_run(rt, {kids[0]: PI, kids[1]: PI, a0: PI})
@@ -251,13 +254,13 @@ class TestLabeling:
         run = run_labeling(g)
         witnesses = all_witnesses(run)
         assert witnesses[a0] == {TAG_PI: frozenset({0}), TAG_PO: frozenset({1, 2})}
-        assert witnesses[run.rooted.nodes.index(AbcNode.articulation(4))] == {TAG_PI: frozenset({4, 1, 2}), TAG_PO: frozenset({0})}
+        assert witnesses[run.rooted.nodes.index(AbcNode(KIND_A, (4,)))] == {TAG_PI: frozenset({4, 1, 2}), TAG_PO: frozenset({0})}
 
     def test_bridge_rules_on_synthetic_children(self):
         g = gen_bull()
         rt = rooted_at(g, {1, 2, 3})
-        bridge = rt.nodes.index(AbcNode.bridge(0, 1))  # parent side is vertex 1
-        child = rt.nodes.index(AbcNode.pendant(0))
+        bridge = rt.nodes.index(AbcNode(KIND_B, (0, 1)))  # parent side is vertex 1
+        child = rt.nodes.index(AbcNode(KIND_P, (0,)))
 
         assert bridge_mask(PO) == PI | PE
         run = synthetic_run(rt, {child: PO, bridge: PI | PE})
@@ -287,7 +290,7 @@ class TestLabeling:
         # bridge from the square takes PI and PE, both built on A(10)'s PO
         g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 10), (10, 11), (10, 13), (10, 14), (11, 12), (11, 13)])
         run = run_labeling(g)
-        bridge = run.rooted.nodes.index(AbcNode.bridge(0, 10))
+        bridge = run.rooted.nodes.index(AbcNode(KIND_B, (0, 10)))
         assert run.labels[bridge] == {TAG_PI: frozenset({0}), TAG_PE: frozenset()}
         assert all_witnesses(run)[bridge] == {
             TAG_PI: frozenset({0, 12, 13, 14}),
@@ -301,7 +304,7 @@ class TestLabeling:
             ring = [(10 + i, 10 + (i + 1) % leaf_size) for i in range(leaf_size)]
             g = Graph(edges=[(0, 1), (1, 2), (2, 0), (0, 10)] + ring)
             rt = rooted_at(g, {0, 1, 2})
-            leaf = rt.nodes.index(AbcNode.component(range(10, 10 + leaf_size)))
+            leaf = rt.nodes.index(AbcNode(KIND_C, tuple(range(10, 10 + leaf_size))))
             run = label_tree(rt)
             assert set(run.labels[leaf]) == expected
             assert run.mask[leaf] == mask
@@ -313,9 +316,9 @@ class TestLabeling:
         g = gen_random_connected(22, 0.0955996241482135, 5688)
         run = run_labeling(g)
         idx = run.rooted.nodes.index
-        assert run.mask[idx(AbcNode.bridge(3, 12))] == PI
-        assert run.mask[idx(AbcNode.component({2, 3, 4, 6, 20}))] == PE
-        assert run.mask[idx(AbcNode.articulation(3))] == N
+        assert run.mask[idx(AbcNode(KIND_B, (3, 12)))] == PI
+        assert run.mask[idx(AbcNode(KIND_C, (2, 3, 4, 6, 20)))] == PE
+        assert run.mask[idx(AbcNode(KIND_A, (3,)))] == N
         assert articulation_mask([PI, PE]) == articulation_mask([PI, PO]) == N
         assert find_rmis(g) is None
         assert enumerate_robust_mis(g, max_vertices=32) == []
@@ -332,7 +335,7 @@ class TestLabeling:
         )
         run = run_labeling(g)
         idx = run.rooted.nodes.index
-        assert run.mask[idx(AbcNode.articulation(6))] == run.mask[idx(AbcNode.articulation(10))] == PE
+        assert run.mask[idx(AbcNode(KIND_A, (6,)))] == run.mask[idx(AbcNode(KIND_A, (10,)))] == PE
         assert run.mask[run.rooted.root] == N
         assert run.result is None and enumerate_robust_mis(g) == []
         assert run.labels == reference_labeling(g).labels
@@ -352,7 +355,7 @@ class TestLabeling:
         run = run_labeling(gen_bull())
         mask = list(run.mask)
         # vertex 1 is out of the root's members, so A(1) must offer PO or PE
-        mask[run.rooted.nodes.index(AbcNode.articulation(1))] = PI
+        mask[run.rooted.nodes.index(AbcNode(KIND_A, (1,)))] = PI
         broken = replace(run, mask=mask)
         with pytest.raises(InternalLabelingError, match="lacks the label"):
             decide(broken)

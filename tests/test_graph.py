@@ -20,7 +20,15 @@ from rmis.graph import (
     remove_edges,
     to_edge_list,
 )
-from rmis.generators import gen_bull, gen_complete_bipartite, gen_cycle, gen_gk, gen_path, gen_random_connected
+from rmis.generators import (
+    gen_bull,
+    gen_complete_bipartite,
+    gen_cycle,
+    gen_gk,
+    gen_path,
+    gen_random_connected,
+    gen_sparse_sputnik,
+)
 
 from conftest import (
     brute_articulation_points,
@@ -85,7 +93,9 @@ class TestParseMemory:
         # read are alive: 1.39 times the tuple graph it keeps on gk(1600).
         # Neighbour sets beside the whole line list peaked at 1.3 times a
         # frozenset graph 2.6 times as big, and freezing into a second dict
-        # held every set and every frozenset at once, at 2.05 times
+        # held every set and every frozenset at once, at 2.05 times. The
+        # ratio alone would pass a bigger parse of a bigger graph, so the
+        # peak is also bounded in bytes per vertex: 178 today
         text = to_edge_list(gen_gk(1600).graph)
         gc.collect()
         started = not tracemalloc.is_tracing()
@@ -100,7 +110,9 @@ class TestParseMemory:
             if started:
                 tracemalloc.stop()
         ratio = (peak - before) / (kept - before)
+        per_vertex = (peak - before) / g.n
         assert g.n == 6 * 1601 and ratio <= 1.6, f"parse peak {ratio:.2f} times the kept graph"
+        assert per_vertex <= 200, f"parse peak {per_vertex:.0f} B per vertex"
 
 
 class TestGraphInvariants:
@@ -239,6 +251,15 @@ class TestBlockPassMemory:
         _, _, peak = traced(lambda: blocks(g))
         per_vertex = peak / g.n
         assert per_vertex <= 160, f"{per_vertex:.0f} B per vertex"
+
+    def test_kept_bytes_per_vertex_on_a_sparse_sputnik(self):
+        # what the pass returns on a graph that is mostly bridges: 204 B per
+        # vertex while it also kept a set of every bridge, which are the
+        # size-2 components already; 183 without it
+        g = gen_sparse_sputnik(20_000, 2_000, 1)
+        found, kept, _ = traced(lambda: blocks(g))
+        per_vertex = kept / g.n
+        assert len(found.components) > g.n // 2 and per_vertex <= 195, f"{per_vertex:.0f} B per vertex"
 
 
 class TestBipartite:
