@@ -116,12 +116,16 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
     that every vertex of the graph appears somewhere in the tree. A
     disconnected graph raises GraphError naming `op`. The block-pass result
     is dropped once its components and tops are taken, so the tree's lists
-    are built without its per-vertex state alive.
+    are built without its per-vertex state alive. Node ids follow sorted
+    block order, so the blocks, which the pass lists as it closes them, are
+    sorted here and nowhere else.
     """
     found = blocks(g, op)
     arts = sorted(found.articulation_points)
-    comps, tops = found.components, found.top  # sorted tuples, in sorted order
+    comps, tops = found.components, found.top  # sorted tuples, in closing order
     del found
+    order = sorted(range(len(comps)), key=comps.__getitem__)
+    comps, tops = list(map(comps.__getitem__, order)), list(map(tops.__getitem__, order))
     bridges = [c for c in comps if len(c) == 2]
     members = [c for c in comps if len(c) >= 3]
     adj = g._adj
@@ -144,7 +148,7 @@ def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:
                 x = single.get(v)
                 if x is not None:
                     parent[x] = i
-    del comps, tops, single
+    del comps, tops, single, order
     if members:
         _reroot(parent, ids[first_c])
     return AbcTree(g, kinds, vertices, parent, ids)

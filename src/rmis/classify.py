@@ -61,11 +61,11 @@ def is_complete_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
     return complete_bipartite_sides(g._adj)
 
 
-def cycle_vertices(g: Graph, op: str = "cycle_vertices") -> set[int]:
+def cycle_vertices(g: Graph) -> set[int]:
     """Vertices lying on some cycle: members of a biconnected component with
-    three or more vertices. A disconnected graph raises GraphError naming `op`.
+    three or more vertices. A disconnected graph raises GraphError.
     """
-    return set().union(*(c for c in blocks(g, op).components if len(c) >= 3))
+    return set().union(*(c for c in blocks(g, "cycle_vertices").components if len(c) >= 3))
 
 
 def is_sputnik(g: Graph) -> bool:

@@ -94,7 +94,8 @@ def gen_lollipop(path_len: int, clique_size: int) -> Graph:
 
 def gen_random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi draw, patched into connectivity by linking the
-    components with a random tree instead of redrawing.
+    components with a random tree instead of redrawing. One draw per vertex
+    pair makes it quadratic in n; `gen_sparse_connected` is linear.
     """
     if n < 1:
         raise GraphError("need at least one vertex")

@@ -304,11 +304,12 @@ class Blocks(NamedTuple):
     """One block pass's result. The components of size 2 are exactly the
     bridges. Each component's `top` is its member the pass reached first;
     every other member lies below it in the search tree, so the tops root
-    the block-cut tree at the pass's start vertex.
+    the block-cut tree at the pass's start vertex. The components come in
+    the order the pass closed them (see `blocks`).
     """
 
     articulation_points: set[int]
-    components: list[tuple[int, ...]]  # edge-based, sorted tuples, in sorted order
+    components: list[tuple[int, ...]]  # edge-based, sorted tuples, in closing order
     top: list[int]  # per component, the member with the smallest `number`
     number: dict[int, int]  # the order in which the search reached each vertex
     # per number, the index in `components` of the block holding the tree edge
@@ -329,9 +330,10 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     above `p`, the numbers down to `x`, plus `p`, form one component, whose
     top is `p`. The edge to the parent may count toward `low`: that only
     ever equals `p`, which still closes the component. Every edge lies in
-    exactly one component; size-2 components are exactly the bridges. Only
-    `number`, `top` and the order of `block_of` depend on the order in which
-    neighbours are visited.
+    exactly one component; size-2 components are exactly the bridges. They
+    are listed as they close, unsorted, so `number`, the order of
+    `components` and `top`, and the ids in `block_of` depend on the order
+    in which neighbours are visited.
 
     Raises GraphError naming `op` when the pass does not reach every vertex.
     """
@@ -393,16 +395,7 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
         raise GraphError(f"{op} requires a connected graph")
     if root_blocks > 1:
         aps.add(root)
-    del low, vertex, reached  # so that the renumbering does not set the peak
-    # renumber the blocks in sorted order; rank[-1] is -1, so the root keeps it
-    order = sorted(range(len(comps)), key=comps.__getitem__)
-    comps = [comps[b] for b in order]
-    tops = [tops[b] for b in order]
-    rank = [-1] * (len(order) + 1)
-    for i, b in enumerate(order):
-        rank[b] = i
-    del order
-    return Blocks(aps, comps, tops, number, list(map(rank.__getitem__, block_of)))
+    return Blocks(aps, comps, tops, number, block_of)
 
 
 def articulation_points(g: Graph) -> set[int]:
@@ -416,8 +409,8 @@ def bridges(g: Graph) -> set[Edge]:
 
 
 def biconnected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal 2-vertex-connected subgraphs as vertex sets (see `blocks`)."""
-    return [frozenset(c) for c in blocks(g, "biconnected_components").components]
+    """Maximal 2-vertex-connected subgraphs as vertex sets, in sorted order."""
+    return [frozenset(c) for c in sorted(blocks(g, "biconnected_components").components)]
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ class _GatherState:
     degree: int
     round: int = 0  # steps taken; no node idles before its fourth
     decision: str | None = None
-    port_ids: dict[int, int] = field(default_factory=dict)  # port -> neighbor id
+    port_ids: tuple[int, ...] = ()  # neighbor id by port; all ports report in round 1
     adj: dict[int, frozenset[int]] = field(default_factory=dict)  # id -> full nbhd
     sides: tuple[set[int], set[int]] | None = None  # complete_bipartite_sides(adj)
     residual: dict[int, tuple[int, str | None]] = field(default_factory=dict)
@@ -276,9 +276,8 @@ class RmisForallProgram(NodeProgram):
             # is read again; the next run builds a new table
             vars(self).pop("_gathered", None)
         if state.round == 1:
-            for port, (_, ident) in sorted(inbox.items()):
-                state.port_ids[port] = ident
-            nbhd = frozenset(state.port_ids.values())
+            state.port_ids = tuple(inbox[port][1] for port in range(state.degree))
+            nbhd = frozenset(state.port_ids)
             state.adj[state.ident] = self._shared.setdefault(nbhd, nbhd)
         elif state.round == 2:
             state.adj = _merged(inbox, state.adj)
@@ -324,7 +323,7 @@ class RmisForallProgram(NodeProgram):
             return
         # leftover-forest member: ignore edges toward nodes that have a
         # pendant neighbor, run the greedy on what remains
-        for port, ident in sorted(state.port_ids.items()):
+        for port, ident in enumerate(state.port_ids):
             if not any(len(state.adj[w]) == 1 for w in state.adj[ident]):
                 state.residual[port] = (ident, None)
 

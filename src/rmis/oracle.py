@@ -44,7 +44,7 @@ def is_mis(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
-    """Robustness check in linear time, but for the block pass's sort.
+    """Robustness check in linear time but for each block's member sort.
 
     An MIS is robust iff for every vertex u outside it, deleting all edges
     between u and the set disconnects the graph: any connectivity-preserving

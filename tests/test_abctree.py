@@ -18,7 +18,15 @@ from rmis.abctree import (
 from rmis.cli import main
 from rmis.findrmis import run_labeling
 from rmis.graph import Graph, GraphError, blocks, is_connected, to_edge_list
-from rmis.generators import gen_bull, gen_cycle, gen_gk, gen_lollipop, gen_path, gen_random_connected
+from rmis.generators import (
+    gen_bull,
+    gen_cycle,
+    gen_gk,
+    gen_lollipop,
+    gen_path,
+    gen_random_connected,
+    gen_sparse_sputnik,
+)
 from rmis.oracle import is_robust_mis
 
 from conftest import (
@@ -99,6 +107,17 @@ class TestBuild:
         with pytest.raises(GraphError):
             build_abc_tree(Graph(edges=[(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ids_follow_sorted_nodes_when_blocks_close_out_of_order(self, seed):
+        # the block pass lists blocks as it closes them, far from sorted
+        # order on a sputnik that is mostly bridges; the tree sorts them
+        g = gen_sparse_sputnik(5_000, 500, seed)
+        comps = blocks(g).components
+        assert comps != sorted(comps)
+        t = build_abc_tree(g)
+        assert list(t.nodes) == sorted(t.nodes)
+        assert sorted(vs for kind, vs in zip(t.kinds, t.vertices) if kind in "BC") == sorted(comps)
+
     def test_is_a_tree_and_covers_graph(self):
         cases = [g for n in range(1, 6) for g in connected_graphs(n)]
         rng = random.Random(3)
@@ -109,6 +128,7 @@ class TestBuild:
         for g in cases:
             t = build_abc_tree(g)
             assert tree_is_actually_a_tree(t)
+            assert list(t.nodes) == sorted(t.nodes)
             covered = set()
             for x in t.nodes:
                 covered.update(x.vertices)

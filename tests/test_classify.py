@@ -13,6 +13,7 @@ from rmis.generators import (
     gen_gk,
     gen_random_connected,
     gen_random_sputnik,
+    gen_sparse_sputnik,
 )
 from rmis.oracle import enumerate_mis, is_robust_mis
 
@@ -350,3 +351,14 @@ class TestOnePass:
         assert not verdict.rmis_forall
         per_vertex = peak / g.n
         assert per_vertex <= 160, f"{per_vertex:.0f} B per vertex"
+
+    def test_peak_bytes_per_vertex_on_a_sparse_sputnik(self):
+        # a graph that is mostly bridges, so most blocks close out of sorted
+        # order: 234 B per vertex while the block pass sorted and renumbered
+        # its blocks for every caller, 202 with the blocks as the pass
+        # closes them
+        g = gen_sparse_sputnik(20_000, 2_000, 1)
+        verdict, _, peak = traced(lambda: in_rmis_forall(g))
+        assert verdict.sputnik
+        per_vertex = peak / g.n
+        assert per_vertex <= 215, f"{per_vertex:.0f} B per vertex"

@@ -240,6 +240,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "{disconnected}", "--set", "0,2", "--brute"], "is_robust_mis_bruteforce requires a connected graph"),
+            (["gen", "lollipop", "--path-len", "0", "--clique-size", "3"], "path needs at least one vertex"),
+            (["gen", "random-connected", "--n", "0", "--edge-prob", "0.5", "--seed", "1"], "need at least one vertex"),
+            (["gen", "random-connected", "--n", "3", "--edge-prob", "1.5", "--seed", "1"], "edge_prob must lie in [0, 1]"),
+            (["gen", "sparse-connected", "--n", "0", "--extra", "0", "--seed", "1"], "need at least one vertex"),
+        ],
+        ids=["verify-brute-disconnected", "lollipop-no-path", "random-no-vertex", "random-bad-prob", "sparse-no-vertex"],
+    )
+    def test_input_error_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "disconnected.edges"
+        path.write_text("0 1\n2 3\n")
+        assert main([a.format(disconnected=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_internal_failure_exits_2(self, bull_file, capsys, monkeypatch):
         def broken(g):
             raise findrmis.InternalLabelingError("invariant broke")

@@ -10,10 +10,13 @@ from rmis.graph import (
     GraphError,
     articulation_points,
     ball,
+    bfs_distances,
     biconnected_components,
     blocks,
     bridges,
+    edge,
     from_edge_list,
+    induced_subgraph,
     is_bipartite,
     is_connected,
     pendant_vertices,
@@ -127,6 +130,22 @@ class TestGraphInvariants:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
             Graph(edges=[(1, 1)])
+        with pytest.raises(GraphError, match="^self-loop at vertex 3$"):
+            edge(3, 3)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda g: g.neighbors(9),
+            lambda g: g.degree(9),
+            lambda g: bfs_distances(g, 9),
+            lambda g: induced_subgraph(g, [0, 9]),
+        ],
+        ids=["neighbors", "degree", "bfs_distances", "induced_subgraph"],
+    )
+    def test_unknown_vertex_rejected(self, op):
+        with pytest.raises(GraphError, match="^unknown vertex 9$"):
+            op(gen_path(3))
 
     @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None])
     def test_bad_id_rejected_at_either_endpoint(self, bad):
@@ -294,6 +313,10 @@ class TestBall:
         sub, boundary = ball(gen_path(10), 0, 3)
         assert set(sub.vertices) == {0, 1, 2, 3}
         assert boundary == {3}
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(GraphError, match="^radius must be non-negative$"):
+            ball(gen_path(3), 0, -1)
 
     def test_radius_beyond_diameter_covers_graph(self):
         rng = random.Random(11)

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private helper the library defines is used by the library.
 
 Read with the standard-library `ast`, so no linter is needed. `__init__.py`
-is exempt, since its imports are the package's re-exports, and so is
-`from __future__`, which binds no name the code reads.
+is exempt from the import check, since its imports are the package's
+re-exports, and so is `from __future__`, which binds no name the code reads.
 """
 
 import ast
@@ -35,3 +36,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unused_private_helpers(sources: dict[str, str]) -> list[str]:
+    """The underscore-prefixed functions, methods and classes defined in
+    `sources` (module name -> text) that no code of `sources` names outside
+    their own definition, as a name or an attribute, by module and line.
+    Dunder names are the language's, not helpers, and are left out.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses: list[tuple[str, ast.AST]] = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, node))
+    out = []
+    for module, tree in trees.items():
+        for d in ast.walk(tree):
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not d.name.startswith("_") or d.name.endswith("__"):
+                continue
+            inside = {id(node) for node in ast.walk(d)}
+            if not any(name == d.name and id(node) not in inside for name, node in uses):
+                out.append((module, d.lineno, d.name))
+    return [f"{module} line {line}: {name}" for module, line, name in sorted(out)]
+
+
+def test_the_check_sees_an_unused_private_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\nclass _Box:\n"
+        "    def __init__(self):\n        self._x = _used()\n\n    def _idle(self):\n        return self._idle\n",
+        "b.py": "from a import _used\n\ndef _elsewhere():\n    pass\n\nprint(_used, _Box, obj._elsewhere)\n",
+    }
+    assert unused_private_helpers(sources) == ["a.py line 4: _recursive", "a.py line 11: _idle"]
+
+
+def test_no_private_helper_without_a_library_caller():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_private_helpers(sources) == []

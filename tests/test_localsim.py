@@ -176,6 +176,8 @@ class TestEngine:
             run_sync(g, ConstantIn(), {0: 1, 1: 1, 2: 2})
         with pytest.raises(GraphError):
             run_sync(g, ConstantIn(), {0: 0, 1: 1})
+        with pytest.raises(GraphError, match="^identifiers must be non-negative$"):
+            run_sync(g, ConstantIn(), {0: -1, 1: 1, 2: 2})
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
@@ -589,9 +591,10 @@ class TestSimulatorMemory:
         # the tracemalloc peak of one K_{100,100} run, per n + m. Delivering
         # through `port_to` plus a per-node `port_from` dict peaked at 854 B,
         # per-port `port_back` lists alone at 672 B, one shared
-        # neighborhood object per side at 508 B, and one gathered map per
-        # side at 331 B; keeping two delivery tables, a neighborhood copy
-        # or a gathered map per node alive shows up here
+        # neighborhood object per side at 508 B, one gathered map per side
+        # at 331 B, and a port table per node as a tuple, not a dict, at
+        # 256 B; keeping two delivery tables, a neighborhood copy, a
+        # gathered map or a port dict per node alive shows up here
         g = gen_complete_bipartite(100, 100)
         ids = identity_ids(g)
         gc.collect()
@@ -611,7 +614,7 @@ class TestSimulatorMemory:
             if collecting:
                 gc.enable()
         per_elem = peak / (g.n + g.num_edges)
-        assert per_elem <= 350, f"{per_elem:.0f} B per n + m"
+        assert per_elem <= 290, f"{per_elem:.0f} B per n + m"
 
 
 class TestScaling:

@@ -58,6 +58,10 @@ class TestFormula:
         f.add_clause((0, False), (1, False))
         assert f.clauses == [((0, False), (1, False))]
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(TwoSatError, match="^variable count must be non-negative$"):
+            TwoSatFormula(-1)
+
     def test_out_of_range_rejected(self):
         f = TwoSatFormula(2)
         with pytest.raises(TwoSatError):
