@@ -78,10 +78,8 @@ class AbcTree:
             else:  # a block's children are A- and P-nodes
                 for x in kids:
                     attachment[x] = vertices[x][0]
-        order = [root]
-        for x in order:  # grows as the walk goes
-            order += children[x]
-        self.children, self.attachment, self.order = children, attachment, order
+        self.children, self.attachment = children, attachment
+        self.order = self.subtree_nodes(root)
 
     @cached_property
     def nodes(self) -> tuple[AbcNode, ...]:

@@ -331,9 +331,8 @@ def component_core(
         if start in literal:
             continue
         literal[start] = (pieces, True)
-        stack = [start]
-        while stack:
-            v = stack.pop()
+        piece = [start]
+        for v in piece:  # grows as the walk goes
             tag = tags[v]
             side = not literal[v][1]
             nbrs = adj[v]
@@ -350,7 +349,7 @@ def component_core(
                 lit = literal.get(w)
                 if lit is None:
                     literal[w] = (pieces, side)
-                    stack.append(w)
+                    piece.append(w)
                 elif lit[1] != side:
                     return None
         pieces += 1

@@ -15,7 +15,6 @@ callers that want set algebra.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -264,12 +263,12 @@ def bfs_distances(g: Graph, source: int) -> dict[int, int]:
         raise GraphError(f"unknown vertex {source}")
     adj = g._adj
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
+    queue = [source]
+    for v in queue:  # grows as the walk goes
+        d = dist[v] + 1
         for w in adj[v]:
             if w not in dist:
-                dist[w] = dist[v] + 1
+                dist[w] = d
                 queue.append(w)
     return dist
 
@@ -428,9 +427,8 @@ def is_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
         if start in color:
             continue
         color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        queue = [start]
+        for v in queue:  # grows as the walk goes
             for w in adj[v]:
                 if w not in color:
                     color[w] = 1 - color[v]

@@ -101,8 +101,8 @@ def _reaches_all(g: Graph, start: int, exits: Sequence[int]) -> bool:
     adj = g._adj
     seen = {start, *exits}
     todo = list(exits)
-    while todo:
-        for w in adj[todo.pop()]:
+    for v in todo:  # grows as the walk goes
+        for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 todo.append(w)

@@ -3,7 +3,10 @@
 Literals are (variable, polarity) pairs. Satisfiability and the model come
 from strongly connected components of the implication graph with the usual
 reverse-topological polarity choice; negative literals are indexed first so
-a variable no clause touches comes out False.
+a variable no clause touches comes out False. The components come from
+Tarjan's lowlink search on a path of nodes and successor iterators, the
+library's depth-first walk (see `graph.blocks`); its other walk is a list
+that grows as a breadth-first search reads it.
 
 A formula made only of unit clauses, which is what most component probes
 pose, skips the graph: it is unsatisfiable exactly when two units disagree,
@@ -52,16 +55,6 @@ class TwoSatFormula:
         self.clauses.append((lit, lit))
 
 
-def _node(lit: Literal) -> int:
-    # negative literal of variable v -> 2v, positive -> 2v + 1
-    var, pol = lit
-    return 2 * var + (1 if pol else 0)
-
-
-def _negate(node: int) -> int:
-    return node ^ 1
-
-
 def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | None:
     """A satisfying assignment, or None. Deterministic for a fixed formula.
 
@@ -77,10 +70,10 @@ def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | No
         return _solve_units(f.num_vars, units)
     size = 2 * f.num_vars
     succ: list[list[int]] = [[] for _ in range(size)]
-    for l1, l2 in chain(f.clauses, zip(assume, assume)):
-        a, b = _node(l1), _node(l2)
-        succ[_negate(a)].append(b)
-        succ[_negate(b)].append(a)
+    for (a, pa), (b, pb) in chain(f.clauses, zip(assume, assume)):
+        na, nb = 2 * a + pa, 2 * b + pb  # literal nodes: 2v for not v, 2v + 1 for v
+        succ[na ^ 1].append(nb)  # the negation of a literal is its node ^ 1
+        succ[nb ^ 1].append(na)
 
     comp = _tarjan_scc(succ)
     assignment = []
@@ -108,51 +101,45 @@ def _solve_units(num_vars: int, units: list[Literal]) -> list[bool] | None:
 
 def _tarjan_scc(succ: list[list[int]]) -> list[int]:
     """Component index per node, numbered in completion (reverse topological)
-    order. Iterative to keep large formulas off the recursion limit.
+    order, after Tarjan. Iterative, so no recursion limit stands in the way:
+    the path is two parallel lists, nodes and successor iterators, and a
+    reached node waits on `reached` exactly while it has no component.
     """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n
-    on_stack = [False] * n
-    scc_stack: list[int] = []
+    reached: list[int] = []
     counter = 0
     num_comps = 0
-
     for start in range(n):
         if index[start] != -1:
             continue
-        work: list[tuple[int, int]] = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                scc_stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
+        index[start] = low[start] = counter
+        counter += 1
+        reached.append(start)
+        path = [start]
+        path_iters = [iter(succ[start])]
+        while path:
+            v = path[-1]
+            for w in path_iters[-1]:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    reached.append(w)
+                    path.append(w)
+                    path_iters.append(iter(succ[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = scc_stack.pop()
-                    on_stack[w] = False
-                    comp[w] = num_comps
-                    if w == v:
-                        break
-                num_comps += 1
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                path_iters.pop()
+                if low[v] == index[v]:
+                    while (w := reached.pop()) != v:
+                        comp[w] = num_comps
+                    comp[v] = num_comps
+                    num_comps += 1
+                elif low[v] < low[path[-1]]:  # v's component is still open, so v has a parent
+                    low[path[-1]] = low[v]
     return comp

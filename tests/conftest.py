@@ -8,8 +8,9 @@ The reference implementations at the end are different: they are simpler,
 slower versions of library code (the every-node LOCAL engine, the
 line-stripping parser, the name-lookup gadget builder, the breadth-first
 rooting of an ABC tree, the dict-of-frozensets per-probe labelling, the
-implication-graph 2-SAT model and the one-search-per-vertex robustness
-check), and the library must give exactly their results.
+implication-graph 2-SAT model on a recursive Tarjan search and the
+one-search-per-vertex robustness check), and the library must give exactly
+their results.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from rmis.graph import (
     remove_edges,
 )
 from rmis.localsim import IdAssignment, NodeProgram, SimResult, SimulationTimeout
-from rmis.oracle import _as_member_set, is_mis
-from rmis.twosat import TwoSatFormula, _tarjan_scc
+from rmis.oracle import is_mis
+from rmis.twosat import TwoSatFormula
 
 
 def evaluate(f: TwoSatFormula, assignment: list[bool]) -> bool:
@@ -335,7 +336,10 @@ def reference_is_robust_mis(g: Graph, s) -> bool:
     """
     if not is_connected(g):
         raise GraphError("is_robust_mis requires a connected graph")
-    members = _as_member_set(g, s)
+    members = frozenset(s)
+    for v in members:
+        if v not in g:
+            raise GraphError(f"unknown vertex {v} in candidate set")
     if not is_mis(g, members):
         return False
     for u in g.vertices:
@@ -409,6 +413,49 @@ def reference_gen_gk(k: int) -> GkInstance:
     return GkInstance(g, names, m1, m2)
 
 
+def strongly_connected_components(succ: list[list[int]]) -> list[int]:
+    """Component index per node of a digraph given as successor lists, in the
+    order Tarjan's recursive lowlink search completes them, which is reverse
+    topological: nodes are started in increasing order and each successor
+    list is read in order. Recursion depth is the longest search path, so
+    this judge is for small graphs.
+    """
+    n = len(succ)
+    index: list[int | None] = [None] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    num_comps = 0
+
+    def visit(v: int) -> None:
+        nonlocal counter, num_comps
+        index[v] = low[v] = counter
+        counter += 1
+        stack.append(v)
+        on_stack[v] = True
+        for w in succ[v]:
+            if index[w] is None:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif on_stack[w]:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            while True:
+                w = stack.pop()
+                on_stack[w] = False
+                comp[w] = num_comps
+                if w == v:
+                    break
+            num_comps += 1
+
+    for v in range(n):
+        if index[v] is None:
+            visit(v)
+    return comp
+
+
 def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:
     """Reference 2-SAT model from the strongly connected components of the
     implication graph, for every formula: `twosat.solve` must return the
@@ -419,7 +466,7 @@ def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:
         na, nb = 2 * a + pa, 2 * b + pb  # positive literal of v is 2v + 1
         succ[na ^ 1].append(nb)
         succ[nb ^ 1].append(na)
-    comp = _tarjan_scc(succ)
+    comp = strongly_connected_components(succ)
     if any(comp[2 * v] == comp[2 * v + 1] for v in range(f.num_vars)):
         return None
     return [comp[2 * v + 1] < comp[2 * v] for v in range(f.num_vars)]

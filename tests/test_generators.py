@@ -171,6 +171,8 @@ class TestRandomFamilies:
             g = gen_random_sputnik(i, size)
             assert is_sputnik(g)
             assert size <= g.n <= 2 * size
+        with pytest.raises(GraphError, match="^need at least one vertex$"):
+            gen_random_sputnik(1, 0)
 
     def test_sparse_sputnik_shape(self):
         # the sparse connected graph on ids 0..n-1, plus one fresh pendant,

@@ -155,6 +155,14 @@ class TestGraphInvariants:
                 Graph(edges=[(0, 1), e])
             assert str(err.value) == message
 
+    def test_equality_hash_and_repr(self):
+        g = Graph([3], [(0, 1), (2, 1), (1, 0)])
+        parsed = from_edge_list("1 0\n1 2\n3\n")
+        assert g == parsed and hash(g) == hash(parsed)
+        assert g.__eq__(g.edges()) is NotImplemented
+        assert g != g.edges()
+        assert repr(g) == "Graph(n=4, m=2)"
+
     def test_adjacency_symmetric(self):
         g = gen_bull()
         for u in g.vertices:

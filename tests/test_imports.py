@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private helper the library defines is used by the library.
+"""Every name a library module imports is used in that module, every
+private helper the library defines is used by the library, and no test
+module imports a private name of the library.
 
 Read with the standard-library `ast`, so no linter is needed. `__init__.py`
 is exempt from the import check, since its imports are the package's
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rmis"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rmis"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,3 +79,30 @@ def test_the_check_sees_an_unused_private_helper():
 def test_no_private_helper_without_a_library_caller():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_private_helpers(sources) == []
+
+
+def private_library_imports(source: str) -> list[str]:
+    """The underscore-prefixed names that `source` imports from `rmis` or one
+    of its modules, in source order. Dunder names are the language's.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "rmis":
+            out += [
+                (node.lineno, a.name) for a in node.names if a.name.startswith("_") and not a.name.endswith("__")
+            ]
+    return [f"line {line}: {name}" for line, name in sorted(out)]
+
+
+def test_the_check_sees_a_private_library_import():
+    source = (
+        "from rmis.twosat import TwoSatFormula, _tarjan_scc\nfrom rmis import __version__\n"
+        "from rmisc import _other\nfrom .rmis import _relative\nfrom rmis.oracle import (\n    is_mis,\n"
+        "    _as_member_set,\n)\n"
+    )
+    assert private_library_imports(source) == ["line 1: _tarjan_scc", "line 5: _as_member_set"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_test_imports_a_private_library_name(module):
+    assert private_library_imports((TESTS / module).read_text()) == []

@@ -31,7 +31,6 @@ from rmis.localsim import (
     NodeProgram,
     RmisForallProgram,
     SimulationTimeout,
-    _greedy_decision,
     identity_ids,
     indistinguishability_check,
     labeled_ball_view,
@@ -135,7 +134,11 @@ class ForestMisProgram(NodeProgram):
         for port, (_, ident, status) in inbox.items():
             state.neighbors[port] = (ident, status)
         if state.decision is None:
-            state.decision = _greedy_decision(state.ident, state.neighbors)
+            table = state.neighbors.values()
+            if any(status == IN for _, status in table):
+                state.decision = OUT
+            elif all(status == OUT or ident > state.ident for ident, status in table):
+                state.decision = IN
         return state
 
     def output(self, state):

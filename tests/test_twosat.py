@@ -130,10 +130,25 @@ class TestSolve:
         assert checked == 1 + 31 + 341 + 1555
 
     def test_mixed_formulas_match_the_implication_graph(self):
+        # the larger formulas hold long implication cycles, whose lowlinks
+        # travel up many levels of the search
         rng = random.Random(3)
-        for _ in range(500):
-            f = random_formula(rng, max_vars=8)
-            assert solve(f) == implication_graph_model(f)
+        for max_vars in (8, 30):
+            for _ in range(500):
+                f = random_formula(rng, max_vars=max_vars)
+                assert solve(f) == implication_graph_model(f)
+
+    def test_long_implication_chain_needs_no_recursion(self):
+        # x0, then x_i implies x_{i+1}: a search path through every variable
+        n = 100_000
+        f = TwoSatFormula(n)
+        f.add_unit((0, True))
+        for i in range(n - 1):
+            f.add_clause((i, False), (i + 1, True))
+        assert solve(f) == [True] * n
+        # x_{n-1} implies not x0 closes the chain into a contradiction
+        f.add_clause((n - 1, False), (0, False))
+        assert solve(f) is None
 
     def test_assumptions_act_as_appended_units(self):
         # solving under assumptions gives the model of the formula with the
