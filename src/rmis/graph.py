@@ -14,6 +14,8 @@ callers that want set algebra.
 
 from __future__ import annotations
 
+import json
+import re
 from bisect import bisect_left
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -168,23 +170,37 @@ class Graph:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
+# the form `to_edge_list` writes: "u v" lines, one space, a newline after
+# each, ids of ASCII digits without leading zeros. Plain `+`, not the
+# possessive `++` that Python 3.10 lacks
+_CANONICAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)+")
+# characters per bulk read, then on to the next line end: a match of the
+# whole text would hold the regex's backtracking state for every line
+_CHUNK = 4096
+
+
 def from_edge_list(text: str) -> Graph:
     """Parse edge-list text: one "u v" pair per line, "#" comment lines,
     and bare integers declaring isolated vertices. Duplicate edges collapse.
 
-    Each line is split once and its ids go straight into the adjacency as
-    the id objects of its keys, so the graph holds one int per vertex. The
-    lines are popped from a reversed list, so each is freed once read and
-    the line list is mostly gone by the time the adjacency is full. A line
-    is a comment when `int` rejects its first token and that token starts
-    with "#" (`int` never accepts "#"). A bad line is reported by its first
-    fault: a non-integer, then a negative id, then the count or a self-loop.
+    `_read_canonical` reads the leading chunks that are in the serializer's
+    form in bulk. The line parser below goes on from the first chunk that
+    is not, with the adjacency and the line count left to it, so no line
+    is read twice and each error is the one a line-by-line read gives. It
+    splits each line once and puts its ids straight into the adjacency as
+    the id objects of its keys, so the graph holds one int per vertex. Its
+    lines are popped from a reversed list, so each is freed once read. A
+    line is a comment when `int` rejects its first token and that token
+    starts with "#" (`int` never accepts "#"). A bad line is reported by its
+    first fault: a non-integer, then a negative id, then the count or a
+    self-loop.
     """
-    lines: list[str | None] = text.splitlines()
+    adj: dict[int, list[int]] = {}  # laid out as in `Graph.__init__`
+    pos, lineno = _read_canonical(text, adj)
+    lines: list[str | None] = text[pos:].splitlines()
     lines.append(None)  # the sentinel that ends the popping
     lines.reverse()
-    adj: dict[int, list[int]] = {}  # laid out as in `Graph.__init__`
-    for lineno, parts in enumerate(map(str.split, iter(lines.pop, None)), start=1):
+    for lineno, parts in enumerate(map(str.split, iter(lines.pop, None)), start=lineno + 1):
         if len(parts) == 2:
             try:
                 u = int(parts[0])
@@ -223,6 +239,42 @@ def from_edge_list(text: str) -> Graph:
     g = Graph.__new__(Graph)
     g._freeze(adj)  # int() ids are exact non-negative ints, never bools
     return g
+
+
+def _read_canonical(text: str, adj: dict[int, list[int]]) -> tuple[int, int]:
+    """Read the chunks at the start of `text` that are in the serializer's
+    form into `adj`, and return where they end and how many lines they
+    hold. A chunk is proved in form by `_CANONICAL_LINES`, and its ids
+    become ints in one call of the C-level JSON reader; an id past `int`'s
+    digit limit makes that call fail, and the chunk is left to the line
+    parser. A line in form can only fault by being a self-loop.
+    """
+    pos = lineno = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        chunk = text[pos:end]
+        if _CANONICAL_LINES.fullmatch(chunk) is None:
+            break
+        try:
+            ids = json.loads("[" + chunk[:-1].replace("\n", ",").replace(" ", ",") + "]")
+        except ValueError:
+            break
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            if u == v:
+                lineno += chunk.split("\n").index(f"{u} {u}") + 1  # the first such line
+                raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
+            nu = adj.get(u)
+            if nu is None:
+                nu = adj[u] = [u]
+            nv = adj.get(v)
+            if nv is None:
+                nv = adj[v] = [v]
+            nu.append(nv[0])
+            nv.append(nu[0])
+        lineno += len(ids) // 2
+        pos = end
+    return pos, lineno
 
 
 def _line_error(text: str, lineno: int, message: str) -> EdgeListParseError:

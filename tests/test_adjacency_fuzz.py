@@ -1,14 +1,16 @@
 """Property test of the graph's adjacency: each neighbourhood is a sorted,
 duplicate-free tuple whose ids are the dict keys' own int objects, built
 the same by the parser and the constructor, and read the same as a
-set-based reference by `neighbors`, `has_edge` and `edges`.
+set-based reference by `neighbors`, `has_edge` and `edges`. The parser is
+fed both its line-by-line input and the serializer's "u v" form, which it
+reads in bulk.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rmis.graph import Graph, from_edge_list  # noqa: E402
@@ -66,6 +68,19 @@ class TestAdjacency:
         assert parsed._adj == built._adj
         assert_shared_sorted_tuples(parsed)
         assert_shared_sorted_tuples(built)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(), st.integers(1, 40))
+    def test_bulk_read_agrees_with_the_constructor(self, case, copies):
+        # "u v" lines only, repeated up to 40 times, so that a key made in
+        # one 4 KiB chunk gets neighbours from the chunks after it
+        lines, _ = case
+        assume(lines)
+        text = "".join(f"{u} {v}\n" for u, v in lines) * copies
+        parsed = from_edge_list(text)
+        built = Graph(edges=[(int(str(u)), int(str(v))) for u, v in lines])
+        assert parsed._adj == built._adj
+        assert_shared_sorted_tuples(parsed)
 
     @settings(max_examples=300, deadline=None)
     @given(edge_lists(), st.lists(st.tuples(_IDS, _IDS), max_size=20))

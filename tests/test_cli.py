@@ -258,6 +258,27 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["verify", "{file}", "--set", "0"], ["find", "{file}"]], ids=["verify", "find"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("49 49", "self-loop at vertex 49"),
+            (f"1{'0' * 4999} 199", f"expected integers, got '1{'0' * 4999} 199'"),
+        ],
+        ids=["self-loop", "long-id"],
+    )
+    def test_bad_line_past_the_first_chunk_exits_2_with_one_line(self, tmp_path, capsys, argv, line, message):
+        # line 5,000 of K_{100,100}'s 10,000 "u v" lines, far past the
+        # first 4 KiB that the parser reads in bulk; an id of 5,000 digits
+        # is past `int`'s limit
+        lines = to_edge_list(gen_complete_bipartite(100, 100)).split("\n")
+        lines[4999] = line
+        path = tmp_path / "k100.edges"
+        path.write_text("\n".join(lines))
+        assert main([a.format(file=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 5000: {message}\n" and captured.out == ""
+
     def test_internal_failure_exits_2(self, bull_file, capsys, monkeypatch):
         def broken(g):
             raise findrmis.InternalLabelingError("invariant broke")

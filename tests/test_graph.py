@@ -1,5 +1,6 @@
 import gc
 import random
+import timeit
 import tracemalloc
 
 import pytest
@@ -98,7 +99,8 @@ class TestParseMemory:
         # frozenset graph 2.6 times as big, and freezing into a second dict
         # held every set and every frozenset at once, at 2.05 times. The
         # ratio alone would pass a bigger parse of a bigger graph, so the
-        # peak is also bounded in bytes per vertex: 178 today
+        # peak is also bounded in bytes per vertex: 178 with the whole text
+        # split into lines, 189 read in bulk a chunk at a time
         text = to_edge_list(gen_gk(1600).graph)
         gc.collect()
         started = not tracemalloc.is_tracing()
@@ -116,6 +118,33 @@ class TestParseMemory:
         per_vertex = (peak - before) / g.n
         assert g.n == 6 * 1601 and ratio <= 1.6, f"parse peak {ratio:.2f} times the kept graph"
         assert per_vertex <= 200, f"parse peak {per_vertex:.0f} B per vertex"
+
+    def test_bulk_read_holds_no_line_list(self):
+        # K_{100,100} has 50 times as many edges as vertices, so here the
+        # parse peak is mostly what it holds per line: 64 B per n + m with
+        # a list of the whole text's lines, 36 read a chunk at a time
+        text = to_edge_list(gen_complete_bipartite(100, 100))
+        g, _, peak = traced(lambda: from_edge_list(text))
+        per_element = peak / (g.n + g.num_edges)
+        assert per_element <= 45, f"parse peak {per_element:.0f} B per n + m"
+
+
+class TestParseTime:
+    # timeit holds the cyclic collector off, whose full passes scale with
+    # everything the rest of the suite keeps alive, not with the code timed
+    def test_serializer_form_is_read_in_bulk(self):
+        # one leading comment line sends the whole text to the line parser,
+        # which reads it at the bulk read's speed or slower: 1.0 times with
+        # no bulk read, 0.55-0.65 with it. The texts alternate, so a slow
+        # spell of the machine hits both
+        text = to_edge_list(gen_complete_bipartite(100, 100))
+        texts = [text, "# x\n" + text]
+        best = [float("inf")] * len(texts)
+        for _ in range(5):
+            for i, t in enumerate(texts):
+                best[i] = min(best[i], timeit.timeit(lambda: from_edge_list(t), number=1))
+        bulk, lines = best
+        assert bulk <= 0.8 * lines, f"{bulk * 1e3:.2f} ms in bulk, {lines * 1e3:.2f} ms by line"
 
 
 class TestGraphInvariants:

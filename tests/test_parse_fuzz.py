@@ -1,7 +1,10 @@
 """Differential property test of the edge-list parser: `from_edge_list`
 gives the same graph, or fails on the same line with the same message, as
-the reference parser in conftest.
+the reference parser in conftest, on text drawn token by token and on the
+serializer's text with one line changed.
 """
+
+import random
 
 import pytest
 
@@ -10,7 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rmis.graph import GraphError, from_edge_list  # noqa: E402
+from rmis.generators import gen_complete_bipartite  # noqa: E402
+from rmis.graph import Graph, GraphError, from_edge_list, to_edge_list  # noqa: E402
 
 from conftest import reference_from_edge_list  # noqa: E402
 
@@ -47,4 +51,73 @@ class TestAgainstReference:
     @example("+5 5")
     @example("1 2\n2 1\n2\n")
     def test_same_graph_or_same_error(self, text):
+        assert outcome(from_edge_list, text) == outcome(reference_from_edge_list, text)
+
+
+# what line i of the serializer's text, "u v", becomes: some changes keep
+# the text valid but out of the serializer's form, some make it invalid,
+# and a self-loop is the one fault a line in that form can have
+_LONG_ID = "1" + "0" * 4999  # past `int`'s 4,300-digit limit
+_LINE_CHANGES = {
+    "none": lambda u, v: [f"{u} {v}"],
+    "self-loop": lambda u, v: [f"{u} {u}"],
+    "reversed duplicate": lambda u, v: [f"{u} {v}", f"{v} {u}"],
+    "leading zero": lambda u, v: [f"0{u} {v}"],
+    "tab": lambda u, v: [f"{u}\t{v}"],
+    "double space": lambda u, v: [f"{u}  {v}"],
+    "crlf": lambda u, v: [f"{u} {v}\r"],
+    "comment": lambda u, v: ["# x", f"{u} {v}"],
+    "isolated vertex": lambda u, v: ["7", f"{u} {v}"],
+    "long id": lambda u, v: [f"{_LONG_ID} {v}"],
+    "unicode digit": lambda u, v: [f"{u} {v}\u0663"],
+}
+_MUTATIONS = [*_LINE_CHANGES, "no final newline"]
+
+
+def mutated(text, mutation, where):
+    """`text` with line `where` (mod the line count) changed, or with no
+    final newline.
+    """
+    if mutation == "no final newline":
+        return text[:-1]
+    lines = text.split("\n")  # the last is the "" after the final newline
+    i = where % (len(lines) - 1)
+    lines[i : i + 1] = _LINE_CHANGES[mutation](*lines[i].split(" "))
+    return "\n".join(lines)
+
+
+@st.composite
+def serialized_graphs(draw):
+    """`to_edge_list` of a random graph without isolated vertices, so that
+    every line is "u v": up to about 60 KiB of text, many times the bulk
+    read's 4 KiB chunks, with ids of one to thirteen digits.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 10, 300, 5000]))
+    offset = draw(st.sampled_from([0, 1000, 10**12]))
+    ids = [offset + x for x in range(n)]
+    edges = [tuple(rng.sample(ids, 2)) for _ in range(draw(st.integers(1, 4000)))]
+    return to_edge_list(Graph(edges=edges))
+
+
+class TestSerializedTextAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        serialized_graphs(),
+        st.sampled_from(_MUTATIONS),
+        st.integers(min_value=0),
+    )
+    def test_same_graph_or_same_error(self, text, mutation, where):
+        text = mutated(text, mutation, where)
+        assert outcome(from_edge_list, text) == outcome(reference_from_edge_list, text)
+
+    @pytest.mark.parametrize(
+        "where", [0, 1100, 1450, 2000, -1], ids=["first-line", "second-chunk", "third-chunk-start", "third-chunk", "last-line"]
+    )
+    @pytest.mark.parametrize("mutation", _MUTATIONS)
+    def test_same_graph_or_same_error_past_the_first_chunks(self, mutation, where):
+        # K_{50,50}'s 2,500 lines take 14,500 characters, four chunks
+        # that start at lines 1, 768, 1,451 and 2,134
+        text = to_edge_list(gen_complete_bipartite(50, 50))
+        text = mutated(text, mutation, where)
         assert outcome(from_edge_list, text) == outcome(reference_from_edge_list, text)
