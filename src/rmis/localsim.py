@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -44,8 +44,14 @@ IdAssignment = dict[int, int]
 class SimulationTimeout(Exception):
     """Round cap exceeded; carries the still-undecided vertices."""
 
+    SHOWN = 10  # ids the message lists; `.undecided` holds them all
+
     def __init__(self, limit: int, undecided: list[int]):
-        super().__init__(f"{len(undecided)} nodes undecided after {limit} rounds: {undecided}")
+        shown = ", ".join(map(str, undecided[: self.SHOWN]))
+        more = len(undecided) - self.SHOWN
+        if more > 0:
+            shown += f", ... ({more} more)"
+        super().__init__(f"{len(undecided)} nodes undecided after {limit} rounds: [{shown}]")
         self.undecided = undecided
 
 
@@ -131,14 +137,15 @@ def run_sync(
         for p, u in enumerate(port_to[v]):
             port_back[u].append(p)
 
+    send, step, output, idle = program.send, program.step, program.output, program.idle
     states = {v: program.init(ids[v], len(adj[v])) for v in g.vertices}
     termination: dict[int, int] = {}
     for v in g.vertices:
-        if program.output(states[v]) is not None:
+        if output(states[v]) is not None:
             termination[v] = 0
     # senders go in vertex order, so every inbox fills in the order it
     # would if every node sent
-    active = [v for v in g.vertices if not program.idle(states[v])]
+    active = [v for v in g.vertices if not idle(states[v])]
     rounds = node_steps = 0
     messages_per_round: list[int] = []
     while len(termination) < g.n:
@@ -146,10 +153,10 @@ def run_sync(
         if rounds > limit:
             undecided = [v for v in g.vertices if v not in termination]
             raise SimulationTimeout(limit, undecided)
-        inboxes: dict[int, dict[int, Any]] = {v: {} for v in active}
+        inboxes: dict[int, Any] = {v: {} for v in active}
         sent = 0
         for v in active:
-            msgs = program.send(states[v])
+            msgs = send(states[v])
             sent += len(msgs)
             to, back = port_to[v], port_back[v]
             for port, msg in msgs.items():
@@ -159,13 +166,17 @@ def run_sync(
                     inbox = inboxes[u] = {}
                 inbox[back[port]] = msg
         messages_per_round.append(sent)
+        active = []
         for v, inbox in inboxes.items():
-            states[v] = program.step(states[v], inbox)
-            if v not in termination and program.output(states[v]) is not None:
+            states[v] = state = step(states[v], inbox)
+            inboxes[v] = None  # read; its mail need not outlive the step
+            if v not in termination and output(state) is not None:
                 termination[v] = rounds
+            if not idle(state):
+                active.append(v)
         node_steps += len(inboxes)
-        active = sorted(v for v in inboxes if not program.idle(states[v]))
-    outputs = {v: program.output(states[v]) for v in g.vertices}
+        active.sort()
+    outputs = {v: output(states[v]) for v in g.vertices}
     rounds_total = max(termination.values()) if termination else 0
     return SimResult(outputs, rounds_total, termination, node_steps, messages_per_round)
 
@@ -177,24 +188,35 @@ def _greedy_decision(ident: int, neighbors: dict[int, tuple[int, str | None]]) -
     """Id-priority MIS rule over the given (id, status) neighbor table: join
     when no smaller-id neighbor is still undecided, leave when one joined.
     """
-    if any(status == IN for _, status in neighbors.values()):
-        return OUT
-    if all(status == OUT or nb > ident for nb, status in neighbors.values()):
-        return IN
-    return None
+    decision: str | None = IN
+    for nb, status in neighbors.values():
+        if status == IN:
+            return OUT
+        if nb < ident and status != OUT:
+            decision = None
+    return decision
 
 
-@dataclass
+_NO_MAIL: dict[int, Any] = {}  # what a node without an outbox sends; never filled
+
+
+@dataclass(slots=True)
 class _GatherState:
+    """One node's state; a field holds a value only while the node still
+    reads it. After its third step a node keeps its identifier, degree,
+    step count and decision, and a leftover-forest node also `residual`
+    until it decides and then `outbox` until the round that sends it.
+    """
+
     ident: int
     degree: int
     round: int = 0  # steps taken; no node idles before its fourth
     decision: str | None = None
-    port_ids: tuple[int, ...] = ()  # neighbor id by port; all ports report in round 1
-    adj: dict[int, frozenset[int]] = field(default_factory=dict)  # id -> full nbhd
+    port_ids: tuple[int, ...] | None = None  # neighbor id by port; all ports report in round 1
+    adj: dict[int, frozenset[int]] | None = None  # id -> full nbhd, one to three hops out
     sides: tuple[set[int], set[int]] | None = None  # complete_bipartite_sides(adj)
-    residual: dict[int, tuple[int, str | None]] = field(default_factory=dict)
-    outbox: dict[int, Any] = field(default_factory=dict)  # next round's messages
+    residual: dict[int, tuple[int, str | None]] | None = None  # port -> (id, status)
+    outbox: dict[int, Any] | None = None  # the node's one status announcement
 
 
 def _merged(inbox: dict[int, Any], own: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
@@ -228,6 +250,14 @@ class RmisForallProgram(NodeProgram):
     linear in the forest size rather than the best known bounds, so only
     the outputs, not round counts, are contractual outside the complete
     bipartite case.
+
+    A node keeps only what it still reads. Its port table, gathered map and
+    bipartite sides go at the end of its third step, once that step has
+    made its decision or, for a leftover-forest node, built its residual
+    table (port -> neighbor id and last status heard); the table goes when
+    the node decides, and its announcement once sent. After its third step
+    a node that decided there holds its identifier, degree, step count and
+    decision, and nothing else.
 
     Nodes with equal neighborhoods hold one frozenset object, taken from a
     table the program object keeps (`_shared`), so one copy of each
@@ -263,36 +293,40 @@ class RmisForallProgram(NodeProgram):
         return _GatherState(ident, degree)
 
     def send(self, state: _GatherState) -> dict[int, Any]:
+        if state.round >= 3:
+            return state.outbox or _NO_MAIL
         if state.round == 0:
             return dict.fromkeys(range(state.degree), ("id", state.ident))
-        if state.round in (1, 2):
-            return dict.fromkeys(range(state.degree), ("adj", state.adj))
-        return state.outbox
+        return dict.fromkeys(range(state.degree), ("adj", state.adj))
 
     def step(self, state: _GatherState, inbox: dict[int, Any]) -> _GatherState:
         state.round += 1
-        if state.round == 4:
-            # every node took its third step in the last round, so no entry
-            # is read again; the next run builds a new table
-            vars(self).pop("_gathered", None)
-        if state.round == 1:
-            state.port_ids = tuple(inbox[port][1] for port in range(state.degree))
+        if state.round > 3:
+            if state.round == 4:
+                # every node took its third step in the last round, so no
+                # entry is read again; the next run builds a new table
+                vars(self).pop("_gathered", None)
+            if state.decision is None:
+                residual = state.residual
+                for port, (_, ident, status) in inbox.items():
+                    residual[port] = (ident, status)
+                state.decision = _greedy_decision(state.ident, residual)
+                if state.decision is not None:
+                    msg = ("status", state.ident, state.decision)
+                    state.outbox = dict.fromkeys(residual, msg) or None
+                    state.residual = None
+            elif state.outbox:  # announced this round; nothing more to say
+                state.outbox = None
+        elif state.round == 1:
+            state.port_ids = tuple([inbox[port][1] for port in range(state.degree)])
             nbhd = frozenset(state.port_ids)
-            state.adj[state.ident] = self._shared.setdefault(nbhd, nbhd)
+            state.adj = {state.ident: self._shared.setdefault(nbhd, nbhd)}
         elif state.round == 2:
             state.adj = _merged(inbox, state.adj)
-        elif state.round == 3:
+        else:
             self._gather(state, inbox)
             self._gather_decision(state)
-        elif state.decision is None:
-            for port, (_, ident, status) in inbox.items():
-                state.residual[port] = (ident, status)
-            state.decision = _greedy_decision(state.ident, state.residual)
-            if state.decision is not None:
-                msg = ("status", state.ident, state.decision)
-                state.outbox = dict.fromkeys(state.residual, msg)
-        elif state.outbox:  # announced this round; nothing more to say
-            state.outbox = {}
+            state.port_ids = state.adj = state.sides = None
         return state
 
     def _gather(self, state: _GatherState, inbox: dict[int, Any]) -> None:
@@ -317,15 +351,21 @@ class RmisForallProgram(NodeProgram):
         if state.degree == 1:
             state.decision = IN
             return
-        my_nbrs = state.adj[state.ident]
-        if any(len(state.adj[u]) == 1 for u in my_nbrs):
-            state.decision = OUT
-            return
+        adj = state.adj
+        for u in adj[state.ident]:
+            if len(adj[u]) == 1:
+                state.decision = OUT
+                return
         # leftover-forest member: ignore edges toward nodes that have a
         # pendant neighbor, run the greedy on what remains
+        residual: dict[int, tuple[int, str | None]] = {}
         for port, ident in enumerate(state.port_ids):
-            if not any(len(state.adj[w]) == 1 for w in state.adj[ident]):
-                state.residual[port] = (ident, None)
+            for w in adj[ident]:
+                if len(adj[w]) == 1:
+                    break
+            else:
+                residual[port] = (ident, None)
+        state.residual = residual
 
     def output(self, state: _GatherState) -> str | None:
         return state.decision

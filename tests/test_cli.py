@@ -11,7 +11,15 @@ import rmis
 from rmis import findrmis
 from rmis.cli import main
 from rmis.graph import from_edge_list
-from rmis.generators import gen_bull, gen_complete_bipartite, gen_gk, gen_random_connected, gen_square, gen_triangle
+from rmis.generators import (
+    gen_bull,
+    gen_complete_bipartite,
+    gen_gk,
+    gen_path,
+    gen_random_connected,
+    gen_square,
+    gen_triangle,
+)
 from rmis.graph import to_edge_list
 
 
@@ -208,6 +216,18 @@ class TestSimulate:
         path.write_text(to_edge_list(gen_square()))
         assert main(["simulate", str(path), "--max-rounds", "0"]) == 2
         assert "4 nodes undecided after 0 rounds" in capsys.readouterr().err
+
+    def test_round_cap_error_stays_one_short_line(self, tmp_path, capsys):
+        # the line names the count and a few ids, not every undecided node
+        path = tmp_path / "path.edges"
+        path.write_text(to_edge_list(gen_path(5000)))
+        assert main(["simulate", str(path), "--max-rounds", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: 5000 nodes undecided after 0 rounds")
+        assert len(lines[0]) < 300
 
 
 class TestErrors:
