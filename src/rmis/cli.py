@@ -33,6 +33,11 @@ def _read_graph(path: str) -> Graph:
     return from_edge_list(text)
 
 
+def _check_count(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise GraphError(f"bad {flag} value {value}; use a non-negative count")
+
+
 def _labels_json(run: findrmis.LabelingRun) -> dict:
     if run.rooted is None:
         return {}
@@ -103,6 +108,7 @@ def _cmd_find(args) -> int:
 def _cmd_verify(args) -> int:
     g = _read_graph(args.file)
     s = oracle.parse_vertex_set(args.set)
+    _check_count("--max-removable", args.max_removable)
     if args.brute:
         ok = oracle.is_robust_mis_bruteforce(g, s, max_removable=args.max_removable)
     else:
@@ -113,6 +119,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.file)
+    _check_count("--max-vertices", args.max_vertices)
     sets = oracle.enumerate_robust_mis(g, max_vertices=args.max_vertices)
     for s in sets:
         print(oracle.format_vertex_set(s))
@@ -150,8 +157,7 @@ def _cmd_simulate(args) -> int:
         ids = localsim.random_ids(g, seed)
     else:
         raise GraphError(f"bad --ids value {args.ids!r}; use identity or random:<seed>")
-    if args.max_rounds is not None and args.max_rounds < 0:
-        raise GraphError(f"bad --max-rounds value {args.max_rounds}; use a non-negative count")
+    _check_count("--max-rounds", args.max_rounds)
     result = localsim.run_sync(g, localsim.rmis_forall_program(), ids, args.max_rounds)
     chosen = {v for v, out in result.outputs.items() if out == localsim.IN}
     valid = oracle.is_mis(g, chosen)

@@ -5,11 +5,9 @@ has work are collected, delivered, and only then do those nodes and every
 node that received mail take their step. A program marks a node without
 work through `NodeProgram.idle`; by default no node is idle, so every node
 sends and steps in every round. Message size is unbounded. Nodes are
-addressed by ports (neighbor slots ordered by the neighbors' assigned
-identifiers), so a node initially knows nothing beyond its own identifier
-and degree. The engine delivers through two per-port tables: `port_to[v][p]`
-is the neighbor behind port p of v, and `port_back[v][p]` is the port of
-that neighbor that leads back to v.
+addressed by ports: port p of a node leads to the neighbor with the p-th
+smallest assigned identifier, and a node initially knows nothing beyond its
+own identifier and degree.
 
 Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
@@ -126,8 +124,8 @@ def run_sync(
         raise GraphError("run_sync requires a connected graph")
     limit = max_rounds if max_rounds is not None else 4 * g.n + 8
 
-    # port p of v leads to its p-th neighbor in order of assigned id, and
-    # port_back[v][p] is that neighbor's port leading back to v
+    # port_to[v][p] is the neighbor behind port p of v, and port_back[v][p]
+    # that neighbor's port leading back to v
     adj = g._adj
     port_to: dict[int, list[int]] = {v: sorted(adj[v], key=ids.__getitem__) for v in g.vertices}
     # visiting the senders in id order fills each port_back list in the
@@ -177,8 +175,7 @@ def run_sync(
         node_steps += len(inboxes)
         active.sort()
     outputs = {v: output(states[v]) for v in g.vertices}
-    rounds_total = max(termination.values()) if termination else 0
-    return SimResult(outputs, rounds_total, termination, node_steps, messages_per_round)
+    return SimResult(outputs, max(termination.values()), termination, node_steps, messages_per_round)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,6 @@ class _GatherState:
     degree: int
     round: int = 0  # steps taken; no node idles before its fourth
     decision: str | None = None
-    port_ids: tuple[int, ...] | None = None  # neighbor id by port; all ports report in round 1
     adj: dict[int, frozenset[int]] | None = None  # id -> full nbhd, one to three hops out
     sides: tuple[set[int], set[int]] | None = None  # complete_bipartite_sides(adj)
     residual: dict[int, tuple[int, str | None]] | None = None  # port -> (id, status)
@@ -251,30 +247,24 @@ class RmisForallProgram(NodeProgram):
     the outputs, not round counts, are contractual outside the complete
     bipartite case.
 
-    A node keeps only what it still reads. Its port table, gathered map and
-    bipartite sides go at the end of its third step, once that step has
-    made its decision or, for a leftover-forest node, built its residual
-    table (port -> neighbor id and last status heard); the table goes when
-    the node decides, and its announcement once sent. After its third step
-    a node that decided there holds its identifier, degree, step count and
-    decision, and nothing else.
+    A node keeps only what it still reads. Its gathered map and bipartite
+    sides go at the end of its third step, once that step has made its
+    decision or, for a leftover-forest node, built its residual table
+    (port -> neighbor id and last status heard); the table goes when the
+    node decides, and its announcement once sent.
 
     Nodes with equal neighborhoods hold one frozenset object, taken from a
-    table the program object keeps (`_shared`), so one copy of each
-    distinct neighborhood stays alive and the bipartite test compares them
-    by identity. A second table (`_gathered`) does the same for the round-3
-    gathered map and its bipartite sides, which are built once per
-    distinct neighborhood, not once per node. Nodes with equal neighbor-id
-    sets have the same senders behind the same ports, since ports follow
-    ids, so they receive the same message objects in the same order; their
-    own round-2 keys are already in the senders' maps, so the merged maps
-    are equal, even in insertion order. An entry serves a node only when
-    the node's first message is the very object the entry was built from,
-    which ties it to one round of one run: a program object reused for
-    another run rebuilds, and a node with no mail builds its own map. The
-    table is dropped at the first fourth step, so that its entries do not
-    keep the senders' round-2 maps alive for the rest of the run.
-    These are simulator devices, not part of the algorithm: the tables
+    table the program object keeps (`_shared`), so the bipartite test
+    compares them by identity. A second table (`_gathered`) holds the
+    round-3 gathered map and its sides once per distinct neighborhood:
+    nodes with equal neighbor sets hear the same senders, so they gather
+    equal maps. Round 1 alone reads `_shared` and round 3 alone
+    `_gathered`, and every node takes its second and its fourth step in
+    the rounds after them, so each node drops both tables then: round 3
+    starts with no entry from an earlier run, even one the round cap
+    stopped, and a run that reaches a fourth round leaves neither table
+    (one that ends in round 3, as on K_{m,n}, leaves `_gathered` to the
+    next run's second step). These are simulator devices, not part of the algorithm: the tables
     only swap a node's values, never changed once built, for equal ones,
     and nothing may depend on object identity.
     """
@@ -285,8 +275,8 @@ class RmisForallProgram(NodeProgram):
         return {}
 
     @cached_property
-    def _gathered(self) -> dict[frozenset[int], tuple[Any, dict[int, frozenset[int]], Any]]:
-        """Neighborhood -> (first round-3 message, gathered map, its sides)."""
+    def _gathered(self) -> dict[frozenset[int], tuple[dict[int, frozenset[int]], Any]]:
+        """Neighborhood -> (gathered map, its sides)."""
         return {}
 
     def init(self, ident: int, degree: int) -> _GatherState:
@@ -301,11 +291,11 @@ class RmisForallProgram(NodeProgram):
 
     def step(self, state: _GatherState, inbox: dict[int, Any]) -> _GatherState:
         state.round += 1
+        if state.round == 2 or state.round == 4:
+            tables = vars(self)
+            tables.pop("_shared", None)
+            tables.pop("_gathered", None)
         if state.round > 3:
-            if state.round == 4:
-                # every node took its third step in the last round, so no
-                # entry is read again; the next run builds a new table
-                vars(self).pop("_gathered", None)
             if state.decision is None:
                 residual = state.residual
                 for port, (_, ident, status) in inbox.items():
@@ -318,30 +308,20 @@ class RmisForallProgram(NodeProgram):
             elif state.outbox:  # announced this round; nothing more to say
                 state.outbox = None
         elif state.round == 1:
-            state.port_ids = tuple([inbox[port][1] for port in range(state.degree)])
-            nbhd = frozenset(state.port_ids)
+            nbhd = frozenset([msg[1] for msg in inbox.values()])
             state.adj = {state.ident: self._shared.setdefault(nbhd, nbhd)}
         elif state.round == 2:
             state.adj = _merged(inbox, state.adj)
         else:
-            self._gather(state, inbox)
+            nbhd = state.adj[state.ident]
+            entry = self._gathered.get(nbhd)
+            if entry is None:
+                adj = _merged(inbox, state.adj)
+                entry = self._gathered[nbhd] = (adj, complete_bipartite_sides(adj))
+            state.adj, state.sides = entry
             self._gather_decision(state)
-            state.port_ids = state.adj = state.sides = None
+            state.adj = state.sides = None
         return state
-
-    def _gather(self, state: _GatherState, inbox: dict[int, Any]) -> None:
-        """Set the node's gathered map and its sides, from the `_gathered`
-        entry of its neighborhood when that was built from this inbox.
-        """
-        nbhd = state.adj[state.ident]
-        first = next(iter(inbox.values()), None)
-        entry = self._gathered.get(nbhd)
-        if entry is None or entry[0] is not first:
-            adj = _merged(inbox, state.adj)
-            entry = (first, adj, complete_bipartite_sides(adj))
-            if first is not None:
-                self._gathered[nbhd] = entry
-        _, state.adj, state.sides = entry
 
     def _gather_decision(self, state: _GatherState) -> None:
         parts = state.sides
@@ -357,9 +337,10 @@ class RmisForallProgram(NodeProgram):
                 state.decision = OUT
                 return
         # leftover-forest member: ignore edges toward nodes that have a
-        # pendant neighbor, run the greedy on what remains
+        # pendant neighbor, run the greedy on what remains; port p leads to
+        # the neighbor with the p-th smallest id
         residual: dict[int, tuple[int, str | None]] = {}
-        for port, ident in enumerate(state.port_ids):
+        for port, ident in enumerate(sorted(adj[state.ident])):
             for w in adj[ident]:
                 if len(adj[w]) == 1:
                     break

@@ -49,11 +49,13 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     An MIS is robust iff for every vertex u outside it, deleting all edges
     between u and the set disconnects the graph: any connectivity-preserving
     removal then leaves u covered. Only a *suspect*, a vertex outside with a
-    neighbour outside, can fail this. One pass over the adjacency checks the
-    MIS and collects the suspects. One search settles the first suspect,
-    which is all a non-robust greedy set usually needs. One block pass
-    settles the rest: deleting u's edges into the set disconnects the graph
-    iff some block holding u has none of u's edges to vertices outside.
+    neighbour outside, can fail this. A search from the first vertex checks
+    that the graph is connected, then one pass over the adjacency checks the
+    MIS and collects the suspects. A second search settles the first
+    suspect, which is all a non-robust greedy set usually needs. One block
+    pass settles the rest: deleting u's edges into the set disconnects the
+    graph iff some block holding u has none of u's edges to vertices
+    outside.
     """
     adj = g._adj
     first = g.vertices[0]

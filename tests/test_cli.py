@@ -112,6 +112,13 @@ class TestVerify:
     def test_brute_agrees(self, bull_file, capsys):
         assert main(["verify", bull_file, "--set", "0,3,4", "--brute"]) == 0
 
+    def test_negative_removable_cap_is_a_usage_error(self, triangle_file, capsys):
+        args = ["verify", triangle_file, "--set", "0", "--brute", "--max-removable", "-1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --max-removable value -1; use a non-negative count\n"
+
 
 class TestOracle:
     def test_bull(self, bull_file, capsys):
@@ -120,6 +127,12 @@ class TestOracle:
 
     def test_triangle(self, triangle_file, capsys):
         assert main(["oracle", triangle_file]) == 1
+
+    def test_negative_vertex_cap_is_a_usage_error(self, triangle_file, capsys):
+        assert main(["oracle", triangle_file, "--max-vertices", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --max-vertices value -1; use a non-negative count\n"
 
     def test_large_star_under_a_raised_cap(self, tmp_path, capsys):
         path = tmp_path / "star.edges"

@@ -195,6 +195,33 @@ class TestEngine:
         with pytest.raises(GraphError):
             run_sync(Graph(edges=[(0, 1), (2, 3)]), ConstantIn(), {0: 0, 1: 1, 2: 2, 3: 3})
 
+    def test_ports_follow_neighbor_ids(self):
+        # a guard on the contract `RmisForallProgram` relies on: port p of a
+        # node leads to the neighbor with the p-th smallest id, so round 1
+        # tells a node its neighbor ids by port
+        class FirstInbox(RmisForallProgram):
+            def __init__(self):
+                self.first = {}
+
+            def step(self, state, inbox):
+                if state.round == 0:
+                    self.first[state.ident] = dict(inbox)
+                return super().step(state, inbox)
+
+        graphs = [gen_path(9), gen_complete_bipartite(4, 7), gen_gk(3).graph]
+        graphs += [gen_random_connected(30, 0.2, seed) for seed in range(3)]
+        for i, g in enumerate(graphs):
+            ids = random_ids(g, i)
+            for engine in (run_sync, run_sync_every_node):
+                program = FirstInbox()
+                with pytest.raises(SimulationTimeout):  # no node decides in round 1
+                    engine(g, program, ids, 1)
+                assert len(program.first) == g.n
+                for v in g.vertices:
+                    nbr_ids = sorted(ids[u] for u in g.neighbors(v))
+                    expected = {p: ("id", ident) for p, ident in enumerate(nbr_ids)}
+                    assert program.first[ids[v]] == expected
+
     def test_flooding_matches_balls(self):
         # after three exchanges a node's knowledge is the whole of K3,3
         g = gen_complete_bipartite(3, 3)
@@ -383,7 +410,7 @@ class TestNodeState:
         # some nodes decided in their third step, forest nodes later
         assert 3 in result.termination_round.values() and result.rounds_total > 4
         for state in program.states:
-            assert (state.port_ids, state.adj, state.sides, state.residual) == (None,) * 4
+            assert (state.adj, state.sides, state.residual) == (None,) * 3
             # the run ends before the last round's deciders announce
             if result.termination_round[state.ident] < result.rounds_total:
                 assert state.outbox is None
@@ -412,6 +439,21 @@ def own_merge(inbox, round2_adj):
         merged.update(mapping)
     merged.update(round2_adj)
     return merged
+
+
+def reuse_graphs():
+    """A path and a sputnik where node 2 has neighbors {1, 3} in both. On
+    the path, 1 has a pendant neighbor, so 2 ignores it and joins at once;
+    on the sputnik, 1 hangs between 2 and the cycle with no pendant, so 2
+    waits for it. A gathered map carried from one run into the next would
+    hand 2 the other graph's surroundings.
+    """
+    path = gen_path(5)
+    sputnik = Graph(
+        edges=[(1, 2), (2, 3), (3, 4), (1, 10), (10, 11), (11, 12), (12, 13), (13, 10)]
+        + [(10, 20), (11, 21), (12, 22), (13, 23)]
+    )
+    return path, sputnik
 
 
 class TestSharedNeighborhoods:
@@ -447,7 +489,8 @@ class TestSharedNeighborhoods:
                 assert len({id(adj) for adj in program.maps}) == 2
 
     def test_one_vertex_gathers_alone(self):
-        # the lone node receives no mail, so it builds its map outside the table
+        # the lone node receives no mail; it builds its map through the
+        # table all the same, from its own round-2 map alone
         g = Graph([5])
         for program in (rmis_forall_program(), Unshared()):
             result = run_sync(g, program, identity_ids(g))
@@ -455,16 +498,7 @@ class TestSharedNeighborhoods:
             assert result.termination_round == {5: 4}
 
     def test_reused_program_matches_fresh_runs(self):
-        # node 2 has neighbors {1, 3} in both graphs. On the path, 1 has a
-        # pendant neighbor, so 2 ignores it and joins at once; on the
-        # sputnik, 1 hangs between 2 and the cycle with no pendant, so 2
-        # waits for it. A gathered map carried from one run into the next
-        # would hand 2 the other graph's surroundings.
-        path = gen_path(5)
-        sputnik = Graph(
-            edges=[(1, 2), (2, 3), (3, 4), (1, 10), (10, 11), (11, 12), (12, 13), (13, 10)]
-            + [(10, 20), (11, 21), (12, 22), (13, 23)]
-        )
+        path, sputnik = reuse_graphs()
         assert in_rmis_forall(sputnik).sputnik
         for first, second in ((path, sputnik), (sputnik, path)):
             program = rmis_forall_program()
@@ -475,13 +509,18 @@ class TestSharedNeighborhoods:
     def test_gathered_table_dropped_after_the_third_step(self):
         # an entry holds a sender's round-2 map; every node takes its third
         # step in the same round, so none is read after it, and the table
-        # goes at the first fourth step rather than at the end of the run
+        # goes at the first fourth step rather than at the end of the run.
+        # Round 1 alone reads the neighborhood table, which goes at the
+        # first second step.
         class Watched(RmisForallProgram):
             def __init__(self):
                 self.kept = []
+                self.shared = []
 
             def step(self, state, inbox):
                 state = super().step(state, inbox)
+                if state.round >= 2:
+                    self.shared.append("_shared" in vars(self))
                 if state.round >= 4:
                     self.kept.append("_gathered" in vars(self))
                 return state
@@ -491,7 +530,21 @@ class TestSharedNeighborhoods:
         result = run_sync(g, program, identity_ids(g))
         assert result.rounds_total > 4
         assert program.kept and not any(program.kept)
+        assert program.shared and not any(program.shared)
+        assert not {"_shared", "_gathered"} & set(vars(program))
         assert result == run_sync(g, program, identity_ids(g))  # rebuilt on reuse
+
+    def test_program_stopped_by_the_round_cap_is_reused_cleanly(self):
+        # a run stopped after round 3 leaves its gathered maps behind; the
+        # next run drops them before its own round 3
+        path, sputnik = reuse_graphs()
+        for first, second in ((path, sputnik), (sputnik, path)):
+            program = rmis_forall_program()
+            with pytest.raises(SimulationTimeout):
+                run_sync(first, program, identity_ids(first), max_rounds=3)
+            assert "_gathered" in vars(program)
+            ids = identity_ids(second)
+            assert run_sync(second, program, ids) == run_sync(second, rmis_forall_program(), ids)
 
     def test_sharing_changes_no_result(self):
         graphs = list(sim_corpus().values())
@@ -654,9 +707,10 @@ class TestSimulatorMemory:
         # through `port_to` plus a per-node `port_from` dict peaked at 854 B,
         # per-port `port_back` lists alone at 672 B, one shared
         # neighborhood object per side at 508 B, one gathered map per side
-        # at 331 B, and a port table per node as a tuple, not a dict, at
-        # 256 B; keeping two delivery tables, a neighborhood copy, a
-        # gathered map or a port dict per node alive shows up here
+        # at 331 B, a port table per node as a tuple, not a dict, at 256 B
+        # (247 B with slotted state), and no port table at 230 B; keeping
+        # two delivery tables, a neighborhood copy, a gathered map or a
+        # port dict per node alive shows up here
         g = gen_complete_bipartite(100, 100)
         per_elem = peak_bytes_per_element(g)
         assert per_elem <= 290, f"{per_elem:.0f} B per n + m"
@@ -667,10 +721,12 @@ class TestSimulatorMemory:
         # each round's inboxes alive until the next round's were built and
         # every node's gathered map kept to the end read 1,060 B; slotted
         # state that sheds its maps after the third step, with each inbox
-        # dropped once its node has stepped, reads 779 B
+        # dropped once its node has stepped, read 779 B while the gathered
+        # table kept each entry's first message and a port table per node;
+        # without them, the table cleared at every second step, 668 B
         g = gen_sparse_sputnik(20000, 2000, 1)
         per_elem = peak_bytes_per_element(g)
-        assert per_elem <= 900, f"{per_elem:.0f} B per n + m"
+        assert per_elem <= 720, f"{per_elem:.0f} B per n + m"
 
 
 def best_times_per_element(graphs, repeats):
