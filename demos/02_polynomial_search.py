@@ -17,7 +17,7 @@ bull = gen_bull()
 print("== decomposition of the bull graph")
 tree = build_abc_tree(bull)
 rooted = root_at(tree, default_root(tree))
-print(render_text(rooted), end="")
+print("".join(render_text(rooted)), end="")
 print("   A = articulation point, B = bridge, C = big component, P = pendant")
 
 print("\n== labeled run")
@@ -29,7 +29,7 @@ def tags(node):
     return " ".join(f"{t}{sorted(w)}" for t, w in sorted(witnesses[node].items()))
 
 
-print(render_text(run.rooted, tags), end="")
+print("".join(render_text(run.rooted, tags)), end="")
 print(f"   verdict: {sorted(run.result)}")
 print("   PI/PO say the subtree works with its attachment vertex in/out;")
 print("   PE says it works with the vertex out if an outside neighbor joins.")

@@ -23,6 +23,7 @@ read.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import groupby, islice
 from typing import NamedTuple
@@ -196,18 +197,17 @@ _DOT_SHAPES = {KIND_P: "circle", KIND_A: "diamond", KIND_B: "box", KIND_C: "doub
 _ROLE_COLORS = {KIND_A: "orange", KIND_P: "lightblue", KIND_C: "palegreen"}
 
 
-def render_text(rt: AbcTree, annotate=None) -> str:
-    """Indented textual rendering of a rooted tree; `annotate(id)` may add
-    a suffix per line.
+def render_text(rt: AbcTree, annotate=None) -> Iterator[str]:
+    """Indented textual rendering of a rooted tree, one newline-terminated
+    line at a time, so a writer need not hold the whole text; `annotate(id)`
+    may add a suffix per line.
     """
-    lines: list[str] = []
     stack = [(rt.root, 0)]
     while stack:
         x, depth = stack.pop()
         suffix = f"  {annotate(x)}" if annotate else ""
-        lines.append(f"{'  ' * depth}{rt.nodes[x]}{suffix}")
+        yield f"{'  ' * depth}{rt.nodes[x]}{suffix}\n"
         stack.extend((c, depth + 1) for c in reversed(rt.children[x]))
-    return "\n".join(lines) + "\n"
 
 
 def tree_to_dot(t: AbcTree) -> str:

@@ -72,7 +72,7 @@ def _cmd_abc(args) -> int:
         print(abctree.decomposition_dot(t), end="")
         return 0
     if abctree.KIND_C in t.kinds:  # built rooted at the default root
-        print(abctree.render_text(t), end="")
+        sys.stdout.writelines(abctree.render_text(t))
     else:
         for node in t.nodes:
             print(node)
@@ -100,7 +100,7 @@ def _cmd_find(args) -> int:
                 tags = witnesses[x]
                 return " ".join(f"{t}{sorted(w)}" for t, w in sorted(tags.items())) or "-"
 
-            print(abctree.render_text(run.rooted, annotate), end="")
+            sys.stdout.writelines(abctree.render_text(run.rooted, annotate))
         print(oracle.format_vertex_set(run.result) if run.result is not None else "NO-RMIS")
     return 0 if run.result is not None else 1
 
@@ -193,14 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abc", help="print the ABC decomposition tree")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="emit the tree as DOT")
-    p.add_argument("--dot-graph", action="store_true", help="emit the graph as DOT, colored by role")
+    dot = p.add_mutually_exclusive_group()
+    dot.add_argument("--dot", action="store_true", help="emit the tree as DOT")
+    dot.add_argument("--dot-graph", action="store_true", help="emit the graph as DOT, colored by role")
     p.set_defaults(fn=_cmd_abc)
 
     p = sub.add_parser("find", help="compute a robust MIS if one exists")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true", help="dump the labeled tree")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--json", action="store_true")
+    shape.add_argument("--trace", action="store_true", help="dump the labeled tree")
     p.set_defaults(fn=_cmd_find)
 
     p = sub.add_parser("verify", help="check a candidate set for robustness")

@@ -57,7 +57,7 @@ from .abctree import (
     root_at,
 )
 from .graph import Graph, in_sorted, is_bipartite
-from .twosat import Literal, TwoSatFormula, solve
+from .twosat import TwoSatFormula, solve
 
 TAG_PI = "PI"
 TAG_PO = "PO"
@@ -288,12 +288,12 @@ def label_tree(rt: AbcTree) -> LabelingRun:
 
 class ComponentCore(NamedTuple):
     """A component's constraints before any vertex is forced: the literal
-    of each vertex (its piece's variable and the polarity meaning "in"),
-    and the base formula every probe of the component solves.
+    of each vertex meaning "in" (`2*piece + pol`, as `twosat` numbers
+    literals), and the base formula every probe of the component solves.
     """
 
     vertices: tuple[int, ...]
-    literal: dict[int, Literal]
+    literal: dict[int, int]
     base: TwoSatFormula
 
 
@@ -325,16 +325,16 @@ def component_core(
     # vertex; the side holding that vertex is the positive side
     adj = rt.graph._adj
     removed: list[tuple[int, int]] = []
-    literal: dict[int, Literal] = {}
+    literal: dict[int, int] = {}
     pieces = 0
     for start in comp:
         if start in literal:
             continue
-        literal[start] = (pieces, True)
+        literal[start] = 2 * pieces + 1
         piece = [start]
         for v in piece:  # grows as the walk goes
             tag = tags[v]
-            side = not literal[v][1]
+            side = literal[v] ^ 1  # the literal across an edge from v
             nbrs = adj[v]
             if len(nbrs) > len(comp):  # an articulation point: scan the block
                 nbrs = [w for w in comp if in_sorted(nbrs, w)]
@@ -348,9 +348,9 @@ def component_core(
                     continue
                 lit = literal.get(w)
                 if lit is None:
-                    literal[w] = (pieces, side)
+                    literal[w] = side
                     piece.append(w)
-                elif lit[1] != side:
+                elif lit != side:
                     return None
         pieces += 1
     removed.sort()  # clause order feeds the solver's model
@@ -361,11 +361,9 @@ def component_core(
         if tag == PI:
             base.add_unit(literal[v])
         elif tag == PO or tag == PE:
-            var, pol = literal[v]
-            base.add_unit((var, not pol))
+            base.add_unit(literal[v] ^ 1)
     for u, v in removed:
-        (a, pa), (b, pb) = literal[u], literal[v]
-        base.add_clause((a, not pa), (b, not pb))
+        base.add_clause(literal[u] ^ 1, literal[v] ^ 1)
     return ComponentCore(comp, literal, base)
 
 
@@ -384,14 +382,13 @@ def test_rmis(
     literal = core.literal
     assume = []
     for v, value in forced:
-        var, pol = literal[v]
-        assume.append((var, pol == value))  # `pol` means in, `not pol` out
+        assume.append(literal[v] if value else literal[v] ^ 1)
     assignment = solve(core.base, tuple(assume))
     if assignment is None:
         return None
     members = []
     for v in core.vertices:
-        var, pol = literal[v]
-        if assignment[var] == pol:
+        lit = literal[v]
+        if assignment[lit >> 1] == lit & 1:
             members.append(v)
     return tuple(members)

@@ -1,7 +1,9 @@
 """Deterministic 2-SAT on the implication graph.
 
-Literals are (variable, polarity) pairs. Satisfiability and the model come
-from strongly connected components of the implication graph with the usual
+A literal is the int `2*var + pol`, which is also its node in the
+implication graph: `2v + 1` is v, `2v` is not-v, `lit ^ 1` negates it and
+`lit >> 1` is its variable. Satisfiability and the model come from strongly
+connected components of the implication graph with the usual
 reverse-topological polarity choice; negative literals are indexed first so
 a variable no clause touches comes out False. The components come from
 Tarjan's lowlink search on a path of nodes and successor iterators, the
@@ -19,15 +21,14 @@ from __future__ import annotations
 
 from itertools import chain
 
-Literal = tuple[int, bool]
-
 
 class TwoSatError(ValueError):
     pass
 
 
 class TwoSatFormula:
-    """Conjunction of two-literal clauses over variables 0..num_vars-1.
+    """Conjunction of two-literal clauses over variables 0..num_vars-1,
+    each literal the int `2*var + pol` (`2v + 1` is v, `2v` is not-v).
 
     A unit clause is stored as the pair (lit, lit).
     """
@@ -36,26 +37,23 @@ class TwoSatFormula:
         if num_vars < 0:
             raise TwoSatError("variable count must be non-negative")
         self.num_vars = num_vars
-        self.clauses: list[tuple[Literal, Literal]] = []
+        self.clauses: list[tuple[int, int]] = []
 
-    def _check(self, lit: Literal) -> None:
-        var, pol = lit
-        if not 0 <= var < self.num_vars:
-            raise TwoSatError(f"variable {var} out of range [0, {self.num_vars})")
-        if not isinstance(pol, bool):
-            raise TwoSatError(f"polarity must be a bool, got {pol!r}")
+    def _check(self, lit: int) -> None:
+        if type(lit) is not int or not 0 <= lit < 2 * self.num_vars:
+            raise TwoSatError(f"literal {lit!r} is not an int in [0, {2 * self.num_vars})")
 
-    def add_clause(self, l1: Literal, l2: Literal) -> None:
+    def add_clause(self, l1: int, l2: int) -> None:
         self._check(l1)
         self._check(l2)
         self.clauses.append((l1, l2))
 
-    def add_unit(self, lit: Literal) -> None:
+    def add_unit(self, lit: int) -> None:
         self._check(lit)
         self.clauses.append((lit, lit))
 
 
-def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | None:
+def solve(f: TwoSatFormula, assume: tuple[int, ...] = ()) -> list[bool] | None:
     """A satisfying assignment, or None. Deterministic for a fixed formula.
 
     Each literal of `assume` holds as a unit clause appended after the
@@ -70,10 +68,9 @@ def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | No
         return _solve_units(f.num_vars, units)
     size = 2 * f.num_vars
     succ: list[list[int]] = [[] for _ in range(size)]
-    for (a, pa), (b, pb) in chain(f.clauses, zip(assume, assume)):
-        na, nb = 2 * a + pa, 2 * b + pb  # literal nodes: 2v for not v, 2v + 1 for v
-        succ[na ^ 1].append(nb)  # the negation of a literal is its node ^ 1
-        succ[nb ^ 1].append(na)
+    for a, b in chain(f.clauses, zip(assume, assume)):
+        succ[a ^ 1].append(b)  # not a implies b, not b implies a
+        succ[b ^ 1].append(a)
 
     comp = _tarjan_scc(succ)
     assignment = []
@@ -87,15 +84,16 @@ def solve(f: TwoSatFormula, assume: tuple[Literal, ...] = ()) -> list[bool] | No
     return assignment
 
 
-def _solve_units(num_vars: int, units: list[Literal]) -> list[bool] | None:
+def _solve_units(num_vars: int, units: list[int]) -> list[bool] | None:
     # the model the implication graph gives when every clause is a unit:
     # each unit's value, every other variable False
     model = [False] * num_vars
-    forced: dict[int, bool] = {}
-    for var, pol in units:
-        if forced.setdefault(var, pol) != pol:
+    forced: dict[int, int] = {}  # variable -> its unit literal
+    for lit in units:
+        var = lit >> 1
+        if forced.setdefault(var, lit) != lit:
             return None
-        model[var] = pol
+        model[var] = lit & 1 == 1
     return model
 
 

@@ -53,9 +53,11 @@ from rmis.twosat import TwoSatFormula
 
 
 def evaluate(f: TwoSatFormula, assignment: list[bool]) -> bool:
-    """Whether `assignment` (one bool per variable) satisfies every clause."""
+    """Whether `assignment` (one bool per variable) satisfies every clause,
+    each literal `2*var + pol` read as "variable var equals pol".
+    """
     assert len(assignment) == f.num_vars, "assignment length mismatch"
-    return all(assignment[a] == pa or assignment[b] == pb for (a, pa), (b, pb) in f.clauses)
+    return all(assignment[a // 2] == a % 2 or assignment[b // 2] == b % 2 for a, b in f.clauses)
 
 
 def diameter(g: Graph) -> int:
@@ -456,20 +458,23 @@ def strongly_connected_components(succ: list[list[int]]) -> list[int]:
     return comp
 
 
-def implication_graph_model(f: TwoSatFormula) -> list[bool] | None:
+def implication_graph_model(num_vars: int, clauses: list[tuple[int, int]]) -> list[bool] | None:
     """Reference 2-SAT model from the strongly connected components of the
-    implication graph, for every formula: `twosat.solve` must return the
-    same assignment, including on formulas it settles without the graph.
+    implication graph, for every list of clauses over `num_vars` variables
+    (each literal `2*var + pol`, so node 2v + 1 is v and 2v is not-v):
+    `twosat.solve` must return the same assignment, including on formulas
+    it settles without the graph.
     """
-    succ: list[list[int]] = [[] for _ in range(2 * f.num_vars)]
-    for (a, pa), (b, pb) in f.clauses:
-        na, nb = 2 * a + pa, 2 * b + pb  # positive literal of v is 2v + 1
-        succ[na ^ 1].append(nb)
-        succ[nb ^ 1].append(na)
+    succ: list[list[int]] = [[] for _ in range(2 * num_vars)]
+    for a, b in clauses:
+        not_a = a + 1 if a % 2 == 0 else a - 1
+        not_b = b + 1 if b % 2 == 0 else b - 1
+        succ[not_a].append(b)
+        succ[not_b].append(a)
     comp = strongly_connected_components(succ)
-    if any(comp[2 * v] == comp[2 * v + 1] for v in range(f.num_vars)):
+    if any(comp[2 * v] == comp[2 * v + 1] for v in range(num_vars)):
         return None
-    return [comp[2 * v + 1] < comp[2 * v] for v in range(f.num_vars)]
+    return [comp[2 * v + 1] < comp[2 * v] for v in range(num_vars)]
 
 
 # per-node labels of the reference search: tag -> the node's own vertices
@@ -680,26 +685,27 @@ def _reference_probe(
                     return None
         pieces += 1
 
-    def lit(v: int, value: bool) -> tuple[int, bool]:
+    def lit(v: int, value: bool) -> int:
+        # the solver's literal: 2*var + 1 for var true, 2*var for var false
         var, pol = literal[v]
-        return (var, pol if value else not pol)
+        return 2 * var + (pol if value else not pol)
 
-    formula = TwoSatFormula(pieces)
+    clauses: list[tuple[int, int]] = []
     for v in comp:
         if len(tags[v]) == 1:
             (tag,) = tags[v]
             if tag == TAG_PI:
-                formula.add_unit(lit(v, True))
+                clauses.append((lit(v, True), lit(v, True)))
             elif tag in (TAG_PO, TAG_PE):
-                formula.add_unit(lit(v, False))
+                clauses.append((lit(v, False), lit(v, False)))
     for u, v in removed:
-        formula.add_clause(lit(u, False), lit(v, False))
+        clauses.append((lit(u, False), lit(v, False)))
     for v in sorted(in_vertices):
-        formula.add_unit(lit(v, True))
+        clauses.append((lit(v, True), lit(v, True)))
     for v in sorted(out_vertices):
-        formula.add_unit(lit(v, False))
+        clauses.append((lit(v, False), lit(v, False)))
 
-    assignment = implication_graph_model(formula)
+    assignment = implication_graph_model(pieces, clauses)
     if assignment is None:
         return None
     return frozenset(v for v in comp if assignment[literal[v][0]] == literal[v][1])

@@ -361,7 +361,11 @@ class TestRendering:
     def test_text_render_mentions_every_node(self):
         g = gen_bull()
         rt = bull_rooted(g)
-        text = render_text(rt)
+        lines = list(render_text(rt))
+        # one newline-terminated line per node, yielded as it is rendered
+        assert len(lines) == len(rt.nodes)
+        assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+        text = "".join(lines)
         for node in rt.nodes:
             assert str(node) in text
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,9 @@ from rmis.generators import (
     gen_square,
     gen_triangle,
 )
-from rmis.graph import to_edge_list
+from rmis.graph import Graph, to_edge_list
+
+from conftest import traced
 
 
 @pytest.fixture
@@ -312,6 +315,20 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: line 5000: {message}\n" and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags", [["abc", "--dot", "--dot-graph"], ["find", "--json", "--trace"]], ids=["abc", "find"]
+    )
+    def test_exclusive_flags_together_are_a_usage_error(self, bull_file, capsys, flags):
+        # each flag picks the whole output, so passing both is refused, not
+        # settled by silently dropping one of them
+        command, first, second = flags
+        with pytest.raises(SystemExit) as err:
+            main([command, bull_file, first, second])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {second}: not allowed with argument {first}" in captured.err
+
     def test_internal_failure_exits_2(self, bull_file, capsys, monkeypatch):
         def broken(g):
             raise findrmis.InternalLabelingError("invariant broke")
@@ -319,6 +336,18 @@ class TestErrors:
         monkeypatch.setattr(findrmis, "run_labeling", broken)
         assert main(["find", bull_file]) == 2
         assert capsys.readouterr().err == "error: internal failure: InternalLabelingError: invariant broke\n"
+
+
+def hung_path_file(directory: Path, n: int) -> str:
+    """A path of n vertices, 8 to n + 7, joined by edge (0, 8) to the
+    4-cycle 0-1-2-3 that has pendants 4-7, one per cycle vertex: its ABC
+    tree is about n levels deep, so the text tree grows with n squared.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (0, 8)]
+    edges += [(v, v + 1) for v in range(8, n + 7)]
+    path = directory / f"hung-path-{n}.edges"
+    path.write_text(to_edge_list(Graph(range(n + 8), edges)))
+    return str(path)
 
 
 class TestDeepTrees:
@@ -339,6 +368,44 @@ class TestDeepTrees:
         out = capsys.readouterr().out.splitlines()
         inst = gen_gk(600)
         assert out[-1] in {",".join(map(str, sorted(s))) for s in (inst.m1, inst.m2)}
+
+    def test_abc_text_peak_bytes_per_vertex(self, tmp_path):
+        # the tree text is written line by line as it is rendered, so `abc`
+        # holds no more than the graph and its tree while it prints 16 MB
+        # here. Building the whole text before printing peaked at about
+        # 24,800 B per vertex; writing each line as it comes reads about 690
+        path = hung_path_file(tmp_path, 2000)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            rc, _, peak = traced(lambda: main(["abc", path]))
+        assert rc == 0
+        per_vertex = peak / 2008
+        assert per_vertex <= 1500, f"{per_vertex:.0f} B per vertex"
+
+    @pytest.mark.parametrize("read_first", [0, 100_000], ids=["closed-before-start", "closed-mid-stream"])
+    def test_closed_pipe_is_one_error_line(self, tmp_path, monkeypatch, read_first):
+        # a reader that goes before the first byte, or after 100 kB of the
+        # 4 MB tree text: the next write fails with a broken pipe, which is
+        # an error (exit 2) on one line, with no traceback. Printing the
+        # whole text in one write reported success on the mid-stream close
+        path = hung_path_file(tmp_path, 1000)
+        monkeypatch.setenv("PYTHONPATH", str(Path(rmis.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        if not read_first:
+            os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "rmis", "abc", path], stdout=write_end, stderr=subprocess.PIPE, text=True
+            )
+        finally:
+            os.close(write_end)
+        if read_first:
+            with os.fdopen(read_end, "rb") as reader:
+                assert len(reader.read(read_first)) == read_first
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "Traceback" not in err
 
 
 class TestOneParserPerProcess:

@@ -48,6 +48,7 @@ from rmis.generators import (
     gen_path,
     gen_random_connected,
     gen_random_sputnik,
+    gen_sparse_sputnik,
 )
 from rmis.oracle import enumerate_mis, enumerate_robust_mis, is_robust_mis
 
@@ -497,6 +498,15 @@ class TestRetainedMemory:
         _, _, peak = traced(lambda: run_labeling(g))
         per_vertex = peak / g.n
         assert per_vertex <= 230, f"{per_vertex:.0f} B per vertex"
+
+    def test_sputnik_search_peak_bytes_per_vertex(self):
+        # a sputnik's big component is one 2-SAT core with a literal per
+        # vertex: a (piece, polarity) tuple per literal peaked at 587 B per
+        # vertex here, and the solver's int literal at 528
+        g = gen_sparse_sputnik(5000, 500, 1)
+        _, _, peak = traced(lambda: find_rmis(g))
+        per_vertex = peak / g.n
+        assert per_vertex <= 555, f"{per_vertex:.0f} B per vertex"
 
     def test_find_peak_with_its_parsed_graph(self):
         # what `rmis find` holds at its peak: the parsed graph and the

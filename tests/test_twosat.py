@@ -25,9 +25,9 @@ def exhaustive_satisfiable(f: TwoSatFormula) -> bool:
             width *= 2
         masks.append(pattern)
     sat = full
-    for (a, pa), (b, pb) in f.clauses:
-        ma = masks[a] if pa else full ^ masks[a]
-        mb = masks[b] if pb else full ^ masks[b]
+    for a, b in f.clauses:
+        ma = masks[a >> 1] if a & 1 else full ^ masks[a >> 1]
+        mb = masks[b >> 1] if b & 1 else full ^ masks[b >> 1]
         sat &= ma | mb
         if not sat:
             return False
@@ -38,8 +38,8 @@ def random_formula(rng: random.Random, max_vars: int = 16) -> TwoSatFormula:
     k = rng.randint(1, max_vars)
     f = TwoSatFormula(k)
     for _ in range(rng.randint(0, 3 * k)):
-        a = (rng.randrange(k), rng.random() < 0.5)
-        b = (rng.randrange(k), rng.random() < 0.5)
+        a = 2 * rng.randrange(k) + (rng.random() < 0.5)
+        b = 2 * rng.randrange(k) + (rng.random() < 0.5)
         if rng.random() < 0.15:
             f.add_unit(a)
         else:
@@ -47,47 +47,66 @@ def random_formula(rng: random.Random, max_vars: int = 16) -> TwoSatFormula:
     return f
 
 
+# a literal is the int 2*var + pol: 2v + 1 is v, 2v is not-v
 class TestFormula:
     def test_unit_stored_as_doubled_literal(self):
         f = TwoSatFormula(2)
-        f.add_unit((0, True))
-        assert f.clauses == [((0, True), (0, True))]
+        f.add_unit(1)
+        assert f.clauses == [(1, 1)]
 
     def test_binary_clause_stored(self):
         f = TwoSatFormula(2)
-        f.add_clause((0, False), (1, False))
-        assert f.clauses == [((0, False), (1, False))]
+        f.add_clause(0, 2)
+        assert f.clauses == [(0, 2)]
 
     def test_negative_variable_count_rejected(self):
         with pytest.raises(TwoSatError, match="^variable count must be non-negative$"):
             TwoSatFormula(-1)
 
-    def test_out_of_range_rejected(self):
+    # a bool, a (variable, polarity) pair, and the ints either side of [0, 4)
+    BAD_LITERALS = [True, (0, True), -1, 4]
+
+    @pytest.mark.parametrize("bad", BAD_LITERALS, ids=repr)
+    def test_add_clause_rejects_a_non_literal(self, bad):
         f = TwoSatFormula(2)
-        with pytest.raises(TwoSatError):
-            f.add_clause((2, True), (0, True))
-        with pytest.raises(TwoSatError):
-            solve(f, ((2, True),))
-        # an assumed literal is checked on the unit-only path too
-        f.add_unit((0, True))
-        for bad in ((2, True), (-1, False), (0, 1)):
-            with pytest.raises(TwoSatError):
-                solve(f, ((1, False), bad))
-        assert f.clauses == [((0, True), (0, True))]
+        for l1, l2 in ((bad, 0), (0, bad)):
+            with pytest.raises(TwoSatError, match="is not an int in"):
+                f.add_clause(l1, l2)
+        assert f.clauses == []
+
+    @pytest.mark.parametrize("bad", BAD_LITERALS, ids=repr)
+    def test_add_unit_rejects_a_non_literal(self, bad):
+        f = TwoSatFormula(2)
+        with pytest.raises(TwoSatError, match="is not an int in"):
+            f.add_unit(bad)
+        assert f.clauses == []
+
+    @pytest.mark.parametrize("bad", BAD_LITERALS, ids=repr)
+    @pytest.mark.parametrize("units_only", [True, False], ids=["unit-only", "mixed"])
+    def test_solve_rejects_a_non_literal_assumption(self, bad, units_only):
+        # the check runs on both paths, after a valid assumption too
+        f = TwoSatFormula(2)
+        f.add_unit(1)
+        if not units_only:
+            f.add_clause(0, 2)
+        before = list(f.clauses)
+        with pytest.raises(TwoSatError, match="is not an int in"):
+            solve(f, (2, bad))
+        assert f.clauses == before
 
 
 class TestSolve:
     def test_forced_chain(self):
         f = TwoSatFormula(2)
-        f.add_unit((0, True))
-        f.add_clause((0, False), (1, False))
+        f.add_unit(1)
+        f.add_clause(0, 2)
         assert solve(f) == [True, False]
 
     def test_contradiction(self):
         f = TwoSatFormula(1)
-        f.add_unit((0, True))
-        f.add_unit((0, False))
-        for assume in ((), ((0, True),), ((0, False),)):
+        f.add_unit(1)
+        f.add_unit(0)
+        for assume in ((), (1,), (0,)):
             assert solve(f, assume) is None
 
     def test_unconstrained_variables_default_false(self):
@@ -116,7 +135,7 @@ class TestSolve:
         # every other unit written as a clause of one literal twice
         checked = 0
         for k in range(4):
-            literals = [(v, pol) for v in range(k) for pol in (False, True)]
+            literals = range(2 * k)
             for count in range(5):
                 for units in product(literals, repeat=count):
                     f = TwoSatFormula(k)
@@ -125,7 +144,7 @@ class TestSolve:
                             f.add_clause(lit, lit)
                         else:
                             f.add_unit(lit)
-                    assert solve(f) == implication_graph_model(f), units
+                    assert solve(f) == implication_graph_model(f.num_vars, f.clauses), units
                     checked += 1
         assert checked == 1 + 31 + 341 + 1555
 
@@ -136,18 +155,18 @@ class TestSolve:
         for max_vars in (8, 30):
             for _ in range(500):
                 f = random_formula(rng, max_vars=max_vars)
-                assert solve(f) == implication_graph_model(f)
+                assert solve(f) == implication_graph_model(f.num_vars, f.clauses)
 
     def test_long_implication_chain_needs_no_recursion(self):
         # x0, then x_i implies x_{i+1}: a search path through every variable
         n = 100_000
         f = TwoSatFormula(n)
-        f.add_unit((0, True))
+        f.add_unit(1)
         for i in range(n - 1):
-            f.add_clause((i, False), (i + 1, True))
+            f.add_clause(2 * i, 2 * i + 3)
         assert solve(f) == [True] * n
         # x_{n-1} implies not x0 closes the chain into a contradiction
-        f.add_clause((n - 1, False), (0, False))
+        f.add_clause(2 * n - 2, 0)
         assert solve(f) is None
 
     def test_assumptions_act_as_appended_units(self):
@@ -159,19 +178,20 @@ class TestSolve:
                 if units_only:
                     f = TwoSatFormula(rng.randint(1, 6))
                     for _ in range(rng.randint(0, 4)):
-                        lit = (rng.randrange(f.num_vars), rng.random() < 0.5)
+                        lit = 2 * rng.randrange(f.num_vars) + (rng.random() < 0.5)
                         if rng.random() < 0.5:
                             f.add_clause(lit, lit)
                         else:
                             f.add_unit(lit)
                 else:
                     f = random_formula(rng, max_vars=8)
-                assume = tuple((rng.randrange(f.num_vars), rng.random() < 0.5) for _ in range(rng.randint(0, 3)))
+                assume = tuple(2 * rng.randrange(f.num_vars) + (rng.random() < 0.5) for _ in range(rng.randint(0, 3)))
                 appended = TwoSatFormula(f.num_vars)
                 for l1, l2 in f.clauses:
                     appended.add_clause(l1, l2)
                 for lit in assume:
                     appended.add_unit(lit)
                 before = list(f.clauses)
-                assert solve(f, assume) == solve(appended) == implication_graph_model(appended)
+                model = implication_graph_model(appended.num_vars, appended.clauses)
+                assert solve(f, assume) == solve(appended) == model
                 assert f.clauses == before
