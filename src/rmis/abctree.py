@@ -52,9 +52,10 @@ class AbcTree:
     only at `root`. The other lists follow from it: `children[i]` in
     increasing id order; `attachment[i]`, the parent's vertex under an A-
     or P-node and the node's own vertex otherwise (None at the root); and
-    `order`, breadth first from the root, parents first. The constructor's
-    `ids[i]` is the int object for id i, and every list holds these
-    objects, so each id is one object.
+    `order`, breadth first from the root, parents first: the tree's one
+    walk, which a bottom-up pass reads reversed. The constructor's `ids[i]`
+    is the int object for id i, and every list holds these objects, so
+    each id is one object.
     """
 
     def __init__(
@@ -96,10 +97,6 @@ class AbcTree:
         for y in out:
             out += self.children[y]
         return out
-
-    def postorder(self) -> list[int]:
-        """All nodes with every child preceding its parent."""
-        return self.order[::-1]
 
 
 def build_abc_tree(g: Graph, op: str = "build_abc_tree") -> AbcTree:

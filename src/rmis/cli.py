@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 
@@ -31,6 +32,15 @@ def _read_graph(path: str) -> Graph:
         line = data.count(b"\n", 0, exc.start) + 1
         raise EdgeListParseError(line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
     return from_edge_list(text)
+
+
+def _write(text: str) -> None:
+    """Write `text` to standard output in pieces no longer than its buffer.
+    One larger write returns a short count when the reader goes mid-stream,
+    which nothing reads; a piece that finds the pipe closed raises instead.
+    """
+    for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
 
 
 def _check_count(flag: str, value: int | None) -> None:
@@ -66,10 +76,10 @@ def _cmd_abc(args) -> int:
     g = _read_graph(args.file)
     t = abctree.build_abc_tree(g)
     if args.dot:
-        print(abctree.tree_to_dot(t), end="")
+        _write(abctree.tree_to_dot(t))
         return 0
     if args.dot_graph:
-        print(abctree.decomposition_dot(t), end="")
+        _write(abctree.decomposition_dot(t))
         return 0
     if abctree.KIND_C in t.kinds:  # built rooted at the default root
         sys.stdout.writelines(abctree.render_text(t))
@@ -141,7 +151,7 @@ def _cmd_gen(args) -> int:
             )
         )
         return 0
-    print(to_edge_list(args.make(args)), end="")
+    _write(to_edge_list(args.make(args)))
     return 0
 
 

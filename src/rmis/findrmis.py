@@ -14,7 +14,7 @@ the rest of the graph):
   N   (negative)          none of the above; the whole search fails;
   E   (end)               root-only: a robust MIS of the whole graph.
 
-The labels live in flat lists indexed by node id, filled in one postorder
+The labels live in flat lists indexed by node id, filled in one bottom-up
 loop that reads the rooted tree's own flat lists (kinds, vertices,
 children, attachment points) and the graph's adjacency, so a search
 builds no `AbcNode`. Each node's tags are one int mask of the bits
@@ -24,10 +24,10 @@ members in the PI (or E) witness and in the PO or PE one. Every other
 node's own set follows from the node: an A- or P-node owns its vertex
 under PI, a B-node owns its attachment point under PI and its child's
 vertex under PO, and nothing else owns anything. A search therefore keeps
-no set alive; sets are built only while a witness is read. One rule
-(`LabelingRun.witness_parts`) gives each child's tag; `decide` follows it
-down the tree for the answer, and every other witness is assembled from it
-on demand.
+no set alive: a witness is read as these tuples, and a set is built only
+where the API returns one. One rule (`LabelingRun.witness_parts`) gives
+each child's tag; `decide` follows it in one pass down the tree's order
+for the answer, and every other witness is assembled from it on demand.
 
 Component nodes settle their constraints through 2-SAT: once edges whose
 two ends may both stay out are dropped, membership 2-colors each piece.
@@ -40,10 +40,9 @@ its edges and change the pieces.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -72,8 +71,6 @@ TAG_NAMES = {PI: TAG_PI, PO: TAG_PO, PE: TAG_PE, N: TAG_N, E: TAG_E}
 # the read-only view of the labels: node id -> tag name -> own vertices
 LabelMap = Mapping[int, Mapping[str, frozenset[int]]]
 
-_EMPTY: frozenset[int] = frozenset()
-
 
 class InternalLabelingError(RuntimeError):
     """A labeling invariant broke; indicates a bug, not a bad input."""
@@ -95,23 +92,23 @@ class LabelingRun:
     own_out: list[tuple[int, ...] | None]
     result: frozenset[int] | None = None
 
-    def own(self, x: int, tag: int) -> frozenset[int]:
-        """Node x's own vertices under the single tag bit `tag`, as a set
-        built for the caller.
+    def own(self, x: int, tag: int) -> tuple[int, ...]:
+        """Node x's own vertices under the single tag bit `tag`, sorted: a
+        component's stored tuple itself, a 1-tuple of one vertex, or ().
         """
         rt = self.rooted
         kind = rt.kinds[x]
         if kind == KIND_C:
             if tag & (PI | E):
-                return frozenset(self.own_in[x])
-            return frozenset(self.own_out[x]) if tag & (PO | PE) else _EMPTY
+                return self.own_in[x]
+            return self.own_out[x] if tag & (PO | PE) else ()
         if tag == PI:
-            return frozenset({rt.attachment[x]})
+            return (rt.attachment[x],)
         if tag == PO and kind == KIND_B:
-            return frozenset({rt.attachment[rt.children[x][0]]})
-        return _EMPTY
+            return (rt.attachment[rt.children[x][0]],)
+        return ()
 
-    def witness_parts(self, x: int, tag: int) -> tuple[frozenset[int], list[tuple[int, int]]]:
+    def witness_parts(self, x: int, tag: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
         """The parts of node x's witness under the tag bit `tag`: its own
         vertices, and (child, tag bit) per child whose witness joins them.
         A child takes PI if its attachment point is among the own vertices,
@@ -124,7 +121,7 @@ class LabelingRun:
         picks = []
         for child in rt.children[x]:
             m = self.mask[child]
-            pick = PI if rt.attachment[child] in own else PO if m & PO else PE
+            pick = PI if in_sorted(own, rt.attachment[child]) else PO if m & PO else PE
             if not m & pick:
                 raise InternalLabelingError(f"child {rt.nodes[child]} lacks the label needed for its assigned polarity")
             picks.append((child, pick))
@@ -135,11 +132,9 @@ class LabelingRun:
         """Per node id, each tag's name and the node's own vertices under it;
         built on first use.
         """
-        if self.rooted is None:
-            return MappingProxyType({})
         return MappingProxyType(
             {
-                x: MappingProxyType({name: self.own(x, bit) for bit, name in TAG_NAMES.items() if m & bit})
+                x: MappingProxyType({name: frozenset(self.own(x, bit)) for bit, name in TAG_NAMES.items() if m & bit})
                 for x, m in enumerate(self.mask)
             }
         )
@@ -164,21 +159,21 @@ def run_labeling(g: Graph) -> LabelingRun:
 
 
 def decide(run: LabelingRun) -> frozenset[int] | None:
-    """The root's E witness, assembled in one walk down the tree; None on N.
-    The walk feeds the frozenset as it goes, so no second copy is made.
+    """The root's E witness, assembled in one pass down the tree's order;
+    None on N. A parent sets its children's picks before the pass reaches
+    them, and the own vertices gather in one list, made a set at the end.
     """
-    root = run.rooted.root
-    if not run.mask[root] & E:
+    rt = run.rooted
+    if not run.mask[rt.root] & E:
         return None
-
-    def walk() -> Iterator[frozenset[int]]:
-        stack = [(root, E)]
-        while stack:
-            own, picks = run.witness_parts(*stack.pop())
-            yield own
-            stack += picks
-
-    return frozenset(chain.from_iterable(walk()))
+    pick = [E] * len(rt.kinds)  # the root keeps E; every other entry is its parent's pick
+    witness: list[int] = []
+    for x in rt.order:
+        own, picks = run.witness_parts(x, pick[x])
+        witness += own
+        for child, tag in picks:
+            pick[child] = tag
+    return frozenset(witness)
 
 
 def all_witnesses(run: LabelingRun) -> dict[int, dict[str, frozenset[int]]]:
@@ -186,13 +181,13 @@ def all_witnesses(run: LabelingRun) -> dict[int, dict[str, frozenset[int]]]:
     adds nothing to its one pick shares that pick's set.
     """
     out: dict[int, dict[str, frozenset[int]]] = {}
-    for x in run.rooted.postorder():
+    for x in reversed(run.rooted.order):
         out[x] = tags = {}
         for bit, name in TAG_NAMES.items():
             if run.mask[x] & bit:
                 own, picks = run.witness_parts(x, bit)
                 parts = [out[c][TAG_NAMES[t]] for c, t in picks]
-                tags[name] = parts[0] if len(parts) == 1 and own <= parts[0] else own.union(*parts)
+                tags[name] = parts[0] if len(parts) == 1 and parts[0].issuperset(own) else frozenset(own).union(*parts)
     return out
 
 
@@ -250,7 +245,7 @@ def label_tree(rt: AbcTree) -> LabelingRun:
     own_in: list[tuple[int, ...] | None] = [None] * size
     own_out: list[tuple[int, ...] | None] = [None] * size
     kinds, children, attachment = rt.kinds, rt.children, rt.attachment
-    for x in rt.postorder():
+    for x in reversed(rt.order):
         kind = kinds[x]
         kids = children[x]
         if kind == KIND_A:
@@ -313,7 +308,7 @@ def component_core(
     """
     comp = rt.vertices[x]
     # the children are the component's articulation points bar the parent,
-    # which postorder has not labeled yet
+    # which the bottom-up loop has not labeled yet
     tags = dict.fromkeys(comp, 0)
     attachment = rt.attachment
     for child in rt.children[x]:

@@ -175,10 +175,10 @@ class TestRooting:
         with pytest.raises(GraphError):
             default_root(build_abc_tree(gen_path(4)))
 
-    def test_postorder_children_first(self):
+    def test_reversed_order_children_first(self):
         t = build_abc_tree(gen_bull())
         rt = root_at(t, default_root(t))
-        order = rt.postorder()
+        order = rt.order[::-1]
         pos = {x: i for i, x in enumerate(order)}
         for x in order:
             for c in rt.children[x]:
@@ -322,7 +322,7 @@ class TestSubtreeGraphs:
             if KIND_C not in t.kinds:
                 continue
             rt = root_at(t, default_root(t))
-            for x in rt.postorder():
+            for x in rt.order[::-1]:
                 assert is_connected(induced_subgraph_of_subtree(g, rt, x))
             assert induced_subgraph_of_subtree(g, rt, rt.root) == g
 
@@ -348,7 +348,7 @@ class TestSubtreeGraphs:
             if KIND_C not in t.kinds:
                 continue
             rt = root_at(t, default_root(t))
-            for x in rt.postorder():
+            for x in rt.order[::-1]:
                 if x == rt.root:
                     with pytest.raises(GraphError):
                         aerial_subgraph_of_subtree(g, rt, x)

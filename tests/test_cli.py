@@ -381,20 +381,34 @@ class TestDeepTrees:
         per_vertex = peak / 2008
         assert per_vertex <= 1500, f"{per_vertex:.0f} B per vertex"
 
-    @pytest.mark.parametrize("read_first", [0, 100_000], ids=["closed-before-start", "closed-mid-stream"])
-    def test_closed_pipe_is_one_error_line(self, tmp_path, monkeypatch, read_first):
+    # id: the command, the length of the hung path it reads (None for none),
+    # and the bytes read before the reader closes; each command writes
+    # several times 100 kB
+    CLOSED_PIPE_RUNS = {
+        "closed-before-start": (["abc"], 1000, 0),
+        "closed-mid-stream": (["abc"], 1000, 100_000),
+        "dot-closed-mid-stream": (["abc", "--dot"], 4000, 100_000),
+        "dot-graph-closed-mid-stream": (["abc", "--dot-graph"], 4000, 100_000),
+        "gen-gk-closed-mid-stream": (["gen", "gk", "--k", "20000"], None, 100_000),
+        "gen-path-closed-mid-stream": (["gen", "path", "--n", "200000"], None, 100_000),
+    }
+
+    @pytest.mark.parametrize("argv, n, read_first", CLOSED_PIPE_RUNS.values(), ids=CLOSED_PIPE_RUNS.keys())
+    def test_closed_pipe_is_one_error_line(self, tmp_path, monkeypatch, argv, n, read_first):
         # a reader that goes before the first byte, or after 100 kB of the
-        # 4 MB tree text: the next write fails with a broken pipe, which is
-        # an error (exit 2) on one line, with no traceback. Printing the
-        # whole text in one write reported success on the mid-stream close
-        path = hung_path_file(tmp_path, 1000)
+        # output: the next write fails with a broken pipe, which is an error
+        # (exit 2) on one line, with no traceback. A text printed in one
+        # write reported success on the mid-stream close, since the buffered
+        # writer returns a short count instead of raising
+        if n is not None:
+            argv = [*argv, hung_path_file(tmp_path, n)]
         monkeypatch.setenv("PYTHONPATH", str(Path(rmis.__file__).resolve().parents[1]))
         read_end, write_end = os.pipe()
         if not read_first:
             os.close(read_end)
         try:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "rmis", "abc", path], stdout=write_end, stderr=subprocess.PIPE, text=True
+                [sys.executable, "-m", "rmis", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
             )
         finally:
             os.close(write_end)

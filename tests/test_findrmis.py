@@ -94,7 +94,7 @@ def assert_well_labeled(g, run):
     witnesses = all_witnesses(run)
     assert witnesses[rt.root].get(TAG_E) == run.result
     assert rt.attachment[rt.root] is None
-    for x in rt.postorder():
+    for x in rt.order[::-1]:
         if x == rt.root:
             continue
         tags = witnesses[x]
@@ -235,12 +235,12 @@ class TestLabeling:
         assert articulation_mask([PI, PI]) == PI
         run = synthetic_run(rt, {kids[0]: PI, kids[1]: PI, a0: PI})
         assert run.labels[a0] == {TAG_PI: frozenset({0})}
-        assert run.witness_parts(a0, PI) == (frozenset({0}), [(kids[0], PI), (kids[1], PI)])
+        assert run.witness_parts(a0, PI) == ((0,), [(kids[0], PI), (kids[1], PI)])
 
         assert articulation_mask([PE, PO]) == PO
         run = synthetic_run(rt, {kids[0]: PE, kids[1]: PO, a0: PO})
         assert run.labels[a0] == {TAG_PO: frozenset()}
-        assert run.witness_parts(a0, PO) == (frozenset(), [(kids[0], PE), (kids[1], PO)])
+        assert run.witness_parts(a0, PO) == ((), [(kids[0], PE), (kids[1], PO)])
 
         assert articulation_mask([PI | PE, PI | PO]) == PI | PO
         run = synthetic_run(rt, {kids[0]: PI | PE, kids[1]: PI | PO, a0: PI | PO})
@@ -269,13 +269,13 @@ class TestLabeling:
             TAG_PI: frozenset({1}),
             TAG_PE: frozenset(),
         }
-        assert run.witness_parts(bridge, PI) == (frozenset({1}), [(child, PO)])
-        assert run.witness_parts(bridge, PE) == (frozenset(), [(child, PO)])
+        assert run.witness_parts(bridge, PI) == ((1,), [(child, PO)])
+        assert run.witness_parts(bridge, PE) == ((), [(child, PO)])
 
         assert bridge_mask(PI) == PO
         run = synthetic_run(rt, {child: PI, bridge: PO})
         assert run.labels[bridge] == {TAG_PO: frozenset({0})}
-        assert run.witness_parts(bridge, PO) == (frozenset({0}), [(child, PI)])
+        assert run.witness_parts(bridge, PO) == ((0,), [(child, PI)])
 
         # PI child plus PO child: PE is suppressed because PO is already there
         assert bridge_mask(PI | PO) == PO | PI
@@ -351,6 +351,25 @@ class TestLabeling:
         mask = list(run.mask)
         mask[root] = N
         assert decide(replace(run, mask=mask)) is None
+
+    @pytest.mark.parametrize("g", [gen_gk(3).graph, gen_random_sputnik(321, 60)], ids=["gk3", "sputnik-321-60"])
+    def test_own_is_the_stored_tuple(self, g):
+        # a component's own part is the sorted tuple the search stored, not a
+        # copy; any other node's is at most one vertex
+        run = run_labeling(g)
+        rt = run.rooted
+        read = 0
+        for x, m in enumerate(run.mask):
+            for bit in (PI, PO, PE, E):
+                if not m & bit:
+                    continue
+                own = run.own(x, bit)
+                if rt.kinds[x] == KIND_C:
+                    assert own is (run.own_in[x] if bit & (PI | E) else run.own_out[x])
+                    read += bool(own)
+                else:
+                    assert type(own) is tuple and len(own) <= 1
+        assert read
 
     def test_decide_rejects_a_child_lacking_its_picked_tag(self):
         run = run_labeling(gen_bull())
@@ -444,7 +463,7 @@ class TestSharedCore:
             if run.rooted is None:
                 continue
             rt = run.rooted
-            for x in rt.postorder():
+            for x in rt.order[::-1]:
                 if rt.nodes[x].kind != KIND_C or run.mask[x] & N:
                     continue
                 pe_probes += rt.parent[x] is not None and not run.mask[x] & PO
@@ -468,7 +487,7 @@ class TestSharedCore:
         monkeypatch.setattr(findrmis, "component_core", counting)
         run = run_labeling(g)
         rt = run.rooted
-        components = [x for x in rt.postorder() if rt.nodes[x].kind == KIND_C]
+        components = [x for x in rt.order[::-1] if rt.nodes[x].kind == KIND_C]
         pe_probes = sum(rt.parent[x] is not None and TAG_PO not in run.labels[x] for x in components)
         assert (pe_probes > 0) == expect_pe
         assert len(calls) == len(components) + pe_probes
