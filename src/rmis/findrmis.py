@@ -209,7 +209,7 @@ def articulation_mask(kids: Iterable[int]) -> int:
         every &= m
         out &= m | m >> 1
         some |= m
-    return N if some & N else every | (out & some) or N
+    return every | (out & some) or N
 
 
 def bridge_mask(m: int) -> int:

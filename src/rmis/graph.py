@@ -15,9 +15,9 @@ callers that want set algebra.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left
 from collections.abc import Iterable
+from itertools import count
 from typing import NamedTuple
 
 Edge = tuple[int, int]
@@ -170,37 +170,86 @@ class Graph:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
-# the form `to_edge_list` writes: "u v" lines, one space, a newline after
-# each, ids of ASCII digits without leading zeros. Plain `+`, not the
-# possessive `++` that Python 3.10 lacks
-_CANONICAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)+")
-# characters per bulk read, then on to the next line end: a match of the
-# whole text would hold the regex's backtracking state for every line
+# characters per chunk, then on to the next line end: a chunk bounds the
+# joined text and the id list of a bulk read, and the line list of a chunk
+# out of form
 _CHUNK = 4096
+# deletes the ASCII digits, leaving a chunk's separators: in the form
+# `to_edge_list` writes ("u v" lines, one space, a newline after each) they
+# are a prefix of `_ALTERNATING` and the chunk ends with its last newline.
+# The JSON reader then refuses an empty id, a leading zero or an id past
+# `int`'s digit limit, so the two prove the form together
+_DIGITS = str.maketrans("", "", "0123456789")
+# longer than the separators of any chunk in form, which holds at most
+# _CHUNK // 4 + 1 lines ("u v\n" takes four characters or more), two each
+_ALTERNATING = " \n" * _CHUNK
 
 
 def from_edge_list(text: str) -> Graph:
     """Parse edge-list text: one "u v" pair per line, "#" comment lines,
     and bare integers declaring isolated vertices. Duplicate edges collapse.
 
-    `_read_canonical` reads the leading chunks that are in the serializer's
-    form in bulk. The line parser below goes on from the first chunk that
-    is not, with the adjacency and the line count left to it, so no line
-    is read twice and each error is the one a line-by-line read gives. It
-    splits each line once and puts its ids straight into the adjacency as
-    the id objects of its keys, so the graph holds one int per vertex. Its
-    lines are popped from a reversed list, so each is freed once read. A
-    line is a comment when `int` rejects its first token and that token
-    starts with "#" (`int` never accepts "#"). A bad line is reported by its
-    first fault: a non-integer, then a negative id, then the count or a
-    self-loop.
+    The text is read a chunk at a time, each ending at a line end, so a
+    chunk's lines are the text's lines. `_read_in_form` reads a chunk in the
+    serializer's form in bulk, and `_read_lines` any other chunk line by
+    line, with the line count carried from chunk to chunk, so a stray line
+    costs one chunk and each error is the one a line-by-line read of the
+    whole text gives. Both put ids straight into the adjacency as the id
+    objects of its keys, so the graph holds one int per vertex.
     """
     adj: dict[int, list[int]] = {}  # laid out as in `Graph.__init__`
-    pos, lineno = _read_canonical(text, adj)
-    lines: list[str | None] = text[pos:].splitlines()
-    lines.append(None)  # the sentinel that ends the popping
-    lines.reverse()
-    for lineno, parts in enumerate(map(str.split, iter(lines.pop, None)), start=lineno + 1):
+    pos = lineno = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        chunk = text[pos:end]
+        lineno += _read_in_form(chunk, lineno, adj) or _read_lines(chunk, lineno, adj)
+        pos = end
+    if not adj:
+        raise EdgeListParseError(0, "empty edge list")
+    g = Graph.__new__(Graph)
+    g._freeze(adj)  # int() ids are exact non-negative ints, never bools
+    return g
+
+
+def _read_in_form(chunk: str, lineno: int, adj: dict[int, list[int]]) -> int:
+    """Read `chunk`, which follows line `lineno`, into `adj` if it is in the
+    serializer's form, and return how many lines it holds; return 0 if it
+    is not. What `_DIGITS` leaves of the chunk proves the separators (and
+    is freed before the ids are read), and one call of the C-level JSON
+    reader turns the ids into ints or refuses them. A line in form can only
+    fault by being a self-loop.
+    """
+    if chunk[-1] != "\n" or not _ALTERNATING.startswith(chunk.translate(_DIGITS)):
+        return 0
+    try:
+        ids = json.loads("[" + chunk[:-1].replace("\n", ",").replace(" ", ",") + "]")
+    except ValueError:
+        return 0
+    pairs = iter(ids)
+    for u, v in zip(pairs, pairs):
+        if u == v:
+            lineno += chunk.split("\n").index(f"{u} {u}") + 1  # the first such line
+            raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
+        nu = adj.get(u)
+        if nu is None:
+            nu = adj[u] = [u]
+        nv = adj.get(v)
+        if nv is None:
+            nv = adj[v] = [v]
+        nu.append(nv[0])
+        nv.append(nu[0])
+    return len(ids) // 2
+
+
+def _read_lines(chunk: str, lineno: int, adj: dict[int, list[int]]) -> int:
+    """Read `chunk`, which follows line `lineno`, into `adj` line by line,
+    and return how many lines it holds. Each line is split once. A line is
+    a comment when `int` rejects its first token and that token starts
+    with "#" (`int` never accepts "#"). A bad line is reported by its first
+    fault: a non-integer, then a negative id, then the count or a self-loop.
+    """
+    lines = chunk.splitlines()
+    for lineno, line, parts in zip(count(lineno + 1), lines, map(str.split, lines)):
         if len(parts) == 2:
             try:
                 u = int(parts[0])
@@ -208,9 +257,9 @@ def from_edge_list(text: str) -> Graph:
             except ValueError:
                 if parts[0].startswith("#"):
                     continue
-                raise _line_error(text, lineno, "expected integers, got") from None
+                raise EdgeListParseError(lineno, f"expected integers, got {line.strip()!r}") from None
             if u < 0 or v < 0:
-                raise _line_error(text, lineno, "negative vertex id in")
+                raise EdgeListParseError(lineno, f"negative vertex id in {line.strip()!r}")
             if u == v:
                 raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
             nu = adj.get(u)
@@ -227,58 +276,14 @@ def from_edge_list(text: str) -> Graph:
             except ValueError:
                 if parts[0].startswith("#"):
                     continue
-                raise _line_error(text, lineno, "expected integers, got") from None
+                raise EdgeListParseError(lineno, f"expected integers, got {line.strip()!r}") from None
             if any(x < 0 for x in nums):
-                raise _line_error(text, lineno, "negative vertex id in")
+                raise EdgeListParseError(lineno, f"negative vertex id in {line.strip()!r}")
             if len(nums) != 1:
                 raise EdgeListParseError(lineno, f"expected 1 or 2 integers, got {len(nums)}")
             if nums[0] not in adj:
                 adj[nums[0]] = nums  # [id]: the head of a new list
-    if not adj:
-        raise EdgeListParseError(0, "empty edge list")
-    g = Graph.__new__(Graph)
-    g._freeze(adj)  # int() ids are exact non-negative ints, never bools
-    return g
-
-
-def _read_canonical(text: str, adj: dict[int, list[int]]) -> tuple[int, int]:
-    """Read the chunks at the start of `text` that are in the serializer's
-    form into `adj`, and return where they end and how many lines they
-    hold. A chunk is proved in form by `_CANONICAL_LINES`, and its ids
-    become ints in one call of the C-level JSON reader; an id past `int`'s
-    digit limit makes that call fail, and the chunk is left to the line
-    parser. A line in form can only fault by being a self-loop.
-    """
-    pos = lineno = 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        chunk = text[pos:end]
-        if _CANONICAL_LINES.fullmatch(chunk) is None:
-            break
-        try:
-            ids = json.loads("[" + chunk[:-1].replace("\n", ",").replace(" ", ",") + "]")
-        except ValueError:
-            break
-        pairs = iter(ids)
-        for u, v in zip(pairs, pairs):
-            if u == v:
-                lineno += chunk.split("\n").index(f"{u} {u}") + 1  # the first such line
-                raise EdgeListParseError(lineno, f"self-loop at vertex {u}")
-            nu = adj.get(u)
-            if nu is None:
-                nu = adj[u] = [u]
-            nv = adj.get(v)
-            if nv is None:
-                nv = adj[v] = [v]
-            nu.append(nv[0])
-            nv.append(nu[0])
-        lineno += len(ids) // 2
-        pos = end
-    return pos, lineno
-
-
-def _line_error(text: str, lineno: int, message: str) -> EdgeListParseError:
-    return EdgeListParseError(lineno, f"{message} {text.splitlines()[lineno - 1].strip()!r}")
+    return len(lines)
 
 
 def to_edge_list(g: Graph) -> str:

@@ -59,8 +59,8 @@ MUTANTS = [
     ),
     Mutant(
         "findrmis.py",
-        "else every | (out & some) or N\n",
-        "else every | (out & some)\n",
+        "return every | (out & some) or N\n",
+        "return every | (out & some)\n",
         "articulation_mask: children that share no tag leave it with no tag instead of N",
     ),
     Mutant(
@@ -68,12 +68,6 @@ MUTANTS = [
         "        out &= m | m >> 1\n",
         "        out &= m\n",
         "articulation_mask: a PE child no longer carries PO, so PO needs PO of every child",
-    ),
-    Mutant(
-        "findrmis.py",
-        "    return N if some & N else every",
-        "    return every",
-        "articulation_mask: an N child is not checked for by itself",
     ),
     Mutant(
         "findrmis.py",
@@ -117,6 +111,24 @@ MUTANTS = [
         "if index[w] < low[v]:",
         "_tarjan_scc: an edge into a finished component lowers the low point",
     ),
+    Mutant(
+        "graph.py",
+        'if chunk[-1] != "\\n" or not _ALTERNATING',
+        'if not _ALTERNATING',
+        "_read_in_form: a chunk whose last line has no line end is read in bulk, dropping a lone last id",
+    ),
+    Mutant(
+        "graph.py",
+        'not _ALTERNATING.startswith(chunk.translate(_DIGITS))',
+        '(seps := chunk.translate(_DIGITS)).count(" ") != seps.count("\\n")',
+        "_read_in_form: separators that only balance in number, not alternate, pass as the serializer's form",
+    ),
+    Mutant(
+        "graph.py",
+        '.index(f"{u} {u}") + 1',
+        '.index(f"{u} {u}")',
+        "_read_in_form: a self-loop in a bulk-read chunk is reported one line early",
+    ),
 ]
 
 
@@ -146,7 +158,9 @@ def failing_tests(mutant: Mutant) -> list[str]:
             proc = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return [f"(tier-1 ran past {TIMEOUT_S} s)"]
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    # "FAILED <test id> - <message>", where a parametrized id may hold spaces
+    summary = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in summary]
     if not failed and proc.returncode:
         failed.append(f"(pytest exited {proc.returncode})")
     return failed

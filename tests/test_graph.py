@@ -129,22 +129,35 @@ class TestParseMemory:
         assert per_element <= 45, f"parse peak {per_element:.0f} B per n + m"
 
 
+def best_parse_times(texts):
+    """Each text's best parse time of five; the texts alternate, so a slow
+    spell of the machine hits all of them.
+    """
+    best = [float("inf")] * len(texts)
+    for _ in range(5):
+        for i, t in enumerate(texts):
+            best[i] = min(best[i], timeit.timeit(lambda: from_edge_list(t), number=1))
+    return best
+
+
 class TestParseTime:
     # timeit holds the cyclic collector off, whose full passes scale with
     # everything the rest of the suite keeps alive, not with the code timed
     def test_serializer_form_is_read_in_bulk(self):
-        # one leading comment line sends the whole text to the line parser,
-        # which reads it at the bulk read's speed or slower: 1.0 times with
-        # no bulk read, 0.55-0.65 with it. The texts alternate, so a slow
-        # spell of the machine hits both
+        # with "\r\n" line ends every chunk is out of the serializer's form
+        # and read line by line, at the bulk read's speed or slower: 1.0
+        # times with no bulk read, 0.5-0.55 with it
         text = to_edge_list(gen_complete_bipartite(100, 100))
-        texts = [text, "# x\n" + text]
-        best = [float("inf")] * len(texts)
-        for _ in range(5):
-            for i, t in enumerate(texts):
-                best[i] = min(best[i], timeit.timeit(lambda: from_edge_list(t), number=1))
-        bulk, lines = best
+        bulk, lines = best_parse_times([text, text.replace("\n", "\r\n")])
         assert bulk <= 0.8 * lines, f"{bulk * 1e3:.2f} ms in bulk, {lines * 1e3:.2f} ms by line"
+
+    def test_stray_line_costs_one_chunk(self):
+        # one leading comment line sends one chunk to the line parser and
+        # the rest is read in bulk: 0.53-0.56 times the line-by-line read,
+        # where handing the rest of the text to the line parser read 1.0
+        text = to_edge_list(gen_complete_bipartite(100, 100))
+        stray, lines = best_parse_times(["# x\n" + text, text.replace("\n", "\r\n")])
+        assert stray <= 0.8 * lines, f"{stray * 1e3:.2f} ms with a stray line, {lines * 1e3:.2f} ms by line"
 
 
 class TestGraphInvariants:

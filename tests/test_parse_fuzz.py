@@ -70,16 +70,28 @@ _LINE_CHANGES = {
     "isolated vertex": lambda u, v: ["7", f"{u} {v}"],
     "long id": lambda u, v: [f"{_LONG_ID} {v}"],
     "unicode digit": lambda u, v: [f"{u} {v}\u0663"],
+    "one then three ids": lambda u, v: [u, f"{u} {v} {v}"],  # as many spaces as newlines
+    "plus sign": lambda u, v: [f"+{u} {v}"],  # `int` accepts it
 }
-_MUTATIONS = [*_LINE_CHANGES, "no final newline"]
+# changes of the whole text: its last line end dropped, or an id after it
+# that leaves the separators alternating. The id has several digits and is
+# in none of the graphs drawn here: a bulk read of that last chunk would cut
+# its last digit off with the line end it lacks and leave it unpaired, so
+# the vertex would be lost (a one-digit id would leave an empty one, which
+# JSON refuses)
+_TEXT_CHANGES = {
+    "no final newline": lambda text: text[:-1],
+    "lone last id": lambda text: text + "99999",
+}
+_MUTATIONS = [*_LINE_CHANGES, *_TEXT_CHANGES]
 
 
 def mutated(text, mutation, where):
-    """`text` with line `where` (mod the line count) changed, or with no
-    final newline.
+    """`text` with line `where` (mod the line count) changed, or with the
+    whole text changed.
     """
-    if mutation == "no final newline":
-        return text[:-1]
+    if mutation in _TEXT_CHANGES:
+        return _TEXT_CHANGES[mutation](text)
     lines = text.split("\n")  # the last is the "" after the final newline
     i = where % (len(lines) - 1)
     lines[i : i + 1] = _LINE_CHANGES[mutation](*lines[i].split(" "))
