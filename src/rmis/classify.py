@@ -40,9 +40,11 @@ def complete_bipartite_sides(
     v2 = set(nbhd1)
     if not v2 or not v2 <= adj.keys():
         return None
-    v1 = adj.keys() - v2
     nbhd2 = adj[next(iter(v2))]
-    if len(nbhd2) != len(v1) or not v1.issuperset(nbhd2):
+    if len(nbhd2) != len(adj) - len(v2):  # the size of V1, as v2 <= adj.keys()
+        return None
+    v1 = adj.keys() - v2
+    if not v1.issuperset(nbhd2):
         return None
     if all(adj[v] is nbhd1 or adj[v] == nbhd1 for v in v1) and all(
         adj[v] is nbhd2 or adj[v] == nbhd2 for v in v2

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import count
 from typing import NamedTuple
 
@@ -189,8 +189,9 @@ def from_edge_list(text: str) -> Graph:
     """Parse edge-list text: one "u v" pair per line, "#" comment lines,
     and bare integers declaring isolated vertices. Duplicate edges collapse.
 
-    The text is read a chunk at a time, each ending at a line end, so a
-    chunk's lines are the text's lines. `_read_in_form` reads a chunk in the
+    The text is read a chunk at a time, each ending at the first line end
+    past `_CHUNK` characters, a "\n" or a bare "\r", so a chunk's lines
+    are the text's lines. `_read_in_form` reads a chunk in the
     serializer's form in bulk, and `_read_lines` any other chunk line by
     line, with the line count carried from chunk to chunk, so a stray line
     costs one chunk and each error is the one a line-by-line read of the
@@ -200,7 +201,10 @@ def from_edge_list(text: str) -> Graph:
     adj: dict[int, list[int]] = {}  # laid out as in `Graph.__init__`
     pos = lineno = 0
     while pos < len(text):
-        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        cut = pos + _CHUNK
+        end = text.find("\n", cut) + 1 or len(text)
+        # or at a bare "\r" before that: a "\r\n" is not split
+        end = text.find("\r", cut, end - 2) + 1 or end
         chunk = text[pos:end]
         lineno += _read_in_form(chunk, lineno, adj) or _read_lines(chunk, lineno, adj)
         pos = end
@@ -379,13 +383,17 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     biconnected components (as sorted vertex tuples), after Hopcroft and
     Tarjan.
 
-    The state lives in flat lists indexed by DFS number: `low`, the vertex
-    of each number, and the block of each vertex's tree edge. The path is two
-    parallel lists, numbers and neighbour iterators; reached numbers wait on
-    a stack. When a child `x` of `p` finishes with no edge from its subtree
-    above `p`, the numbers down to `x`, plus `p`, form one component, whose
-    top is `p`. The edge to the parent may count toward `low`: that only
-    ever equals `p`, which still closes the component. Every edge lies in
+    The vertex being walked lives in three locals: its DFS number `x`, its
+    running low point `lx` and its neighbour iterator `it`. Only the path
+    above it waits, on three stacks of numbers, low points and iterators; a
+    descent pushes the walked vertex's three, and a finished vertex pops
+    its parent's. Two flat lists indexed by DFS number hold the vertex of
+    each number and the block of each vertex's tree edge, and reached
+    numbers wait on a stack. When a child `x` of `p` finishes with no edge
+    from its subtree above `p`, the numbers down to `x`, plus `p`, form one
+    component, whose top is `p`; otherwise `x`'s low point lowers `p`'s.
+    The edge to the parent may count toward the low point: that only ever
+    equals `p`, which still closes the component. Every edge lies in
     exactly one component; size-2 components are exactly the bridges. They
     are listed as they close, unsorted, so `number`, the order of
     `components` and `top`, and the ids in `block_of` depend on the order
@@ -399,40 +407,41 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
     number = dict.fromkeys(adj)  # sized once; None until reached
     number[root] = 0
     vertex = [root]
-    low = [0] * n
     block_of = [-1] * n
-    path = [0]
-    path_iters = [iter(adj[root])]
+    x = lx = 0
+    it = iter(adj[root])
+    nums: list[int] = []  # the path above x: numbers, low points, iterators
+    lows: list[int] = []
+    iters: list[Iterator[int]] = []
     reached = [0]
     aps: set[int] = set()
     comps: list[tuple[int, ...]] = []
     tops: list[int] = []
     root_blocks = 0
-    while path:
-        x = path[-1]
-        lx = low[x]
-        for w in path_iters[-1]:
+    while True:
+        for w in it:
             k = number[w]
             if k is None:
-                low[x] = lx
-                number[w] = k = len(vertex)
+                nums.append(x)
+                lows.append(lx)
+                iters.append(it)
+                number[w] = x = lx = len(vertex)
                 vertex.append(w)
-                low[k] = k
-                reached.append(k)
-                path.append(k)
-                path_iters.append(iter(adj[w]))
+                reached.append(x)
+                it = iter(adj[w])
                 break
             if k < lx:
                 lx = k
         else:
-            path.pop()
-            path_iters.pop()
-            if not path:
+            if not nums:
                 break
-            p = path[-1]
+            p = nums.pop()
+            it = iters.pop()
+            lp = lows.pop()
             if lx < p:
-                if lx < low[p]:
-                    low[p] = lx
+                if lp < lx:
+                    lx = lp
+                x = p
                 continue
             b = len(comps)
             block_of[x] = b
@@ -447,6 +456,8 @@ def blocks(g: Graph, op: str = "blocks") -> Blocks:
                 aps.add(vertex[p])
             else:
                 root_blocks += 1
+            x = p
+            lx = lp
     if len(vertex) != n:
         raise GraphError(f"{op} requires a connected graph")
     if root_blocks > 1:

@@ -6,9 +6,10 @@ implication graph: `2v + 1` is v, `2v` is not-v, `lit ^ 1` negates it and
 connected components of the implication graph with the usual
 reverse-topological polarity choice; negative literals are indexed first so
 a variable no clause touches comes out False. The components come from
-Tarjan's lowlink search on a path of nodes and successor iterators, the
-library's depth-first walk (see `graph.blocks`); its other walk is a list
-that grows as a breadth-first search reads it.
+Tarjan's lowlink search, in the form of the library's depth-first walk
+(see `graph.blocks`): the walked node, its low point and its successor
+iterator in locals, the path above it on three stacks. The library's other
+walk is a list that grows as a breadth-first search reads it.
 
 A formula made only of unit clauses, which is what most component probes
 pose, skips the graph: it is unsatisfiable exactly when two units disagree,
@@ -19,6 +20,7 @@ directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain
 
 
@@ -99,45 +101,61 @@ def _solve_units(num_vars: int, units: list[int]) -> list[bool] | None:
 
 def _tarjan_scc(succ: list[list[int]]) -> list[int]:
     """Component index per node, numbered in completion (reverse topological)
-    order, after Tarjan. Iterative, so no recursion limit stands in the way:
-    the path is two parallel lists, nodes and successor iterators, and a
-    reached node waits on `reached` exactly while it has no component.
+    order, after Tarjan. Iterative, so no recursion limit stands in the way,
+    and in the form of `graph.blocks`: the node being walked lives in three
+    locals, `v`, its running low point `lv` and its successor iterator `it`,
+    and only the path above it waits, on three stacks of nodes, low points
+    and iterators. A reached node waits on `reached` exactly while it has no
+    component. On return, a node whose component is still open lowers its
+    parent's low point; any other closes its component.
     """
     n = len(succ)
     index = [-1] * n
-    low = [0] * n
     comp = [-1] * n
+    nodes: list[int] = []  # the path above v: nodes, low points, iterators
+    lows: list[int] = []
+    iters: list[Iterator[int]] = []
     reached: list[int] = []
     counter = 0
     num_comps = 0
     for start in range(n):
         if index[start] != -1:
             continue
-        index[start] = low[start] = counter
+        v = start
+        index[v] = lv = counter
         counter += 1
-        reached.append(start)
-        path = [start]
-        path_iters = [iter(succ[start])]
-        while path:
-            v = path[-1]
-            for w in path_iters[-1]:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
+        reached.append(v)
+        it = iter(succ[v])
+        while True:
+            for w in it:
+                k = index[w]
+                if k == -1:
+                    nodes.append(v)
+                    lows.append(lv)
+                    iters.append(it)
+                    v = w
+                    index[v] = lv = counter
                     counter += 1
-                    reached.append(w)
-                    path.append(w)
-                    path_iters.append(iter(succ[w]))
+                    reached.append(v)
+                    it = iter(succ[w])
                     break
-                if comp[w] == -1 and index[w] < low[v]:
-                    low[v] = index[w]
+                if k < lv and comp[w] == -1:
+                    lv = k
             else:
-                path.pop()
-                path_iters.pop()
-                if low[v] == index[v]:
-                    while (w := reached.pop()) != v:
-                        comp[w] = num_comps
-                    comp[v] = num_comps
-                    num_comps += 1
-                elif low[v] < low[path[-1]]:  # v's component is still open, so v has a parent
-                    low[path[-1]] = low[v]
+                if lv < index[v]:  # v's component is still open, so v has a parent
+                    v = nodes.pop()
+                    it = iters.pop()
+                    lp = lows.pop()
+                    if lp < lv:
+                        lv = lp
+                    continue
+                while (w := reached.pop()) != v:
+                    comp[w] = num_comps
+                comp[v] = num_comps
+                num_comps += 1
+                if not nodes:
+                    break
+                v = nodes.pop()
+                it = iters.pop()
+                lv = lows.pop()
     return comp

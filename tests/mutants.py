@@ -107,8 +107,8 @@ MUTANTS = [
     ),
     Mutant(
         "twosat.py",
-        "if comp[w] == -1 and index[w] < low[v]:",
-        "if index[w] < low[v]:",
+        "if k < lv and comp[w] == -1:",
+        "if k < lv:",
         "_tarjan_scc: an edge into a finished component lowers the low point",
     ),
     Mutant(
@@ -128,6 +128,36 @@ MUTANTS = [
         '.index(f"{u} {u}") + 1',
         '.index(f"{u} {u}")',
         "_read_in_form: a self-loop in a bulk-read chunk is reported one line early",
+    ),
+    Mutant(
+        "graph.py",
+        "                if lp < lx:\n                    lx = lp\n",
+        "                lx = lp\n",
+        "blocks: a finished vertex no longer lowers its parent's low point",
+    ),
+    Mutant(
+        "twosat.py",
+        "if lv < index[v]:",
+        "if nodes:",
+        "_tarjan_scc: the still-open test is dropped on return, so only a start node closes a component",
+    ),
+    Mutant(
+        "twosat.py",
+        "it = iter(succ[w])",
+        "it = iter(succ[w][::-1])",
+        "_tarjan_scc: every node but a start node reads its successors in reverse",
+    ),
+    Mutant(
+        "twosat.py",
+        "assignment.append(pos < neg)",
+        "assignment.append(pos > neg)",
+        "solve: each variable takes the literal whose component closes last, not first",
+    ),
+    Mutant(
+        "graph.py",
+        'text.find("\\r", cut, end - 2)',
+        'text.find("\\r", cut, end - 1)',
+        "from_edge_list: a chunk may end between the \"\\r\" and \"\\n\" of a line end",
     ),
 ]
 

@@ -77,6 +77,14 @@ class TestParsing:
         for g in (gen_bull(), gen_cycle(5), from_edge_list("0 1\n5\n9\n2 3")):
             assert from_edge_list(to_edge_list(g)) == g
 
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_number_past_the_first_chunks(self, sep):
+        # K_{50,50}'s 2,500 lines span several chunks, and a chunk that
+        # ended between "\r" and "\n" would count a line too many
+        lines = to_edge_list(gen_complete_bipartite(50, 50)).splitlines()
+        with pytest.raises(EdgeListParseError, match="^line 2501: self-loop at vertex 3$"):
+            from_edge_list(sep.join([*lines, "3 3"]))
+
     def test_serializer_sorted(self):
         g = Graph(range(4), [(2, 3), (0, 2), (0, 1)])
         assert to_edge_list(g) == "0 1\n0 2\n2 3\n"
@@ -127,6 +135,18 @@ class TestParseMemory:
         g, _, peak = traced(lambda: from_edge_list(text))
         per_element = peak / (g.n + g.num_edges)
         assert per_element <= 45, f"parse peak {per_element:.0f} B per n + m"
+
+    def test_bare_carriage_returns_end_chunks(self):
+        # with bare "\r" line ends a chunk ends at the first "\r" past its
+        # length, so the line parser holds one chunk's lines at a time: 23
+        # B per n + m, against 20 for the "\n" text read in bulk. Chunks
+        # that ended only at "\n" made the whole text one chunk, at 81
+        text = to_edge_list(gen_complete_bipartite(100, 100))
+        cr_text = text.replace("\n", "\r")
+        g, _, cr_peak = traced(lambda: from_edge_list(cr_text))
+        assert g == from_edge_list(text)
+        _, _, lf_peak = traced(lambda: from_edge_list(text))
+        assert cr_peak <= 1.5 * lf_peak, f"parse peak {cr_peak / lf_peak:.2f} times the \"\\n\" text's"
 
 
 def best_parse_times(texts):
