@@ -24,6 +24,7 @@ from .graph import (
     is_bipartite,
     is_connected,
     pendant_vertices,
+    reach,
     remove_edges,
     to_dot,
     to_edge_list,

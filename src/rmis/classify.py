@@ -35,6 +35,13 @@ def complete_bipartite_sides(
     So the cost is linear in the map's size, with no search, and linear in
     the number of keys when equal neighborhoods are one shared object, as
     in the simulator's gathered maps.
+
+    The size test makes the V2 check exact on any map: with containment it
+    gives that one V2 neighborhood equals V1. On a symmetric map, as a
+    graph's is, it decides nothing the V1 checks do not: if every V1
+    neighborhood is V2, every V2 vertex has all of V1 as neighbors, so
+    containment alone leaves equality. There it only rejects early, before
+    V1 is built, and dropping it changes no answer a graph can give.
     """
     nbhd1 = adj[min(adj)]
     v2 = set(nbhd1)

@@ -186,6 +186,27 @@ def _cmd_simulate(args) -> int:
     return 0 if valid else 1
 
 
+# each `gen` family: its flags, all required, and the maker that reads them
+GEN_FAMILIES = [
+    ("gk", ["--k"], lambda a: generators.gen_gk(a.k).graph),
+    ("complete-bipartite", ["--m", "--n"], lambda a: generators.gen_complete_bipartite(a.m, a.n)),
+    ("cycle", ["--n"], lambda a: generators.gen_cycle(a.n)),
+    ("path", ["--n"], lambda a: generators.gen_path(a.n)),
+    ("bull", [], lambda a: generators.gen_bull()),
+    ("triangle", [], lambda a: generators.gen_triangle()),
+    ("square", [], lambda a: generators.gen_square()),
+    ("lollipop", ["--path-len", "--clique-size"], lambda a: generators.gen_lollipop(a.path_len, a.clique_size)),
+    (
+        "random-connected",
+        ["--n", "--edge-prob", "--seed"],
+        lambda a: generators.gen_random_connected(a.n, a.edge_prob, a.seed),
+    ),
+    ("sparse-connected", ["--n", "--extra", "--seed"], lambda a: generators.gen_sparse_connected(a.n, a.extra, a.seed)),
+    ("random-sputnik", ["--size", "--seed"], lambda a: generators.gen_random_sputnik(a.seed, a.size)),
+    ("sparse-sputnik", ["--n", "--extra", "--seed"], lambda a: generators.gen_sparse_sputnik(a.n, a.extra, a.seed)),
+]
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
@@ -229,46 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a named instance as an edge list")
     gsub = p.add_subparsers(dest="family", required=True)
-    q = gsub.add_parser("gk")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--json", action="store_true", help="also emit the name map and both solutions")
-    q.set_defaults(make=lambda a: generators.gen_gk(a.k).graph)
-    q = gsub.add_parser("complete-bipartite")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_complete_bipartite(a.m, a.n))
-    q = gsub.add_parser("cycle")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_cycle(a.n))
-    q = gsub.add_parser("path")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_path(a.n))
-    gsub.add_parser("bull").set_defaults(make=lambda a: generators.gen_bull())
-    gsub.add_parser("triangle").set_defaults(make=lambda a: generators.gen_triangle())
-    gsub.add_parser("square").set_defaults(make=lambda a: generators.gen_square())
-    q = gsub.add_parser("lollipop")
-    q.add_argument("--path-len", type=int, required=True)
-    q.add_argument("--clique-size", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_lollipop(a.path_len, a.clique_size))
-    q = gsub.add_parser("random-connected")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--edge-prob", type=float, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_random_connected(a.n, a.edge_prob, a.seed))
-    q = gsub.add_parser("sparse-connected")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--extra", type=int, required=True, help="random chords on top of the spanning tree")
-    q.add_argument("--seed", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_sparse_connected(a.n, a.extra, a.seed))
-    q = gsub.add_parser("random-sputnik")
-    q.add_argument("--size", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_random_sputnik(a.seed, a.size))
-    q = gsub.add_parser("sparse-sputnik")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--extra", type=int, required=True, help="random chords on top of the spanning tree")
-    q.add_argument("--seed", type=int, required=True)
-    q.set_defaults(make=lambda a: generators.gen_sparse_sputnik(a.n, a.extra, a.seed))
+    chords = "random chords on top of the spanning tree"
+    for family, flags, make in GEN_FAMILIES:
+        q = gsub.add_parser(family)
+        for f in flags:
+            kind = float if f == "--edge-prob" else int
+            q.add_argument(f, type=kind, required=True, help=chords if f == "--extra" else None)
+        q.set_defaults(make=make)
+    gsub.choices["gk"].add_argument("--json", action="store_true", help="also emit the name map and both solutions")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("simulate", help="run the distributed program in lock-step rounds")

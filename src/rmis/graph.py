@@ -15,6 +15,7 @@ callers that want set algebra.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import count
@@ -174,6 +175,9 @@ class Graph:
 # joined text and the id list of a bulk read, and the line list of a chunk
 # out of form
 _CHUNK = 4096
+# every line end `str.splitlines` honours, a "\r\n" taken whole, so a chunk
+# ends where a line does
+_LINE_END = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 # deletes the ASCII digits, leaving a chunk's separators: in the form
 # `to_edge_list` writes ("u v" lines, one space, a newline after each) they
 # are a prefix of `_ALTERNATING` and the chunk ends with its last newline.
@@ -190,21 +194,20 @@ def from_edge_list(text: str) -> Graph:
     and bare integers declaring isolated vertices. Duplicate edges collapse.
 
     The text is read a chunk at a time, each ending at the first line end
-    past `_CHUNK` characters, a "\n" or a bare "\r", so a chunk's lines
-    are the text's lines. `_read_in_form` reads a chunk in the
-    serializer's form in bulk, and `_read_lines` any other chunk line by
-    line, with the line count carried from chunk to chunk, so a stray line
-    costs one chunk and each error is the one a line-by-line read of the
-    whole text gives. Both put ids straight into the adjacency as the id
-    objects of its keys, so the graph holds one int per vertex.
+    past `_CHUNK` characters, any that `str.splitlines` honours with a
+    "\r\n" taken whole, so a chunk's lines are the text's lines.
+    `_read_in_form` reads a chunk in the serializer's form in bulk, and
+    `_read_lines` any other chunk line by line, with the line count carried
+    from chunk to chunk, so a stray line costs one chunk and each error is
+    the one a line-by-line read of the whole text gives. Both put ids
+    straight into the adjacency as the id objects of its keys, so the graph
+    holds one int per vertex.
     """
     adj: dict[int, list[int]] = {}  # laid out as in `Graph.__init__`
     pos = lineno = 0
     while pos < len(text):
-        cut = pos + _CHUNK
-        end = text.find("\n", cut) + 1 or len(text)
-        # or at a bare "\r" before that: a "\r\n" is not split
-        end = text.find("\r", cut, end - 2) + 1 or end
+        found = _LINE_END.search(text, pos + _CHUNK)
+        end = found.end() if found else len(text)
         chunk = text[pos:end]
         lineno += _read_in_form(chunk, lineno, adj) or _read_lines(chunk, lineno, adj)
         pos = end
@@ -318,20 +321,22 @@ def to_dot(
 # ---------------------------------------------------------------------------
 # basic traversal
 
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    """Hop distance from `source` to every reachable vertex."""
-    if source not in g:
-        raise GraphError(f"unknown vertex {source}")
+def reach(g: Graph, start: int, exits: Iterable[int] | None = None) -> set[int]:
+    """The vertices, `start` among them, that a breadth-first search from
+    `start` reaches when it leaves `start` only through `exits`, distinct
+    neighbours of it; by default through every neighbour.
+    """
+    if start not in g:
+        raise GraphError(f"unknown vertex {start}")
     adj = g._adj
-    dist = {source: 0}
-    queue = [source]
-    for v in queue:  # grows as the walk goes
-        d = dist[v] + 1
+    todo = list(adj[start] if exits is None else exits)
+    seen = {start, *todo}
+    for v in todo:  # grows as the walk goes
         for w in adj[v]:
-            if w not in dist:
-                dist[w] = d
-                queue.append(w)
-    return dist
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -339,16 +344,15 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
     seen: set[int] = set()
     comps = []
     for v in g.vertices:
-        if v in seen:
-            continue
-        comp = set(bfs_distances(g, v))
-        seen |= comp
-        comps.append(frozenset(comp))
+        if v not in seen:
+            comp = reach(g, v)
+            seen |= comp
+            comps.append(frozenset(comp))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(bfs_distances(g, g.vertices[0])) == g.n
+    return len(reach(g, g.vertices[0])) == g.n
 
 
 def pendant_vertices(g: Graph) -> set[int]:
@@ -511,25 +515,37 @@ def is_bipartite(g: Graph) -> tuple[set[int], set[int]] | None:
 def ball(g: Graph, v: int, radius: int) -> tuple[Graph, set[int]]:
     """Subgraph induced by vertices within `radius` hops of `v`, plus the
     boundary: vertices at distance exactly `radius` with neighbors outside.
+    The search walks `radius` layers, or fewer if the graph ends first, and
+    visits no vertex farther out.
     """
     if radius < 0:
         raise GraphError("radius must be non-negative")
-    dist = bfs_distances(g, v)
-    inside = {w for w, d in dist.items() if d <= radius}
-    boundary = {
-        w
-        for w in inside
-        if dist[w] == radius and any(x not in inside for x in g._adj[w])
-    }
+    if v not in g:
+        raise GraphError(f"unknown vertex {v}")
+    adj = g._adj
+    inside = {v}
+    layer = [v]
+    for _ in range(radius):
+        if not layer:
+            break
+        outer = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in inside:
+                    inside.add(w)
+                    outer.append(w)
+        layer = outer
+    boundary = {w for w in layer if any(x not in inside for x in adj[w])}
     return induced_subgraph(g, inside), boundary
 
 
 def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:
+    """The subgraph on `vs`, read from their own neighbourhoods only."""
     keep = set(vs)
     for v in keep:
         if v not in g:
             raise GraphError(f"unknown vertex {v}")
-    es = [(u, w) for u, w in g.edges() if u in keep and w in keep]
+    es = [(u, w) for u in keep for w in g._adj[u] if u < w and w in keep]
     return Graph(keep, es)
 
 

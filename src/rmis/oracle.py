@@ -11,9 +11,9 @@ the first checker and the search share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .graph import Edge, Graph, GraphError, blocks, edge, is_connected, remove_edges
+from .graph import Edge, Graph, GraphError, blocks, edge, is_connected, reach, remove_edges
 
 DEFAULT_VERTEX_CAP = 16
 DEFAULT_REMOVABLE_CAP = 20
@@ -49,18 +49,17 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     An MIS is robust iff for every vertex u outside it, deleting all edges
     between u and the set disconnects the graph: any connectivity-preserving
     removal then leaves u covered. Only a *suspect*, a vertex outside with a
-    neighbour outside, can fail this. A search from the first vertex checks
-    that the graph is connected, then one pass over the adjacency checks the
-    MIS and collects the suspects. A second search settles the first
-    suspect, which is all a non-robust greedy set usually needs. One block
-    pass settles the rest: deleting u's edges into the set disconnects the
-    graph iff some block holding u has none of u's edges to vertices
-    outside.
+    neighbour outside, can fail this. `is_connected` checks that the graph
+    is connected, then one pass over the adjacency checks the MIS and
+    collects the suspects. One more `reach`, leaving the first suspect only
+    through its edges to vertices outside, settles that suspect, which is
+    all a non-robust greedy set usually needs. One block pass settles the
+    rest: deleting u's edges into the set disconnects the graph iff some
+    block holding u has none of u's edges to vertices outside.
     """
-    adj = g._adj
-    first = g.vertices[0]
-    if not _reaches_all(g, first, adj[first]):
+    if not is_connected(g):
         raise GraphError("is_robust_mis requires a connected graph")
+    adj = g._adj
     members = _as_member_set(g, s)
     suspects = []
     for v in g.vertices:
@@ -75,7 +74,7 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
     if not suspects:
         return True
     u = suspects[0]
-    if _reaches_all(g, u, [w for w in adj[u] if w not in members]):
+    if len(reach(g, u, [w for w in adj[u] if w not in members])) == g.n:
         return False
     found = blocks(g, "is_robust_mis")
     aps, number, block_of = found.articulation_points, found.number, found.block_of
@@ -94,21 +93,6 @@ def is_robust_mis(g: Graph, s: Iterable[int]) -> bool:
         if len(kept) == len(every):
             return False
     return True
-
-
-def _reaches_all(g: Graph, start: int, exits: Sequence[int]) -> bool:
-    """Whether a search that leaves `start` only through `exits`, distinct
-    neighbours of it, reaches every vertex of g.
-    """
-    adj = g._adj
-    seen = {start, *exits}
-    todo = list(exits)
-    for v in todo:  # grows as the walk goes
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return len(seen) == g.n
 
 
 def is_robust_mis_bruteforce(

@@ -41,7 +41,6 @@ from rmis.graph import (
     EdgeListParseError,
     Graph,
     GraphError,
-    bfs_distances,
     induced_subgraph,
     is_bipartite,
     is_connected,
@@ -61,12 +60,23 @@ def evaluate(f: TwoSatFormula, assignment: list[bool]) -> bool:
 
 
 def diameter(g: Graph) -> int:
-    """Longest shortest-path length over all vertex pairs."""
-    if not is_connected(g):
-        raise GraphError("diameter requires a connected graph")
+    """Longest shortest-path length over all vertex pairs, by a
+    breadth-first search of its own from every vertex, so that it judges
+    the library's searches without using them.
+    """
     best = 0
-    for v in g.vertices:
-        best = max(best, max(bfs_distances(g, v).values()))
+    for source in g.vertices:
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if len(dist) < g.n:
+            raise GraphError("diameter requires a connected graph")
+        best = max(best, max(dist.values()))
     return best
 
 

@@ -155,9 +155,21 @@ MUTANTS = [
     ),
     Mutant(
         "graph.py",
-        'text.find("\\r", cut, end - 2)',
-        'text.find("\\r", cut, end - 1)',
+        '_LINE_END = re.compile("\\r\\n|[',
+        '_LINE_END = re.compile("[',
         "from_edge_list: a chunk may end between the \"\\r\" and \"\\n\" of a line end",
+    ),
+    Mutant(
+        "graph.py",
+        "todo = list(adj[start] if exits is None else exits)",
+        "todo = list(adj[start])",
+        "reach: the search leaves the start through every neighbour, whatever the exits",
+    ),
+    Mutant(
+        "graph.py",
+        "    for _ in range(radius):\n",
+        "    for _ in range(radius - 1):\n",
+        "ball: the search walks one layer short of the radius",
     ),
 ]
 

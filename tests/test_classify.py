@@ -335,7 +335,7 @@ class TestOnePass:
 
         shapes = [Graph([0]), gen_bull(), gen_cycle(4), gen_complete_bipartite(3, 4), gen_gk(3).graph, gen_random_sputnik(2, 60)]
         monkeypatch.setattr(classify, "blocks", counted)
-        monkeypatch.setattr(graph, "bfs_distances", refuse)
+        monkeypatch.setattr(graph, "reach", refuse)
         for g in shapes:
             calls.clear()
             in_rmis_forall(g)

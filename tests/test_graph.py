@@ -11,7 +11,6 @@ from rmis.graph import (
     GraphError,
     articulation_points,
     ball,
-    bfs_distances,
     biconnected_components,
     blocks,
     bridges,
@@ -21,6 +20,7 @@ from rmis.graph import (
     is_bipartite,
     is_connected,
     pendant_vertices,
+    reach,
     remove_edges,
     to_edge_list,
 )
@@ -136,17 +136,19 @@ class TestParseMemory:
         per_element = peak / (g.n + g.num_edges)
         assert per_element <= 45, f"parse peak {per_element:.0f} B per n + m"
 
-    def test_bare_carriage_returns_end_chunks(self):
-        # with bare "\r" line ends a chunk ends at the first "\r" past its
-        # length, so the line parser holds one chunk's lines at a time: 23
-        # B per n + m, against 20 for the "\n" text read in bulk. Chunks
-        # that ended only at "\n" made the whole text one chunk, at 81
+    @pytest.mark.parametrize("sep", ["\r", "\x0c", "\x85", "\u2028"], ids=["cr", "ff", "nel", "ls"])
+    def test_bare_carriage_returns_end_chunks(self, sep):
+        # with bare "\r" line ends, or any other that `str.splitlines`
+        # honours, a chunk ends at the first one past its length, so the
+        # line parser holds one chunk's lines at a time: 23 B per n + m,
+        # against 20 for the "\n" text read in bulk. A chunk that ran on to
+        # the next "\n" took the whole text in one, at 81
         text = to_edge_list(gen_complete_bipartite(100, 100))
-        cr_text = text.replace("\n", "\r")
-        g, _, cr_peak = traced(lambda: from_edge_list(cr_text))
+        sep_text = text.replace("\n", sep)
+        g, _, sep_peak = traced(lambda: from_edge_list(sep_text))
         assert g == from_edge_list(text)
         _, _, lf_peak = traced(lambda: from_edge_list(text))
-        assert cr_peak <= 1.5 * lf_peak, f"parse peak {cr_peak / lf_peak:.2f} times the \"\\n\" text's"
+        assert sep_peak <= 1.5 * lf_peak, f"parse peak {sep_peak / lf_peak:.2f} times the \"\\n\" text's"
 
 
 def best_parse_times(texts):
@@ -200,10 +202,12 @@ class TestGraphInvariants:
         [
             lambda g: g.neighbors(9),
             lambda g: g.degree(9),
-            lambda g: bfs_distances(g, 9),
+            lambda g: reach(g, 9),
+            lambda g: reach(g, 9, []),
+            lambda g: ball(g, 9, 2),
             lambda g: induced_subgraph(g, [0, 9]),
         ],
-        ids=["neighbors", "degree", "bfs_distances", "induced_subgraph"],
+        ids=["neighbors", "degree", "reach", "reach-exits", "ball", "induced_subgraph"],
     )
     def test_unknown_vertex_rejected(self, op):
         with pytest.raises(GraphError, match="^unknown vertex 9$"):

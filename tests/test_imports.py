@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private helper the library defines is used by the library, and no test
-module imports a private name of the library.
+private helper the library defines is used by the library, no test
+module imports a private name of the library, and no library line runs
+past 120 characters.
 
 Read with the standard-library `ast`, so no linter is needed. `__init__.py`
 is exempt from the import check, since its imports are the package's
@@ -106,3 +107,14 @@ def test_the_check_sees_a_private_library_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
 def test_no_test_imports_a_private_library_name(module):
     assert private_library_imports((TESTS / module).read_text()) == []
+
+
+# the longest library lines are 120 characters; a line count is not to be
+# bought by joining lines past that
+MAX_LINE = 120
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_library_line_past_the_limit(module):
+    lines = (SRC / module).read_text().splitlines()
+    assert [f"line {i}: {len(line)}" for i, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []

@@ -74,15 +74,17 @@ _LINE_CHANGES = {
     "plus sign": lambda u, v: [f"+{u} {v}"],  # `int` accepts it
 }
 # changes of the whole text: its last line end dropped, an id after it
-# that leaves the separators alternating, or every "\n" a bare "\r". The id has several digits and is
-# in none of the graphs drawn here: a bulk read of that last chunk would cut
-# its last digit off with the line end it lacks and leave it unpaired, so
-# the vertex would be lost (a one-digit id would leave an empty one, which
-# JSON refuses)
+# that leaves the separators alternating, or every "\n" a bare "\r" or a
+# "\u2028", another line end that `str.splitlines` honours. The id has
+# several digits and is in none of the graphs drawn here: a bulk read of
+# that last chunk would cut its last digit off with the line end it lacks
+# and leave it unpaired, so the vertex would be lost (a one-digit id would
+# leave an empty one, which JSON refuses)
 _TEXT_CHANGES = {
     "no final newline": lambda text: text[:-1],
     "lone last id": lambda text: text + "99999",
     "bare cr line ends": lambda text: text.replace("\n", "\r"),
+    "line separator line ends": lambda text: text.replace("\n", "\u2028"),
 }
 _MUTATIONS = [*_LINE_CHANGES, *_TEXT_CHANGES]
 
