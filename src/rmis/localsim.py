@@ -7,7 +7,14 @@ work through `NodeProgram.idle`; by default no node is idle, so every node
 sends and steps in every round. Message size is unbounded. Nodes are
 addressed by ports: port p of a node leads to the neighbor with the p-th
 smallest assigned identifier, and a node initially knows nothing beyond its
-own identifier and degree.
+own identifier and degree. A program sends a mapping from port to message;
+`Broadcast(degree, msg)` is the one that sends the same message on every
+port, and the engine delivers it without a per-port lookup.
+
+The engine numbers the nodes 0..n-1 in vertex order and keeps states, port
+tables, inboxes and decision rounds in lists indexed by that position;
+vertex ids appear again only in the `SimResult` and in a timeout's
+`undecided` list.
 
 Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
@@ -25,8 +32,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Any
 
 from .classify import complete_bipartite_sides
@@ -78,8 +87,10 @@ class NodeProgram(ABC):
     def init(self, ident: int, degree: int) -> Any: ...
 
     @abstractmethod
-    def send(self, state: Any) -> dict[int, Any]:
-        """Messages to emit this round, keyed by port."""
+    def send(self, state: Any) -> Mapping[int, Any]:
+        """Messages to emit this round: a mapping from port to message;
+        `Broadcast` sends one message on every port.
+        """
 
     @abstractmethod
     def step(self, state: Any, inbox: dict[int, Any]) -> Any:
@@ -94,6 +105,30 @@ class NodeProgram(ABC):
         return False
 
 
+class Broadcast(Mapping[int, Any]):
+    """One message on every port: the read-only mapping {0: msg, ...,
+    degree - 1: msg}, held as the message and the degree. `run_sync`
+    delivers it in one pass over the sender's ports.
+    """
+
+    __slots__ = ("degree", "msg")
+
+    def __init__(self, degree: int, msg: Any):
+        self.degree = degree
+        self.msg = msg
+
+    def __len__(self) -> int:
+        return self.degree
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self.degree))
+
+    def __getitem__(self, port: int) -> Any:
+        if port in range(self.degree):
+            return self.msg
+        raise KeyError(port)
+
+
 def identity_ids(g: Graph) -> IdAssignment:
     return {v: v for v in g.vertices}
 
@@ -102,6 +137,28 @@ def random_ids(g: Graph, seed: int) -> IdAssignment:
     rng = random.Random(seed)
     pool = rng.sample(range(10 * g.n + 10), g.n)
     return {v: pool[i] for i, v in enumerate(g.vertices)}
+
+
+def _port_tables(g: Graph, ids: IdAssignment) -> tuple[list[list[int]], list[list[int]]]:
+    """Port tables on node positions, node i being the i-th vertex: to[i][p]
+    is the node behind port p of i, and back[i][p] that node's port leading
+    back to i.
+    """
+    verts, adj = g.vertices, g._adj
+    pos = dict(zip(verts, range(g.n)))
+    key = [ids[v] for v in verts]
+    order = sorted(range(g.n), key=key.__getitem__)
+    # visiting the nodes in id order fills each to list, and then each back
+    # list, in the order of its owner's ports
+    to: list[list[int]] = [[] for _ in verts]
+    for i in order:
+        for j in map(pos.__getitem__, adj[verts[i]]):
+            to[j].append(i)
+    back: list[list[int]] = [[] for _ in verts]
+    for i in order:
+        for p, j in enumerate(to[i]):
+            back[j].append(p)
+    return to, back
 
 
 def run_sync(
@@ -124,58 +181,62 @@ def run_sync(
         raise GraphError("run_sync requires a connected graph")
     limit = max_rounds if max_rounds is not None else 4 * g.n + 8
 
-    # port_to[v][p] is the neighbor behind port p of v, and port_back[v][p]
-    # that neighbor's port leading back to v
-    adj = g._adj
-    port_to: dict[int, list[int]] = {v: sorted(adj[v], key=ids.__getitem__) for v in g.vertices}
-    # visiting the senders in id order fills each port_back list in the
-    # order of its owner's ports
-    port_back: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for v in sorted(g.vertices, key=ids.__getitem__):
-        for p, u in enumerate(port_to[v]):
-            port_back[u].append(p)
-
+    verts, n = g.vertices, g.n
+    to, back = _port_tables(g, ids)
     send, step, output, idle = program.send, program.step, program.output, program.idle
-    states = {v: program.init(ids[v], len(adj[v])) for v in g.vertices}
-    termination: dict[int, int] = {}
-    for v in g.vertices:
-        if output(states[v]) is not None:
-            termination[v] = 0
-    # senders go in vertex order, so every inbox fills in the order it
-    # would if every node sent
-    active = [v for v in g.vertices if not idle(states[v])]
+    states = [program.init(ids[v], len(t)) for v, t in zip(verts, to)]
+    decided_at: list[int | None] = [None if output(state) is None else 0 for state in states]
+    undecided = decided_at.count(None)
+    # senders go in node order, so every inbox fills in the order it would
+    # if every node sent
+    active = [i for i in range(n) if not idle(states[i])]
+    inboxes: list[dict[int, Any] | None] = [None] * n
     rounds = node_steps = 0
     messages_per_round: list[int] = []
-    while len(termination) < g.n:
+    while undecided:
         rounds += 1
         if rounds > limit:
-            undecided = [v for v in g.vertices if v not in termination]
-            raise SimulationTimeout(limit, undecided)
-        inboxes: dict[int, Any] = {v: {} for v in active}
+            raise SimulationTimeout(limit, [verts[i] for i in range(n) if decided_at[i] is None])
+        for i in active:
+            inboxes[i] = {}
+        woken: list[int] = []  # nodes without work that received mail
         sent = 0
-        for v in active:
-            msgs = send(states[v])
+        for i in active:
+            msgs = send(states[i])
             sent += len(msgs)
-            to, back = port_to[v], port_back[v]
-            for port, msg in msgs.items():
-                u = to[port]
-                inbox = inboxes.get(u)
-                if inbox is None:
-                    inbox = inboxes[u] = {}
-                inbox[back[port]] = msg
+            if type(msgs) is Broadcast:  # a subclass goes port by port
+                msg = msgs.msg
+                for j, p in zip(to[i], back[i]):
+                    inbox = inboxes[j]
+                    if inbox is None:
+                        inbox = inboxes[j] = {}
+                        woken.append(j)
+                    inbox[p] = msg
+            else:
+                t, b = to[i], back[i]
+                for port, msg in msgs.items():
+                    j = t[port]
+                    inbox = inboxes[j]
+                    if inbox is None:
+                        inbox = inboxes[j] = {}
+                        woken.append(j)
+                    inbox[b[port]] = msg
         messages_per_round.append(sent)
+        stepped = active + woken
         active = []
-        for v, inbox in inboxes.items():
-            states[v] = state = step(states[v], inbox)
-            inboxes[v] = None  # read; its mail need not outlive the step
-            if v not in termination and output(state) is not None:
-                termination[v] = rounds
+        for i in stepped:
+            states[i] = state = step(states[i], inboxes[i])
+            inboxes[i] = None  # read; its mail need not outlive the step
+            if decided_at[i] is None and output(state) is not None:
+                decided_at[i] = rounds
+                undecided -= 1
             if not idle(state):
-                active.append(v)
-        node_steps += len(inboxes)
+                active.append(i)
+        node_steps += len(stepped)
         active.sort()
-    outputs = {v: output(states[v]) for v in g.vertices}
-    return SimResult(outputs, max(termination.values()), termination, node_steps, messages_per_round)
+    outputs = dict(zip(verts, map(output, states)))
+    termination = dict(zip(verts, decided_at))
+    return SimResult(outputs, max(decided_at), termination, node_steps, messages_per_round)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +289,9 @@ def _merged(inbox: dict[int, Any], own: dict[int, frozenset[int]]) -> dict[int, 
 
 class RmisForallProgram(NodeProgram):
     """Three rounds of neighborhood flooding, then a constant-time case
-    split, then an id-priority MIS on the leftover forest.
+    split, then an id-priority MIS on the leftover forest. Each flooding
+    round sends one `Broadcast`; a forest node's status announcement is a
+    per-port dict on its residual ports.
 
     After the flooding a node holds every vertex within three hops, full
     adjacency out to two hops, and knows which collected vertices may have
@@ -282,20 +345,20 @@ class RmisForallProgram(NodeProgram):
     def init(self, ident: int, degree: int) -> _GatherState:
         return _GatherState(ident, degree)
 
-    def send(self, state: _GatherState) -> dict[int, Any]:
+    def send(self, state: _GatherState) -> Mapping[int, Any]:
         if state.round >= 3:
             return state.outbox or _NO_MAIL
         if state.round == 0:
-            return dict.fromkeys(range(state.degree), ("id", state.ident))
-        return dict.fromkeys(range(state.degree), ("adj", state.adj))
+            return Broadcast(state.degree, ("id", state.ident))
+        return Broadcast(state.degree, ("adj", state.adj))
 
     def step(self, state: _GatherState, inbox: dict[int, Any]) -> _GatherState:
-        state.round += 1
-        if state.round == 2 or state.round == 4:
+        rnd = state.round = state.round + 1
+        if rnd == 2 or rnd == 4:
             tables = vars(self)
             tables.pop("_shared", None)
             tables.pop("_gathered", None)
-        if state.round > 3:
+        if rnd > 3:
             if state.decision is None:
                 residual = state.residual
                 for port, (_, ident, status) in inbox.items():
@@ -307,10 +370,10 @@ class RmisForallProgram(NodeProgram):
                     state.residual = None
             elif state.outbox:  # announced this round; nothing more to say
                 state.outbox = None
-        elif state.round == 1:
-            nbhd = frozenset([msg[1] for msg in inbox.values()])
+        elif rnd == 1:
+            nbhd = frozenset(map(itemgetter(1), inbox.values()))
             state.adj = {state.ident: self._shared.setdefault(nbhd, nbhd)}
-        elif state.round == 2:
+        elif rnd == 2:
             state.adj = _merged(inbox, state.adj)
         else:
             nbhd = state.adj[state.ident]

@@ -171,6 +171,30 @@ MUTANTS = [
         "    for _ in range(radius - 1):\n",
         "ball: the search walks one layer short of the radius",
     ),
+    Mutant(
+        "localsim.py",
+        "for j, p in zip(to[i], back[i]):",
+        "for j, p in zip(to[i], range(msgs.degree)):",
+        "run_sync: a broadcast lands on the sender's port number, not on the receiver's port back to it",
+    ),
+    Mutant(
+        "localsim.py",
+        "for i in order:\n        for p, j in enumerate(to[i]):",
+        "for i in range(g.n):\n        for p, j in enumerate(to[i]):",
+        "run_sync: the back tables are filled in node order, not id order, so mail lands on wrong ports",
+    ),
+    Mutant(
+        "localsim.py",
+        "                        woken.append(j)\n                    inbox[p] = msg\n",
+        "                    inbox[p] = msg\n",
+        "run_sync: a broadcast to an idle node fills its inbox but does not wake it",
+    ),
+    Mutant(
+        "localsim.py",
+        "return state.outbox or _NO_MAIL",
+        'return state.outbox and Broadcast(state.degree, ("status", state.ident, state.decision)) or _NO_MAIL',
+        "RmisForallProgram: a decided forest node announces its status on every port, not only to the forest",
+    ),
 ]
 
 

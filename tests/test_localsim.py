@@ -5,6 +5,7 @@ import timeit
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Any
 
 import pytest
 
@@ -28,6 +29,7 @@ from rmis.generators import (
 from rmis.localsim import (
     IN,
     OUT,
+    Broadcast,
     NodeProgram,
     RmisForallProgram,
     SimulationTimeout,
@@ -274,6 +276,30 @@ class TestEngine:
         assert result.rounds_total == diameter(g) + 1
 
 
+class TestBroadcast:
+    """`Broadcast(d, msg)` is the mapping {0: msg, ..., d - 1: msg}."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7])
+    def test_mapping_contract(self, degree):
+        msg = ("adj", {3: frozenset([1, 2])})
+        b = Broadcast(degree, msg)
+        assert len(b) == degree
+        assert list(b) == list(b.keys()) == list(range(degree))
+        assert list(b.values()) == [msg] * degree
+        assert all(value is msg for value in b.values())
+        assert list(b.items()) == [(p, msg) for p in range(degree)]
+        assert all(b[p] is msg and p in b for p in range(degree))
+        for port in (-1, degree, degree + 5, "0", None):
+            assert port not in b
+            with pytest.raises(KeyError):
+                b[port]
+        assert b.get(degree) is None
+        assert b == dict.fromkeys(range(degree), msg) and dict.fromkeys(range(degree), msg) == b
+        assert b != dict.fromkeys(range(degree + 1), msg)
+        assert b != dict.fromkeys(range(degree), ("adj", {})) or degree == 0
+        assert not hasattr(b, "__dict__")
+
+
 class TestRmisForallProgram:
     def test_complete_bipartite_rounds_and_convention(self):
         for m, n in ((1, 1), (2, 3), (4, 4), (1, 5)):
@@ -370,6 +396,23 @@ class TestRmisForallProgram:
             assert is_mis(g, in_set(result))
             assert max(program.sent.values(), default=0) <= 1
             announced += len(program.sent)
+        assert announced > 0
+
+    def test_statuses_reach_exactly_the_forest_neighbors(self):
+        # the forest is what the pendant rules leave: no pendant and no
+        # pendant neighbor. Each forest node announces once, to each forest
+        # neighbor, unless it decided in the last round
+        announced = 0
+        for g, ids in self.forest_instances():
+            if is_complete_bipartite(g) is not None:
+                continue  # decided in round 3, no forest stage
+            pend = pendant_vertices(g)
+            forest = {v for v in g.vertices if v not in pend and not g.neighbors(v) & pend}
+            result = run_sync(g, rmis_forall_program(), ids)
+            last = result.rounds_total
+            expected = sum(len(g.neighbors(v) & forest) for v in forest if result.termination_round[v] < last)
+            assert sum(result.messages_per_round[3:]) == expected
+            announced += expected
         assert announced > 0
 
     def test_payloads_are_not_changed_after_sending(self):
@@ -603,6 +646,65 @@ def differential_graphs():
         yield g, random_ids(g, i)
 
 
+@dataclass
+class _MixedState:
+    ident: int
+    degree: int
+    digest: int
+    heard: int = 0
+    outbox: Any = None
+
+
+class MixedSends(NodeProgram):
+    """Sends a `Broadcast`, a dict on every other port, or nothing, picked
+    from a digest of the ports and messages heard so far, first at the
+    start and then after each of its first three inboxes. A node idles
+    once it has heard twice and has nothing to send; it is undecided while
+    it has something to send, then IN or OUT by the digest's parity.
+    """
+
+    def __init__(self):
+        self.sent = Counter()  # sends by kind: "Broadcast", "dict" or "nothing"
+
+    def init(self, ident, degree):
+        state = _MixedState(ident, degree, ident)
+        state.outbox = self.next_send(state)
+        return state
+
+    @staticmethod
+    def next_send(state):
+        msg = (state.ident, state.digest)
+        kind = state.digest % 3
+        if kind == 0:
+            return Broadcast(state.degree, msg)
+        if kind == 1:
+            return {p: msg for p in range(state.digest % 2, state.degree, 2)}
+        return {}
+
+    def send(self, state):
+        msgs = state.outbox or {}
+        self.sent[type(msgs).__name__ if msgs else "nothing"] += 1
+        return msgs
+
+    def step(self, state, inbox):
+        state.outbox = None
+        if inbox:
+            state.heard += 1
+            mail = sum((p + 1) * (ident + 3 * digest) for p, (ident, digest) in inbox.items())
+            state.digest = (31 * state.digest + mail) % 1_000_003
+            if state.heard <= 3:
+                state.outbox = self.next_send(state)
+        return state
+
+    def output(self, state):
+        if state.outbox:
+            return None
+        return IN if state.digest % 2 else OUT
+
+    def idle(self, state):
+        return state.heard >= 2 and not state.outbox
+
+
 class TestActiveEngine:
     """`run_sync` skips idle nodes; the every-node reference engine in
     conftest must see the same run.
@@ -621,6 +723,22 @@ class TestActiveEngine:
                     continue  # never idle, so a long path only costs time
                 expected = outcome(run_sync_every_node, g, make(), ids, max_rounds)
                 assert outcome(run_sync, g, make(), ids, max_rounds) == expected
+
+    def test_mixed_sends_match_every_node_engine(self):
+        # one program sends broadcasts, per-port dicts that skip ports and
+        # nothing, and idles in between, so mail wakes nodes through both
+        # delivery branches; a wrong port, lost message or missed wake-up
+        # changes some digest
+        sent = Counter()
+        timeouts = 0
+        for g, ids in differential_graphs():
+            for max_rounds in (None, 1):
+                expected = outcome(run_sync_every_node, g, MixedSends(), ids, max_rounds)
+                program = MixedSends()
+                assert outcome(run_sync, g, program, ids, max_rounds) == expected
+                sent += program.sent
+                timeouts += expected[0] == "timeout"
+        assert timeouts > 0 and sent.keys() == {"Broadcast", "dict", "nothing"}
 
     def test_timeouts_match_outside_the_class(self):
         timeouts = 0
@@ -723,10 +841,13 @@ class TestSimulatorMemory:
         # state that sheds its maps after the third step, with each inbox
         # dropped once its node has stepped, read 779 B while the gathered
         # table kept each entry's first message and a port table per node;
-        # without them, the table cleared at every second step, 668 B
+        # without them, the table cleared at every second step, 668 B; with
+        # the engine on node positions (states, port tables and inboxes in
+        # lists, the position map dropped once the port tables are built)
+        # and one `Broadcast` per flooding send, 611 B
         g = gen_sparse_sputnik(20000, 2000, 1)
         per_elem = peak_bytes_per_element(g)
-        assert per_elem <= 720, f"{per_elem:.0f} B per n + m"
+        assert per_elem <= 640, f"{per_elem:.0f} B per n + m"
 
 
 def best_times_per_element(graphs, repeats):
