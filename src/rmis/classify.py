@@ -27,14 +27,15 @@ def complete_bipartite_sides(
     a KeyError: sides are returned only when every neighborhood is V1 or V2,
     both inside the keys.
 
-    The neighborhoods are duplicate-free collections of one type per map:
-    a graph's sorted tuples or the LOCAL simulator's frozensets. Each V1
-    neighborhood is compared with the smallest vertex's, and each V2
-    neighborhood with that of one V2 vertex, which is checked once against
-    V1 by size and containment; a comparison tries identity before content.
-    So the cost is linear in the map's size, with no search, and linear in
-    the number of keys when equal neighborhoods are one shared object, as
-    in the simulator's gathered maps.
+    Both callers, a graph's adjacency and the LOCAL simulator's gathered
+    maps, hold each neighborhood as a sorted id tuple, so tuples are equal
+    exactly when their sets are. Each V1 neighborhood is compared with the
+    smallest vertex's, and each V2 neighborhood with that of one V2 vertex,
+    which is checked once against V1 by size and containment; a comparison
+    tries identity before content. So the cost is linear in the map's size,
+    with no search, and linear in the number of keys when equal
+    neighborhoods are one shared object, as in the simulator's gathered
+    maps.
 
     The size test makes the V2 check exact on any map: with containment it
     gives that one V2 neighborhood equals V1. On a symmetric map, as a

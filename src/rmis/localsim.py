@@ -19,9 +19,9 @@ vertex ids appear again only in the `SimResult` and in a timeout's
 Programs must treat received message objects as read-only and never mutate
 a payload after sending it.
 
-An `RmisForallProgram` object gives equal neighborhoods one shared
-frozenset object across the nodes it serves, and nodes with equal
-neighborhoods one shared round-3 gathered map and bipartite test result.
+An `RmisForallProgram` object gives equal neighborhoods one shared tuple
+across the nodes it serves, and nodes with equal neighborhoods one shared
+round-3 gathered map and bipartite test result.
 These are devices of the simulator, to save time and memory: no shared
 value is changed once built, and each equals the one the node would build
 from its own inbox, so no information passes between nodes, and programs
@@ -270,17 +270,17 @@ class _GatherState:
     degree: int
     round: int = 0  # steps taken; no node idles before its fourth
     decision: str | None = None
-    adj: dict[int, frozenset[int]] | None = None  # id -> full nbhd, one to three hops out
+    adj: dict[int, tuple[int, ...]] | None = None  # id -> sorted nbhd ids, one to three hops out
     sides: tuple[set[int], set[int]] | None = None  # complete_bipartite_sides(adj)
     residual: dict[int, tuple[int, str | None]] | None = None  # port -> (id, status)
     outbox: dict[int, Any] | None = None  # the node's one status announcement
 
 
-def _merged(inbox: dict[int, Any], own: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+def _merged(inbox: dict[int, Any], own: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     """A fresh map of the received adjacency maps and the node's own, which
     was sent and so is not changed in place.
     """
-    merged: dict[int, frozenset[int]] = {}
+    merged: dict[int, tuple[int, ...]] = {}
     for _, mapping in inbox.values():
         merged.update(mapping)
     merged.update(own)
@@ -316,29 +316,30 @@ class RmisForallProgram(NodeProgram):
     (port -> neighbor id and last status heard); the table goes when the
     node decides, and its announcement once sent.
 
-    Nodes with equal neighborhoods hold one frozenset object, taken from a
-    table the program object keeps (`_shared`), so the bipartite test
-    compares them by identity. A second table (`_gathered`) holds the
-    round-3 gathered map and its sides once per distinct neighborhood:
-    nodes with equal neighbor sets hear the same senders, so they gather
-    equal maps. Round 1 alone reads `_shared` and round 3 alone
-    `_gathered`, and every node takes its second and its fourth step in
-    the rounds after them, so each node drops both tables then: round 3
-    starts with no entry from an earlier run, even one the round cap
-    stopped, and a run that reaches a fourth round leaves neither table
-    (one that ends in round 3, as on K_{m,n}, leaves `_gathered` to the
-    next run's second step). These are simulator devices, not part of the algorithm: the tables
-    only swap a node's values, never changed once built, for equal ones,
-    and nothing may depend on object identity.
+    A node's neighborhood is the sorted tuple of its neighbors' ids, so port
+    p leads to its p-th entry. Nodes with equal neighborhoods hold one
+    shared tuple, taken from a table the program object keeps (`_shared`),
+    so the bipartite test compares them by identity. A second table
+    (`_gathered`) holds the round-3 gathered map and its sides once per
+    distinct neighborhood: nodes with equal neighbor sets hear the same
+    senders, so they gather equal maps. Round 1 alone reads `_shared` and
+    round 3 alone `_gathered`, and every node takes its second and its
+    fourth step in the rounds after them, so each node drops both tables
+    then: round 3 starts with no entry from an earlier run, even one the
+    round cap stopped, and a run that reaches a fourth round leaves neither
+    table (one that ends in round 3, as on K_{m,n}, leaves `_gathered` to
+    the next run's second step). These are simulator devices, not part of
+    the algorithm: the tables only swap a node's values, never changed once
+    built, for equal ones, and nothing may depend on object identity.
     """
 
     @cached_property
-    def _shared(self) -> dict[frozenset[int], frozenset[int]]:
+    def _shared(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Neighborhood -> the one object that stands for it."""
         return {}
 
     @cached_property
-    def _gathered(self) -> dict[frozenset[int], tuple[dict[int, frozenset[int]], Any]]:
+    def _gathered(self) -> dict[tuple[int, ...], tuple[dict[int, tuple[int, ...]], Any]]:
         """Neighborhood -> (gathered map, its sides)."""
         return {}
 
@@ -371,7 +372,7 @@ class RmisForallProgram(NodeProgram):
             elif state.outbox:  # announced this round; nothing more to say
                 state.outbox = None
         elif rnd == 1:
-            nbhd = frozenset(map(itemgetter(1), inbox.values()))
+            nbhd = tuple(sorted(map(itemgetter(1), inbox.values())))
             state.adj = {state.ident: self._shared.setdefault(nbhd, nbhd)}
         elif rnd == 2:
             state.adj = _merged(inbox, state.adj)
@@ -401,9 +402,9 @@ class RmisForallProgram(NodeProgram):
                 return
         # leftover-forest member: ignore edges toward nodes that have a
         # pendant neighbor, run the greedy on what remains; port p leads to
-        # the neighbor with the p-th smallest id
+        # the neighbor with the p-th smallest id, the p-th of the tuple
         residual: dict[int, tuple[int, str | None]] = {}
-        for port, ident in enumerate(sorted(adj[state.ident])):
+        for port, ident in enumerate(adj[state.ident]):
             for w in adj[ident]:
                 if len(adj[w]) == 1:
                     break
@@ -450,17 +451,16 @@ def indistinguishability_check(k: int) -> bool:
 
     Three disjoint id pools label the two extremity neighborhoods across
     three copies of the gadget; the shared pool appears once at each
-    extremity, and those two views must coincide.
+    extremity, and those two views must coincide. Only those two views are
+    built: the shared pool laid on b's ball, and the same pool pulled back
+    onto beta's ball through the beta -> b mirror.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     inst = gen_gk(k)
     g, names = inst.graph, inst.names
-    mirror: dict[int, int] = {}
-    for i in range(k + 1):
-        for plain, marked in (("a", "alpha"), ("b", "beta"), ("c", "gamma")):
-            mirror[names[f"{plain}{i}"]] = names[f"{marked}{i}"]
-            mirror[names[f"{marked}{i}"]] = names[f"{plain}{i}"]
+    pairs = (("a", "alpha"), ("b", "beta"), ("c", "gamma"))
+    mirror = {names[f"{m}{i}"]: names[f"{p}{i}"] for i in range(k + 1) for p, m in pairs}  # beta's side -> b's
 
     b_end = names[f"b{k}"]
     beta_end = names[f"beta{k}"]
@@ -469,25 +469,6 @@ def indistinguishability_check(k: int) -> bool:
     if set(ball_b.vertices) & set(ball_beta.vertices):
         return False  # the two neighborhoods must not overlap at this radius
 
-    positions = ball_b.vertices  # labelings are defined positionally
-    pools = [
-        {p: base + i for i, p in enumerate(positions)}
-        for base in (10_000, 20_000, 30_000)
-    ]
-
-    def labeled_copy(b_pool: dict[int, int], beta_pool: dict[int, int]) -> IdAssignment:
-        ids = dict(b_pool)
-        for v in ball_beta.vertices:
-            ids[v] = beta_pool[mirror[v]]
-        filler = 40_000
-        for v in g.vertices:
-            if v not in ids:
-                ids[v] = filler
-                filler += 1
-        return ids
-
-    copy_one = labeled_copy(pools[0], pools[1])  # extremities see pools 1 and 2
-    copy_three = labeled_copy(pools[1], pools[2])  # extremities see pools 2 and 3
-    return labeled_ball_view(ball_beta, beta_end, copy_one) == labeled_ball_view(
-        ball_b, b_end, copy_three
-    )
+    pool = {p: i for i, p in enumerate(ball_b.vertices)}  # labelings are positional
+    pulled = {v: pool[mirror[v]] for v in ball_beta.vertices}
+    return labeled_ball_view(ball_beta, beta_end, pulled) == labeled_ball_view(ball_b, b_end, pool)

@@ -190,7 +190,6 @@ def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[f
         raise GraphError(f"{g.n} vertices exceeds enumeration cap {max_vertices}")
     adj = g._adj
     order = g.vertices
-    rank = {v: i for i, v in enumerate(order)}
     found: list[frozenset[int]] = []
     stack = [(0, frozenset(), frozenset())]
     while stack:
@@ -202,8 +201,9 @@ def enumerate_mis(g: Graph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> list[f
                 found.append(chosen)
             continue
         v = order[i]
-        # exclude v: only viable if some later neighbor can still dominate it
-        if any(rank[w] > i for w in adj[v]):
+        # exclude v: only viable if some later neighbor can still dominate
+        # it; the vertices and each neighbor tuple are sorted
+        if adj[v] and adj[v][-1] > v:
             stack.append((i + 1, chosen, blocked))
         stack.append((i + 1, chosen | {v}, blocked.union(adj[v])))
     found.sort(key=lambda m: tuple(sorted(m)))

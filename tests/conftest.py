@@ -80,6 +80,21 @@ def diameter(g: Graph) -> int:
     return best
 
 
+def leftover_first_mis(g: Graph, ids: dict[int, int]) -> tuple[set[int], set[int]]:
+    """The leftover set R, the vertices that are not pendants and have no
+    pendant neighbor, and the lexicographically first MIS of G[R] in order
+    of assigned id, by a sequential greedy from the definition: each vertex
+    of R in turn joins unless a neighbor already has.
+    """
+    pendants = {v for v in g.vertices if len(g.neighbors(v)) == 1}
+    leftover = {v for v in g.vertices if v not in pendants and not g.neighbors(v) & pendants}
+    chosen: set[int] = set()
+    for v in sorted(leftover, key=ids.__getitem__):
+        if not g.neighbors(v) & chosen:
+            chosen.add(v)
+    return leftover, chosen
+
+
 def brute_articulation_points(g: Graph) -> set[int]:
     """Definition check: v is an articulation point iff g minus v is disconnected."""
     out = set()

@@ -195,6 +195,18 @@ MUTANTS = [
         'return state.outbox and Broadcast(state.degree, ("status", state.ident, state.decision)) or _NO_MAIL',
         "RmisForallProgram: a decided forest node announces its status on every port, not only to the forest",
     ),
+    Mutant(
+        "localsim.py",
+        "labeled_ball_view(ball_beta, beta_end, pulled) ==",
+        "labeled_ball_view(ball_b, b_end, pool) ==",
+        "indistinguishability_check: b's view is compared with itself, so the check always holds",
+    ),
+    Mutant(
+        "localsim.py",
+        "if nb < ident and status != OUT:",
+        "if nb > ident and status != OUT:",
+        "_greedy_decision: the larger id takes priority in the leftover-forest greedy",
+    ),
 ]
 
 

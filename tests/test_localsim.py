@@ -4,11 +4,12 @@ import random
 import timeit
 import tracemalloc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import pytest
 
+from rmis import localsim
 from rmis.classify import in_rmis_forall, is_complete_bipartite
 from rmis.graph import (
     Graph,
@@ -42,7 +43,7 @@ from rmis.localsim import (
 )
 from rmis.oracle import is_mis
 
-from conftest import diameter, run_sync_every_node
+from conftest import diameter, leftover_first_mis, run_sync_every_node
 from test_golden_cli import sim_corpus
 
 
@@ -414,6 +415,23 @@ class TestRmisForallProgram:
             assert sum(result.messages_per_round[3:]) == expected
             announced += expected
         assert announced > 0
+
+    def test_leftover_is_the_first_mis_in_id_order(self):
+        # on a graph that is not complete bipartite, the vertices the
+        # pendant rules leave undecided run the id-priority greedy on the
+        # graph they induce, which picks its lexicographically first MIS
+        # in order of assigned id; a smaller-id neighbor that is still
+        # undecided holds a node back, a larger one does not
+        graphs = [g for g in sim_corpus().values() if is_complete_bipartite(g) is None]
+        graphs += [gen_sparse_sputnik(n, extra, seed) for n, extra, seed in ((2000, 200, 1), (3000, 300, 3))]
+        checked = 0
+        for i, g in enumerate(graphs):
+            for ids in (identity_ids(g), random_ids(g, i)):
+                leftover, expected = leftover_first_mis(g, ids)
+                result = run_sync(g, rmis_forall_program(), ids)
+                assert {v for v in leftover if result.outputs[v] == IN} == expected, (g.edges(), ids)
+                checked += len(leftover) > 1
+        assert checked > 40
 
     def test_payloads_are_not_changed_after_sending(self):
         class Snapshots(RmisForallProgram):
@@ -844,10 +862,11 @@ class TestSimulatorMemory:
         # without them, the table cleared at every second step, 668 B; with
         # the engine on node positions (states, port tables and inboxes in
         # lists, the position map dropped once the port tables are built)
-        # and one `Broadcast` per flooding send, 611 B
+        # and one `Broadcast` per flooding send, 610.5 B; with each
+        # neighborhood a sorted id tuple, not a frozenset, 520.9 B
         g = gen_sparse_sputnik(20000, 2000, 1)
         per_elem = peak_bytes_per_element(g)
-        assert per_elem <= 640, f"{per_elem:.0f} B per n + m"
+        assert per_elem <= 545, f"{per_elem:.0f} B per n + m"
 
 
 def best_times_per_element(graphs, repeats):
@@ -883,7 +902,7 @@ class TestScaling:
 
 class TestIndistinguishability:
     def test_holds_for_small_radii(self):
-        for k in (1, 2, 3):
+        for k in range(1, 9):
             assert indistinguishability_check(k)
 
     def test_same_instance_balls_differ(self):
@@ -895,6 +914,19 @@ class TestIndistinguishability:
         assert labeled_ball_view(ball_b, nm["b2"], ids) != labeled_ball_view(
             ball_beta, nm["beta2"], ids
         )
+
+    def test_lopsided_ladder_fails(self, monkeypatch):
+        # the real ladder plus the edge alpha_k - gamma_k: beta_k's ball
+        # gains an edge that b_k's lacks, so no labeling makes the two
+        # views equal and the check must say so
+        def lopsided_gk(k):
+            inst = gen_gk(k)
+            extra = (inst.names[f"alpha{k}"], inst.names[f"gamma{k}"])
+            return replace(inst, graph=Graph(inst.graph.vertices, [*inst.graph.edges(), extra]))
+
+        monkeypatch.setattr(localsim, "gen_gk", lopsided_gk)
+        for k in (1, 2, 3):
+            assert not indistinguishability_check(k)
 
     def test_rejects_radius_zero(self):
         with pytest.raises(GraphError):
